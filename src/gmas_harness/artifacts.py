@@ -54,6 +54,14 @@ def _encode(obj, out: list[str]) -> None:
             out.append(":")
             _encode(obj[key], out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and obj and all(isinstance(v, float) for v in obj):
+        # embedding vectors: the same text as _fmt_float per item, in one pass.
+        # A NaN or infinity makes the sum non-finite; so can overflow, which
+        # is why the items are then checked one by one.
+        if not math.isfinite(sum(obj)):
+            for value in obj:
+                _fmt_float(value)  # raises ValidationError naming the value
+        out.append("[" + ",".join(["0" if v == 0.0 else "%.17g" % v for v in obj]) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

@@ -25,6 +25,7 @@ import requests
 
 from .embeddings import DEFAULT_DIM, DeterministicEmbedder, EmbeddingVector
 from .errors import ConfigurationError, DimensionMismatchError, TransportError
+from .memo import Memo
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +61,12 @@ def prompt_fingerprint(role: str | None, full_prompt: str) -> str:
 
 
 class Backend(Protocol):
-    """Anything that can generate text and embed it."""
+    """Anything that can generate text and embed it.
+
+    Both backends here embed each distinct text once per instance (one
+    instance serves one experiment) and return the same vector object for
+    every later request of that text.
+    """
 
     def generate(self, request: GenerationRequest, *, role: str | None = None,
                  run_index: int = 0) -> str: ...
@@ -125,6 +131,7 @@ class ScriptedBackend:
         self.script = list(script or [])
         self.fallback_seed = fallback_seed
         self._embedder = DeterministicEmbedder(dim)
+        self._embeddings = Memo()
 
     @property
     def dim(self) -> int:
@@ -143,7 +150,7 @@ class ScriptedBackend:
         return _fallback_response(self.fallback_seed, role, fp, run_index, full)
 
     def embed(self, text: str) -> EmbeddingVector:
-        return self._embedder.embed(text)
+        return self._embeddings.get(text, lambda: self._embedder.embed(text))
 
 
 # ── fallback generator ───────────────────────────────────────────────────────
@@ -344,7 +351,9 @@ class LiveBackend:
     Transient failures (connection errors, 429, 5xx, malformed bodies) are
     retried with exponential backoff; other 4xx fail fast as configuration
     problems. A wrong embedding dimension is a hard error because every
-    downstream metric would be meaningless.
+    downstream metric would be meaningless. Embeddings are requested once
+    per distinct text, which assumes the endpoint returns the same vector
+    for the same input; failures are never cached.
     """
 
     def __init__(self, api_base: str, api_key: str = "", *,
@@ -365,6 +374,7 @@ class LiveBackend:
         self.timeout_s = timeout_s
         self._bucket = TokenBucket(rate_limit_per_s)
         self._session = session or requests.Session()
+        self._embeddings = Memo()
 
     @property
     def dim(self) -> int:
@@ -426,6 +436,9 @@ class LiveBackend:
         return content
 
     def embed(self, text: str) -> EmbeddingVector:
+        return self._embeddings.get(text, lambda: self._request_embedding(text))
+
+    def _request_embedding(self, text: str) -> EmbeddingVector:
         data = self._post("/v1/embeddings", {"model": self.embedding_model, "input": text})
         try:
             values = data["data"][0]["embedding"]

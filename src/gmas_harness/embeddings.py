@@ -9,6 +9,7 @@ harness has an offline oracle that is a pure function of its input text.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -29,13 +30,18 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    """Fixed-length real vector with its L2 norm cached at construction."""
+    """Fixed-length real vector with its L2 norm cached at construction.
+
+    ``values`` is a private read-only copy, so one vector can be shared by
+    any number of records, caches and threads.
+    """
 
     values: np.ndarray
     norm: float = field(init=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.array(self.values, dtype=np.float64)
+        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "norm", float(np.linalg.norm(arr)))
 
@@ -55,20 +61,20 @@ class EmbeddingVector:
         return self.norm == 0.0
 
     def tolist(self) -> list[float]:
-        return [float(v) for v in self.values]
+        return self.values.tolist()
 
     @classmethod
     def from_list(cls, values: list[float]) -> "EmbeddingVector":
-        return cls(np.asarray(values, dtype=np.float64))
+        return cls(values)
 
 
-def _bucket(token: str, dim: int) -> int:
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=b"bucket").digest()
-    return int.from_bytes(digest, "big") % dim
-
-def _sign(token: str) -> int:
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=1, key=b"sign").digest()
-    return 1 if digest[0] % 2 == 0 else -1
+@functools.lru_cache(maxsize=1 << 16)
+def _token_feature(token: str, dim: int) -> tuple[int, int]:
+    """(bucket, sign) of a token, from two independent keyed hashes."""
+    data = token.encode("utf-8")
+    bucket = hashlib.blake2b(data, digest_size=8, key=b"bucket").digest()
+    sign = hashlib.blake2b(data, digest_size=1, key=b"sign").digest()
+    return int.from_bytes(bucket, "big") % dim, 1 if sign[0] % 2 == 0 else -1
 
 
 class DeterministicEmbedder:
@@ -80,9 +86,12 @@ class DeterministicEmbedder:
         self.dim = dim
 
     def embed(self, text: str) -> EmbeddingVector:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for token in tokenize(text):
-            vec[_bucket(token, self.dim)] += _sign(token)
+        features = [_token_feature(token, self.dim) for token in tokenize(text)]
+        if not features:
+            return EmbeddingVector(np.zeros(self.dim, dtype=np.float64))
+        buckets, signs = zip(*features)
+        # sums of +-1 are exact in float64, so the summation order is irrelevant
+        vec = np.bincount(buckets, weights=signs, minlength=self.dim)
         norm = np.linalg.norm(vec)
         if norm > 0.0:
             vec = vec / norm
@@ -90,7 +99,7 @@ class DeterministicEmbedder:
 
     def token_bucket(self, token: str) -> int:
         """Bucket index a single token hashes to (inspection aid for tests)."""
-        return _bucket(token, self.dim)
+        return _token_feature(token, self.dim)[0]
 
 
 def deterministic_embed(text: str, dim: int = DEFAULT_DIM) -> EmbeddingVector:

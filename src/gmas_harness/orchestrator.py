@@ -23,6 +23,7 @@ from .backends import Backend, GenerationRequest
 from .embeddings import EmbeddingVector, centroid
 from .errors import ConfigurationError, GmasError, PlanSyntaxError
 from .knowledge import ContextBundle, DocumentStore, KnowledgeGraph, retrieve_graph, retrieve_rag
+from .memo import Memo
 from .records import (AllocationPlan, CodeArtifact, RefinementEvent, RunMetrics,
                       RunRecord, RunStatus, SolutionPath, Trajectory)
 from .ricsim import (KpiThresholds, SimulatedNetwork, attach_verdicts, evaluate_kpis,
@@ -87,14 +88,26 @@ DEFAULT_BINDINGS = {
 
 @dataclass
 class StoreSet:
-    """Per-role knowledge store bindings; asymmetry is an experimenter choice."""
+    """Per-role knowledge store bindings; asymmetry is an experimenter choice.
+
+    Stores and bindings are fixed once retrieval starts: each bundle is
+    computed once per (role, query, top_k, hop_expand, embedder) for the
+    life of the set, which is one experiment.
+    """
 
     document_store: DocumentStore | None = None
     graph: KnowledgeGraph | None = None
     bindings: dict = field(default_factory=lambda: dict(DEFAULT_BINDINGS))
+    _bundles: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
     def retrieve(self, role: AgentRole, query: str, top_k: int, hop_expand: int,
                  embedder) -> ContextBundle:
+        return self._bundles.get(
+            (role, query, top_k, hop_expand, embedder),
+            lambda: self._retrieve(role, query, top_k, hop_expand, embedder))
+
+    def _retrieve(self, role: AgentRole, query: str, top_k: int, hop_expand: int,
+                  embedder) -> ContextBundle:
         kind = self.bindings.get(role, "none")
         if kind == "rag" and self.document_store is not None:
             return retrieve_rag(self.document_store, query, top_k, embedder,
@@ -380,10 +393,15 @@ class ExperimentEnv:
 def _make_trajectory(role: AgentRole, prompt: str, output: str, summary: str,
                      bundle: ContextBundle, backend: Backend,
                      reasons: tuple[str, ...] = (),
-                     aux: tuple[tuple[str, str], ...] = ()) -> Trajectory:
+                     aux: tuple[tuple[str, str], ...] = (),
+                     output_embedding: EmbeddingVector | None = None) -> Trajectory:
+    """``output_embedding``, when given, must be the backend's embedding of ``output``."""
+    prompt_embedding = backend.embed(prompt)
+    if output_embedding is None:
+        output_embedding = backend.embed(output)
     return Trajectory(
-        role=role, prompt=prompt, prompt_embedding=backend.embed(prompt),
-        output=output, output_embedding=backend.embed(output),
+        role=role, prompt=prompt, prompt_embedding=prompt_embedding,
+        output=output, output_embedding=output_embedding,
         thought_summary=summary, refinement_reasons=reasons,
         context_items=bundle.items, context_centroid=bundle.bundle_embedding,
         aux_exchanges=aux)
@@ -505,7 +523,8 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
         summary = f"emitted plan with {n_statements} statements"
         trajectories[AgentRole.ALLOCATOR] = _make_trajectory(
             AgentRole.ALLOCATOR, system + "\n" + user, raw, summary,
-            bundles[AgentRole.ALLOCATOR], backend, tuple(feedback[AgentRole.ALLOCATOR]))
+            bundles[AgentRole.ALLOCATOR], backend, tuple(feedback[AgentRole.ALLOCATOR]),
+            output_embedding=plan.plan_embedding)
 
     def run_coder():
         nonlocal code
@@ -523,7 +542,8 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
         summary = f"translated plan into {len(raw.splitlines())} code lines"
         trajectories[AgentRole.CODER] = _make_trajectory(
             AgentRole.CODER, system + "\n" + user, raw, summary,
-            bundles[AgentRole.CODER], backend, tuple(feedback[AgentRole.CODER]))
+            bundles[AgentRole.CODER], backend, tuple(feedback[AgentRole.CODER]),
+            output_embedding=code.code_embedding)
 
     def run_analyzer():
         nonlocal report, kpi_dict

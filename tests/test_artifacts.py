@@ -4,8 +4,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gmas_harness.artifacts import (ExperimentManifest, canonical_json,
+from gmas_harness.artifacts import (ExperimentManifest, _fmt_float, canonical_json,
                                     derive_experiment_id, iter_run_files, load_run,
                                     persist_run, run_relpath, validate_record_dict,
                                     write_manifest)
@@ -40,6 +42,45 @@ def test_canonical_float_round_trips():
     for value in (0.1, 1 / 3, 2.0 ** -52, 1e300, 123456.789):
         text = canonical_json(value)
         assert float(text) == value
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                 1e16, 1e-7, 1e308, -1e308, 0.1, 1 / 3])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS,
+                min_size=1, max_size=40))
+def test_float_list_encodes_like_each_item(values):
+    expected = "[" + ",".join(_fmt_float(v) for v in values) + "]"
+    assert canonical_json(values) == expected
+    assert canonical_json(tuple(values)) == expected
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_non_finite_anywhere_in_float_list_rejected(bad, position):
+    values = [0.5, -0.0, 2.0]
+    values[position] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        canonical_json({"v": values})
+
+
+def test_float_list_with_overflowing_sum_is_still_finite():
+    assert canonical_json([1e308, 1e308]) == \
+        "[1e+308,1e+308]"
+
+
+@pytest.mark.parametrize("obj, text", [
+    ([1, 2.0], "[1,2]"),
+    ([True, 1.0], "[true,1]"),
+    ([1.0, "x"], '[1,"x"]'),
+    ([], "[]"),
+    ([1.0, None], "[1,null]"),
+    ([[0.5], -0.0], "[[0.5],0]"),
+])
+def test_mixed_lists_encode_item_by_item(obj, text):
+    assert canonical_json(obj) == text
 
 
 def test_persist_and_load_round_trip(tmp_path):

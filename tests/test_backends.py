@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmas_harness.backends import (GenerationRequest, LiveBackend, PLAN_MARKER,
                                    PROPOSE_MARKER, SELF_EVAL_MARKER, ScriptEntry,
                                    ScriptedBackend, TokenBucket, load_script,
                                    prompt_fingerprint)
+from gmas_harness.embeddings import DeterministicEmbedder
 from gmas_harness.errors import (ConfigurationError, DimensionMismatchError,
                                  TransportError)
+from gmas_harness.memo import Memo
 from stub_server import StubOpenAIServer
 
 
@@ -152,6 +158,73 @@ def test_fallback_embed_matches_deterministic_embedder():
     assert backend.embed("").is_zero()
 
 
+_CACHED_BACKEND = ScriptedBackend(fallback_seed=1, dim=48)
+
+
+@settings(max_examples=200)
+@given(st.text(max_size=80) | st.sampled_from(["allocate prb", "", "s1 s1 s2"]))
+def test_cached_embed_equals_fresh_embedder(text):
+    first = _CACHED_BACKEND.embed(text)
+    assert _CACHED_BACKEND.embed(text) is first
+    assert first == DeterministicEmbedder(48).embed(text)
+
+
+def test_cached_vector_cannot_be_written_through():
+    backend = ScriptedBackend(fallback_seed=1, dim=16)
+    vec = backend.embed("allocate prb")
+    with pytest.raises(ValueError):
+        vec.values[0] = 9.0
+    assert backend.embed("allocate prb") == DeterministicEmbedder(16).embed("allocate prb")
+
+
+def test_memo_computes_each_key_once_under_contention():
+    memo = Memo()
+    computed = []
+
+    def compute(key):
+        computed.append(key)
+        time.sleep(0.001)  # widen the window in which other threads miss
+        return ("value", key)
+
+    results = []
+
+    def worker():
+        for key in range(20):
+            results.append((key, memo.get(key, lambda: compute(key))))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(computed) == list(range(20))
+    assert len(results) == 8 * 20
+    assert all(value == ("value", key) for key, value in results)
+
+
+def test_memo_caches_no_exception():
+    memo = Memo()
+    attempts = []
+
+    def flaky():
+        attempts.append(1)
+        if len(attempts) == 1:
+            raise TransportError("down", attempts=1)
+        return "up"
+
+    with pytest.raises(TransportError):
+        memo.get("k", flaky)
+    assert memo.get("k", flaky) == "up"
+    assert memo.get("k", flaky) == "up"
+    assert len(attempts) == 2
+
+
 def test_token_bucket_limits_rate():
     bucket = TokenBucket(rate_per_s=50.0, capacity=1)
     bucket.acquire()
@@ -213,3 +286,38 @@ def test_live_client_error_fails_fast():
         with pytest.raises(ConfigurationError):
             backend.generate(_request())
         assert len(server.requests) == 1
+
+
+def test_live_embed_requests_each_text_once():
+    with StubOpenAIServer(dim=8) as server:
+        backend = LiveBackend(server.base_url, dim=8, rate_limit_per_s=1000)
+        vectors = [backend.embed("same text") for _ in range(3)]
+        assert all(v is vectors[0] for v in vectors)
+        backend.embed("other text")
+        assert [r["body"]["input"] for r in server.requests] == ["same text",
+                                                                 "other text"]
+
+
+def test_live_embed_retried_success_is_cached():
+    with StubOpenAIServer(dim=8, fail_first=1) as server:
+        backend = LiveBackend(server.base_url, dim=8, retries=3, backoff_s=0.01,
+                              rate_limit_per_s=1000)
+        for _ in range(3):
+            assert backend.embed("text").tolist() == [0.5] * 8
+        assert len(server.requests) == 2
+
+
+def test_live_embed_failures_are_not_cached():
+    with StubOpenAIServer(dim=6) as server:
+        backend = LiveBackend(server.base_url, dim=8, rate_limit_per_s=1000)
+        for _ in range(3):
+            with pytest.raises(DimensionMismatchError):
+                backend.embed("text")
+        assert len(server.requests) == 3
+    with StubOpenAIServer(dim=8, fail_first=3) as server:
+        backend = LiveBackend(server.base_url, dim=8, retries=3, backoff_s=0.01,
+                              rate_limit_per_s=1000)
+        with pytest.raises(TransportError):
+            backend.embed("text")
+        assert backend.embed("text").tolist() == [0.5] * 8
+        assert len(server.requests) == 4

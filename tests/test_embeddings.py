@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -68,6 +69,36 @@ def test_nonzero_embeddings_are_unit_norm(text):
 def test_embed_pure_function_of_text(text):
     e = DeterministicEmbedder(48)
     assert np.array_equal(e.embed(text).values, e.embed(text).values)
+
+
+def _loop_embed(text: str, dim: int) -> np.ndarray:
+    """Reference: one keyed-hash bucket and sign per token occurrence."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in tokenize(text):
+        data = token.encode("utf-8")
+        bucket = hashlib.blake2b(data, digest_size=8, key=b"bucket").digest()
+        sign = hashlib.blake2b(data, digest_size=1, key=b"sign").digest()
+        vec[int.from_bytes(bucket, "big") % dim] += 1 if sign[0] % 2 == 0 else -1
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0.0 else vec
+
+
+@settings(max_examples=200)
+@given(st.text(max_size=120), st.sampled_from([1, 7, 48, 384]))
+def test_embed_equals_per_token_loop_reference(text, dim):
+    assert deterministic_embed(text, dim).values.tobytes() == \
+        _loop_embed(text, dim).tobytes()
+
+
+def test_vector_values_are_read_only_and_owned():
+    source = np.array([3.0, 4.0])
+    vec = EmbeddingVector(source)
+    source[0] = 0.0
+    assert vec.tolist() == [3.0, 4.0]
+    with pytest.raises(ValueError):
+        vec.values[0] = 1.0
+    with pytest.raises(ValueError):
+        deterministic_embed("allocate prb").values[:] = 0.0
 
 
 def test_cosine_zero_vector_convention():

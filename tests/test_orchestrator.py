@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
+from gmas_harness import orchestrator
 from gmas_harness.analyzer import Dimension, Finding, Severity, build_report
 from gmas_harness.artifacts import canonical_json
 from gmas_harness.backends import (PROPOSE_MARKER, SELF_EVAL_MARKER, ScriptEntry,
@@ -418,3 +420,53 @@ def test_grid_deterministic_across_worker_counts(make_env, registry):
     threaded = run_grid(questions, sets, 2, env, workers=4)
     assert [canonical_json(r.to_dict()) for r in serial] == \
         [canonical_json(r.to_dict()) for r in threaded]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_retrieves_once_per_question_and_role(make_env, registry, embedder,
+                                                   monkeypatch, workers):
+    from gmas_harness.scenario import enumerate_grid
+    corpus = [("doc", "allocate prb budget across slices\nadmit urllc slices",
+               SourceTag.CODEBASE)]
+    store = index_documents(corpus, embedder)
+    graph = build_graph([("n1", "prb allocation", "grants to slices"),
+                         ("n2", "handover", "threshold tuning")],
+                        [("n1", "n2", "related")], embedder)
+    questions = generate_questions(2, seed=7)
+    sets = enumerate_grid(registry)[:2]
+    calls = []
+
+    def counting(kind, fn):
+        def wrapper(source, query, *args, agent_role="", **kwargs):
+            calls.append((kind, query, agent_role))
+            return fn(source, query, *args, agent_role=agent_role, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(orchestrator, "retrieve_rag",
+                        counting("rag", orchestrator.retrieve_rag))
+    monkeypatch.setattr(orchestrator, "retrieve_graph",
+                        counting("graph", orchestrator.retrieve_graph))
+    env = make_env(stores=StoreSet(document_store=store, graph=graph))
+    cached = run_grid(questions, sets, 2, env, workers=workers)
+
+    expected = {(kind, q.text, role.value)
+                for q in questions
+                for role, kind in orchestrator.DEFAULT_BINDINGS.items()}
+    assert sorted(calls) == sorted(expected)
+
+    # the same grid with nothing reused: fresh stores and backend per run
+    uncached = []
+    for ps in sets:
+        for q in questions:
+            view = MemoryStore().view(ps.set_id)
+            for run_index in (1, 2):
+                fresh = dataclasses.replace(
+                    env, stores=StoreSet(document_store=store, graph=graph),
+                    backend=ScriptedBackend(fallback_seed=42, dim=TEST_DIM))
+                record = execute_run(q, ps, run_index, fresh, view)
+                view.record_run(record)
+                uncached.append(record)
+    uncached.sort(key=lambda r: (r.persona_set_id, r.question_id, r.run_index))
+    assert len(calls) == len(expected) + len(uncached) * len(PIPELINE_ORDER)
+    assert [canonical_json(r.to_dict()) for r in cached] == \
+        [canonical_json(r.to_dict()) for r in uncached]
