@@ -4,6 +4,12 @@ Canonical form: sorted keys, ASCII escapes, floats at 17 significant
 digits, trailing newline. Identical records serialize to byte-identical
 files, so reproducibility checks are plain byte comparisons. Timestamps
 live only in sidecar ``*.meta.json`` files, never in canonical artifacts.
+
+The encoder takes the record tree of ``RunRecord.to_dict``, in which
+embeddings are ``EmbeddingVector`` objects. Each vector is encoded as a
+JSON array of floats, and its text is computed once and reused for as long
+as the vector lives, so a vector shared by many runs is formatted once.
+Every file is written atomically (``write_atomic``).
 """
 
 from __future__ import annotations
@@ -11,12 +17,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
+from .embeddings import EmbeddingVector
 from .errors import ValidationError
 from .records import RunRecord, SCHEMA_VERSION
 from .scenario import AgentRole
@@ -30,8 +41,30 @@ def _fmt_float(value: float) -> str:
     return format(value, ".17g")
 
 
+# Canonical text of each embedding vector, computed once and kept for as long
+# as the vector lives. Equal vectors share one entry, which is sound because
+# equal vectors have the same text (-0.0 and 0.0 both print as "0").
+_VECTOR_TEXT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _vector_text(vector: EmbeddingVector) -> str:
+    text = _VECTOR_TEXT.get(vector)
+    if text is None:
+        values = vector.values
+        finite = np.isfinite(values)
+        if not finite.all():
+            _fmt_float(float(values[~finite][0]))  # raises ValidationError naming it
+        # the same text as _fmt_float per item, in one pass
+        text = "[" + ",".join(["0" if v == 0.0 else "%.17g" % v
+                               for v in values.tolist()]) + "]"
+        _VECTOR_TEXT[vector] = text
+    return text
+
+
 def _encode(obj, out: list[str]) -> None:
-    if obj is None:
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -41,8 +74,6 @@ def _encode(obj, out: list[str]) -> None:
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -50,18 +81,12 @@ def _encode(obj, out: list[str]) -> None:
                 raise ValidationError(f"non-string key {key!r} in canonical JSON")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _encode(obj[key], out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)) and obj and all(isinstance(v, float) for v in obj):
-        # embedding vectors: the same text as _fmt_float per item, in one pass.
-        # A NaN or infinity makes the sum non-finite; so can overflow, which
-        # is why the items are then checked one by one.
-        if not math.isfinite(sum(obj)):
-            for value in obj:
-                _fmt_float(value)  # raises ValidationError naming the value
-        out.append("[" + ",".join(["0" if v == 0.0 else "%.17g" % v for v in obj]) + "]")
+    elif isinstance(obj, EmbeddingVector):
+        out.append(_vector_text(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -78,6 +103,23 @@ def canonical_json(obj) -> str:
     out: list[str] = []
     _encode(obj, out)
     return "".join(out)
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` so that a crash leaves the old file or the new.
+
+    The text goes to ``.<name>.tmp`` in the same directory, which then
+    replaces ``path`` in one ``os.replace``; the temp file is removed if
+    anything fails. There is no fsync: this guards against a process crash,
+    not against power loss.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def content_sha256(data: bytes | str) -> str:
@@ -103,12 +145,12 @@ def persist_run(record: RunRecord, root: str | Path,
     except ValidationError as exc:
         raise ValidationError(f"record {path.name} rejected: {exc}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    write_atomic(path, text)
     sidecar = path.with_name(path.stem + ".meta.json")
     meta = {"written_at": datetime.now(timezone.utc).isoformat()}
     if duration_s is not None:
         meta["duration_s"] = duration_s
-    sidecar.write_text(json.dumps(meta) + "\n", encoding="utf-8")
+    write_atomic(sidecar, json.dumps(meta) + "\n")
     return path
 
 
@@ -175,7 +217,7 @@ def write_manifest(manifest: ExperimentManifest, root: str | Path) -> Path:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     path = root / "experiment.json"
-    path.write_text(canonical_json(manifest.to_dict()) + "\n", encoding="utf-8")
+    write_atomic(path, canonical_json(manifest.to_dict()) + "\n")
     return path
 
 
@@ -239,4 +281,5 @@ def validate_record_dict(data: dict) -> None:
     try:
         jsonschema.validate(data, RUN_RECORD_SCHEMA)
     except jsonschema.ValidationError as exc:
-        raise ValidationError(f"run record schema violation: {exc.message}")
+        raise ValidationError(
+            f"run record schema violation at {exc.json_path}: {exc.message}")

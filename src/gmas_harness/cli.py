@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .analyzer import PolicyRuleSet, build_report, enforce_policy, parse_code
 from .artifacts import (ExperimentManifest, FileRef, canonical_json,
-                        derive_experiment_id, run_relpath, write_manifest)
+                        derive_experiment_id, run_relpath, write_atomic,
+                        write_manifest)
 from .config import build_env, load_experiment_config
 from .errors import ConfigurationError, GmasError, PlanSyntaxError, ValidationError
 from .orchestrator import MemoryStore, run_cell, run_grid
@@ -169,8 +170,7 @@ def _cmd_grid(args) -> int:
     memory = MemoryStore()
     records = run_grid(questions, persona_sets, runs, env, workers=workers,
                        memory=memory, out_root=root)
-    (root / "memory.json").write_text(canonical_json(memory.to_dict()) + "\n",
-                                      encoding="utf-8")
+    write_atomic(root / "memory.json", canonical_json(memory.to_dict()) + "\n")
     failed = sum(1 for r in records if r.status.value == "failed")
     print(f"{experiment_id}: {len(records)} runs persisted under {root} "
           f"({failed} failed)")

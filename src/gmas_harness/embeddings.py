@@ -51,7 +51,8 @@ class EmbeddingVector:
         return np.array_equal(self.values, other.values)
 
     def __hash__(self) -> int:
-        return hash(self.values.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which __eq__ treats as equal
+        return hash((self.values + 0.0).tobytes())
 
     @property
     def dim(self) -> int:

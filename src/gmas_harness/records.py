@@ -78,14 +78,13 @@ class Trajectory:
         return {
             "role": self.role.value,
             "prompt": self.prompt,
-            "prompt_embedding": self.prompt_embedding.tolist(),
+            "prompt_embedding": self.prompt_embedding,
             "output": self.output,
-            "output_embedding": self.output_embedding.tolist(),
+            "output_embedding": self.output_embedding,
             "thought_summary": self.thought_summary,
             "refinement_reasons": list(self.refinement_reasons),
             "context_items": [[t, s, p] for t, s, p in self.context_items],
-            "context_centroid": self.context_centroid.tolist()
-                                if self.context_centroid else None,
+            "context_centroid": self.context_centroid,
             "aux_exchanges": [[p, o] for p, o in self.aux_exchanges],
         }
 
@@ -191,6 +190,13 @@ class RunRecord:
         return self.trajectories[role]
 
     def to_dict(self) -> dict:
+        """The record tree that ``artifacts.canonical_json`` encodes.
+
+        Embeddings stay ``EmbeddingVector`` objects, so the encoder can format
+        each distinct vector once. The JSON payload, the form that schema
+        validation and ``from_dict`` read, is
+        ``json.loads(canonical_json(record.to_dict()))``.
+        """
         return {
             "schema_version": self.schema_version,
             "experiment_id": self.experiment_id,

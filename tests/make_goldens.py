@@ -11,10 +11,13 @@ never by the production aggregator they validate.
 from __future__ import annotations
 
 import csv
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+from gmas_harness.artifacts import canonical_json  # noqa: E402
 
 from fixture_records import golden_fixture_records  # noqa: E402
 from oracles import reference_csv_rows  # noqa: E402
@@ -44,7 +47,8 @@ def fmt(value) -> str:
 def main() -> None:
     out_dir = Path(__file__).parent / "data" / "golden"
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = reference_csv_rows([r.to_dict() for r in golden_fixture_records()])
+    rows = reference_csv_rows([json.loads(canonical_json(r.to_dict()))
+                               for r in golden_fixture_records()])
     for name, header in HEADERS.items():
         path = out_dir / name
         with path.open("w", newline="", encoding="utf-8") as handle:

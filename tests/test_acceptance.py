@@ -375,8 +375,8 @@ def test_acceptance_10_live_backend(tmp_path, monkeypatch):
         assert code == 0
         artifact = out_dir / "runs" / SET_ALL_DEFAULT / "q1" / "run1.json"
         assert artifact.exists()
+        validate_record_dict(json.loads(artifact.read_text()))
         record = load_run(artifact)
-        validate_record_dict(record.to_dict())
         assert record.status.value in ("completed", "budget_exhausted")
         assert set(record.trajectories) == set(PIPELINE_ORDER)
         assert any(r["path"] == "/v1/chat/completions" for r in server.requests)

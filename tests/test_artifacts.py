@@ -2,15 +2,21 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gmas_harness import artifacts
 from gmas_harness.artifacts import (ExperimentManifest, _fmt_float, canonical_json,
                                     derive_experiment_id, iter_run_files, load_run,
                                     persist_run, run_relpath, validate_record_dict,
                                     write_manifest)
+from gmas_harness.embeddings import EmbeddingVector
 from gmas_harness.errors import ValidationError
 from gmas_harness.records import RunRecord
 from factories import make_record
@@ -71,6 +77,64 @@ def test_float_list_with_overflowing_sum_is_still_finite():
         "[1e+308,1e+308]"
 
 
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the norm
+@settings(max_examples=300)
+@given(hnp.arrays(np.float64, st.integers(0, 40), elements=_FINITE_FLOATS))
+def test_vector_encodes_like_each_item_and_like_its_list(values):
+    vector = EmbeddingVector(values)
+    expected = "[" + ",".join(_fmt_float(v) for v in values.tolist()) + "]"
+    assert canonical_json(vector) == expected
+    assert canonical_json(vector) == expected  # memoised text
+    assert canonical_json(values.tolist()) == expected
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_non_finite_anywhere_in_vector_rejected_on_every_call(bad, position):
+    values = [0.5, -0.0, 2.0]
+    values[position] = bad
+    vector = EmbeddingVector(values)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=f"non-finite float {bad!r}"):
+            canonical_json({"v": vector})
+
+
+def test_equal_distinct_vectors_encode_alike():
+    a = EmbeddingVector([0.1, -0.0, 1e-7])
+    b = EmbeddingVector([0.1, 0.0, 1e-7])
+    assert a is not b and a == b
+    assert canonical_json(a) == canonical_json(b) == \
+        canonical_json([0.1, 0.0, 1e-7]) == "[0.10000000000000001,0,9.9999999999999995e-08]"
+
+
+def test_threads_encoding_shared_vectors_agree():
+    rng = np.random.default_rng(7)
+    vectors = [EmbeddingVector(rng.standard_normal(64)) for _ in range(16)]
+    expected = [canonical_json(v.tolist()) for v in vectors]
+    results: list[list[str]] = []
+    barrier = threading.Barrier(8)
+
+    def encode_all():
+        barrier.wait(timeout=10)
+        results.append([canonical_json(v) for v in vectors * 20])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode_all) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected * 20] * 8
+
+
 @pytest.mark.parametrize("obj, text", [
     ([1, 2.0], "[1,2]"),
     ([True, 1.0], "[true,1]"),
@@ -123,6 +187,21 @@ def test_sidecar_holds_timestamp_outside_canonical_artifact(tmp_path):
     assert "written_at" not in path.read_text()
 
 
+def test_failed_replace_keeps_old_artifact_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = persist_run(make_record(penalty=10.0), tmp_path)
+    before = path.read_bytes()
+
+    def broken_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(artifacts.os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        persist_run(make_record(penalty=20.0), tmp_path)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert list(iter_run_files(tmp_path)) == [path]
+
+
 def test_iter_run_files_skips_sidecars(tmp_path):
     persist_run(make_record(run_index=1), tmp_path)
     persist_run(make_record(run_index=2), tmp_path)
@@ -131,22 +210,25 @@ def test_iter_run_files_skips_sidecars(tmp_path):
     assert all(not p.name.endswith(".meta.json") for p in files)
 
 
+def _persisted_payload(tmp_path) -> dict:
+    return json.loads(persist_run(make_record(), tmp_path).read_text())
+
+
 def test_schema_validation_accepts_real_record(tmp_path):
-    record = make_record()
-    validate_record_dict(record.to_dict())
+    validate_record_dict(_persisted_payload(tmp_path))
 
 
-def test_schema_validation_rejects_missing_role():
-    payload = make_record().to_dict()
+def test_schema_validation_rejects_missing_role(tmp_path):
+    payload = _persisted_payload(tmp_path)
     del payload["trajectories"]["Coder"]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="'Coder' is a required property"):
         validate_record_dict(payload)
 
 
-def test_schema_validation_rejects_bad_penalty():
-    payload = make_record().to_dict()
+def test_schema_validation_rejects_bad_penalty(tmp_path):
+    payload = _persisted_payload(tmp_path)
     payload["metrics"]["penalty_score"] = 150.0
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"metrics\.penalty_score: 150\.0 is greater"):
         validate_record_dict(payload)
 
 

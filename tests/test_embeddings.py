@@ -101,6 +101,15 @@ def test_vector_values_are_read_only_and_owned():
         deterministic_embed("allocate prb").values[:] = 0.0
 
 
+def test_equal_vectors_hash_alike_across_signed_zeros():
+    a = EmbeddingVector([0.0, 1.0])
+    b = EmbeddingVector([-0.0, 1.0])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert np.signbit(b.values[0])  # hashing leaves the stored -0.0 as it was
+
+
 def test_cosine_zero_vector_convention():
     zero = EmbeddingVector.from_list([0.0] * 8)
     one = EmbeddingVector.from_list([1.0] + [0.0] * 7)
