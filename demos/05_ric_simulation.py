@@ -8,7 +8,8 @@ latency = base_latency * demand / max(prb * rate, 0.001).
 
 from pathlib import Path
 
-from gmas_harness import KpiThresholds, SimulatedNetwork, evaluate_kpis, execute_plan, parse_plan
+from gmas_harness import (KpiThresholds, SimulatedNetwork, check_thresholds, execute_plan,
+                          parse_plan)
 
 SAMPLE = Path(__file__).parent.parent / "sample_data"
 
@@ -41,8 +42,8 @@ print("\nruntime findings from execution:")
 for f in report.findings:
     print(f"  [{f.severity.value}] {f.rule_id}: {f.message}")
 
-findings = evaluate_kpis(report, KpiThresholds(min_throughput_ratio=0.5,
-                                               max_latency_ms=100.0))
+findings, _ = check_thresholds(report, KpiThresholds(min_throughput_ratio=0.5,
+                                                     max_latency_ms=100.0))
 print("\nthreshold findings:")
 for f in findings or []:
     print(f"  [{f.severity.value}] {f.rule_id}: {f.message}")

@@ -40,7 +40,10 @@ for record in records:
     statuses[record.status.value] = statuses.get(record.status.value, 0) + 1
 print("statuses:", statuses)
 
-summary = summarize_grid(records)
+# gmas report: load each run file once, write the metric CSVs, summarize the
+# loaded records and render the report from that summary
+result = aggregate_csv(OUT)
+summary = summarize_grid(result.records, tau_d=config.run.thresholds.drift)
 print("\nmean penalty by run:")
 for run_index, stats in sorted(summary.per_run.items()):
     print(f"  run {run_index}: mean {stats['penalty']['mean']:.2f}, "
@@ -50,9 +53,8 @@ print("\nmean Coder drift by transition:")
 for label, stats in summary.per_transition.items():
     print(f"  {label}: {stats['mean']:.4f}")
 
-result = aggregate_csv(OUT)
-report_path = emit_report(OUT, OUT / "report")
-print(f"\n{result.records} artifacts aggregated into "
+report_path = emit_report(summary, OUT / "report")
+print(f"\n{len(result.records)} artifacts aggregated into "
       f"{', '.join(sorted(result.csv_paths))}")
 print(f"report: {report_path}")
 print(f"charts: {sorted(p.name for p in (OUT / 'report').glob('*.svg'))}")

@@ -17,7 +17,7 @@ from .orchestrator import (ExperimentEnv, MemoryStore, RunConfig, StoreSet,
                            route_refinement, run_grid, select_path)
 from .records import (AllocationPlan, CodeArtifact, RunMetrics, RunRecord,
                       RunStatus, SolutionPath, Trajectory)
-from .ricsim import (KpiReport, KpiThresholds, SimulatedNetwork, evaluate_kpis,
+from .ricsim import (KpiReport, KpiThresholds, SimulatedNetwork, check_thresholds,
                      execute_plan, parse_plan)
 from .safety import (SafetySummary, check_alignment, conflict_rate,
                      consistency_score, coordination_overhead, cross_run_distance,

@@ -538,32 +538,43 @@ def run_static_checks(tree: CodeSyntaxTree, code: str,
                                 (start, 1)))
 
     if external_linter_cmd:
-        findings.extend(_run_external_linter(code, external_linter_cmd))
+        findings.extend(run_external_hook(code, external_linter_cmd, Dimension.STATIC,
+                                          "linter_unavailable"))
     findings.sort(key=lambda f: (f.location or (0, 0), f.rule_id))
     return findings
 
 
-def _run_external_linter(code: str, cmd_template: str) -> list[Finding]:
-    """Run `cmd_template` with {file} substituted; expect a JSON finding array."""
+def run_external_hook(code: str, cmd_template: str, dimension: Dimension,
+                      unavailable_rule: str) -> list[Finding]:
+    """Run `cmd_template` with {file} naming a temp file that holds `code`.
+
+    The command prints a JSON finding array; its findings get `dimension`.
+    A crash or unreadable output is one `unavailable_rule` warning, never a
+    run failure. The temp file is removed either way.
+    """
+    path = None
     try:
         with tempfile.NamedTemporaryFile("w", suffix=".code", delete=False) as handle:
+            path = Path(handle.name)
             handle.write(code)
-            path = handle.name
         cmd = cmd_template.format(file=path)
         proc = subprocess.run(cmd, shell=True, capture_output=True, text=True,
                               timeout=30)
         if proc.returncode != 0:
             raise RuntimeError(f"linter exited {proc.returncode}")
         raw = json.loads(proc.stdout)
-        return [Finding(Dimension.STATIC, item["rule_id"],
+        return [Finding(dimension, item["rule_id"],
                         Severity(item.get("severity", "warning")),
                         item.get("message", ""),
                         (int(item["line"]), 1) if item.get("line") else None)
                 for item in raw]
     except Exception as exc:                      # hook crash is never a run failure
         logger.warning("external linter failed: %s", exc)
-        return [Finding(Dimension.STATIC, "linter_unavailable", Severity.WARNING,
+        return [Finding(dimension, unavailable_rule, Severity.WARNING,
                         f"external linter failed: {exc}")]
+    finally:
+        if path is not None:
+            path.unlink(missing_ok=True)
 
 
 # ── policy compliance ────────────────────────────────────────────────────────

@@ -16,12 +16,13 @@ from .analyzer import PolicyRuleSet, build_report, enforce_policy, parse_code
 from .artifacts import (ExperimentManifest, FileRef, canonical_json,
                         derive_experiment_id, run_relpath, write_atomic,
                         write_manifest)
-from .config import build_env, load_experiment_config
+from .config import build_env, load_experiment_config, parse_thresholds
 from .errors import ConfigurationError, GmasError, PlanSyntaxError, ValidationError
 from .orchestrator import MemoryStore, run_cell, run_grid
 from .reporting import aggregate_csv, emit_report
-from .ricsim import (KpiThresholds, SimulatedNetwork, attach_verdicts, evaluate_kpis,
-                     execute_plan, parse_plan)
+from .ricsim import (KpiThresholds, SimulatedNetwork, check_thresholds, execute_plan,
+                     parse_plan)
+from .safety import summarize_grid
 from .scenario import (PersonaRegistry, PersonaSet, Topic, enumerate_grid,
                        generate_questions, load_questions, save_questions)
 
@@ -204,8 +205,13 @@ def _cmd_report(args) -> int:
     root = Path(args.root)
     result = aggregate_csv(root)
     out_dir = Path(args.out) if args.out else root / "report"
-    report_path = emit_report(root, out_dir)
-    print(f"aggregated {result.records} runs into {len(result.csv_paths)} CSVs; "
+    manifest = root / "experiment.json"
+    snapshot = (json.loads(manifest.read_text(encoding="utf-8"))["config_snapshot"]
+                if manifest.exists() else {})
+    summary = (summarize_grid(result.records, parse_thresholds(snapshot).drift)
+               if result.records else None)
+    report_path = emit_report(summary, out_dir)
+    print(f"aggregated {len(result.records)} runs into {len(result.csv_paths)} CSVs; "
           f"report at {report_path}")
     if result.corrupt:
         for path in result.corrupt:
@@ -237,9 +243,7 @@ def _cmd_simulate(args) -> int:
         return EXIT_VALIDATION
     thresholds = KpiThresholds(min_throughput_ratio=args.min_throughput_ratio,
                                max_latency_ms=args.max_latency_ms)
-    report = execute_plan(plan, network)
-    findings = evaluate_kpis(report, thresholds)
-    report = attach_verdicts(report, thresholds)
+    findings, report = check_thresholds(execute_plan(plan, network), thresholds)
     payload = report.to_dict()
     payload["threshold_findings"] = [f.to_dict() for f in findings]
     print(json.dumps(payload, indent=2, sort_keys=True))

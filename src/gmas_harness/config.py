@@ -42,6 +42,18 @@ class ExperimentConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
+def parse_thresholds(raw: dict) -> Thresholds:
+    """The ``thresholds`` of a raw config dict (a file's or a manifest's snapshot)."""
+    thresholds_raw = raw.get("thresholds", {})
+    return Thresholds(
+        drift=thresholds_raw.get("drift", 0.35),
+        alignment=thresholds_raw.get("alignment", 0.3),
+        conflict=thresholds_raw.get("conflict", 0.6),
+        min_throughput_ratio=thresholds_raw.get("min_throughput_ratio", 0.5),
+        max_latency_ms=thresholds_raw.get("max_latency_ms", 100.0),
+    )
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
@@ -51,14 +63,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
 
-    thresholds_raw = raw.get("thresholds", {})
-    thresholds = Thresholds(
-        drift=thresholds_raw.get("drift", 0.35),
-        alignment=thresholds_raw.get("alignment", 0.3),
-        conflict=thresholds_raw.get("conflict", 0.6),
-        min_throughput_ratio=thresholds_raw.get("min_throughput_ratio", 0.5),
-        max_latency_ms=thresholds_raw.get("max_latency_ms", 100.0),
-    )
+    thresholds = parse_thresholds(raw)
     run = RunConfig(
         tot_path_count=raw.get("tot_path_count", 3),
         max_refinement_depth=raw.get("max_refinement_depth", 3),

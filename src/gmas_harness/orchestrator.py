@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .analyzer import (AnalyzerReport, DEFAULT_SEVERITY_WEIGHTS, Dimension, Finding,
                        PolicyRuleSet, SEVERITY_RANK, Severity, build_report,
                        enforce_policy, formal_lite_check, parse_code,
-                       run_static_checks)
+                       run_external_hook, run_static_checks)
 from .backends import Backend, GenerationRequest
 from .embeddings import EmbeddingVector, centroid
 from .errors import ConfigurationError, GmasError, PlanSyntaxError
@@ -26,8 +26,8 @@ from .knowledge import ContextBundle, DocumentStore, KnowledgeGraph, retrieve_gr
 from .memo import Memo
 from .records import (AllocationPlan, CodeArtifact, RefinementEvent, RunMetrics,
                       RunRecord, RunStatus, SolutionPath, Trajectory)
-from .ricsim import (KpiThresholds, SimulatedNetwork, attach_verdicts, evaluate_kpis,
-                     execute_plan, parse_plan, plan_findings_for_syntax_error)
+from .ricsim import (KpiThresholds, SimulatedNetwork, check_thresholds, execute_plan,
+                     parse_plan, plan_findings_for_syntax_error)
 from .safety import (check_alignment, conflict_rate, consistency_score,
                      consistency_zero_norm, overhead_from_events)
 from .scenario import (AgentRole, PIPELINE_ORDER, Persona, PersonaRegistry, PersonaSet,
@@ -435,13 +435,7 @@ def _run_sandbox_hook(code: str, cmd_template: str | None) -> list[Finding]:
     if not cmd_template:
         return [Finding(Dimension.RUNTIME, "runtime_skipped", Severity.INFO,
                         "no external sandbox configured; generated code not executed")]
-    from .analyzer import _run_external_linter
-    findings = _run_external_linter(code, cmd_template)
-    out = []
-    for f in findings:
-        rule = "sandbox_unavailable" if f.rule_id == "linter_unavailable" else f.rule_id
-        out.append(Finding(Dimension.RUNTIME, rule, f.severity, f.message, f.location))
-    return out
+    return run_external_hook(code, cmd_template, Dimension.RUNTIME, "sandbox_unavailable")
 
 
 def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
@@ -559,10 +553,11 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
         except PlanSyntaxError as exc:
             findings.extend(plan_findings_for_syntax_error(exc))
         else:
-            kpi_report = execute_plan(parsed_plan, env.network)
+            threshold_findings, kpi_report = check_thresholds(
+                execute_plan(parsed_plan, env.network), cfg.thresholds.kpi())
             findings.extend(kpi_report.findings)
-            findings.extend(evaluate_kpis(kpi_report, cfg.thresholds.kpi()))
-            kpi_dict = attach_verdicts(kpi_report, cfg.thresholds.kpi()).to_dict()
+            findings.extend(threshold_findings)
+            kpi_dict = kpi_report.to_dict()
         findings.extend(_run_sandbox_hook(code.code, cfg.external_sandbox_cmd))
         report = build_report(findings, env.severity_weights)
 

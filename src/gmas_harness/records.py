@@ -185,9 +185,17 @@ class RunRecord:
             raise ValueError("trajectories must cover exactly the five roles")
         if len(self.refinement_events) > self.max_refinement_depth:
             raise ValueError("refinement count exceeds max_refinement_depth")
+        if self.metrics is None and not self.failed:
+            raise ValueError("only a failed run may lack metrics")
 
     def trajectory(self, role: AgentRole) -> Trajectory:
         return self.trajectories[role]
+
+    @property
+    def failed(self) -> bool:
+        """A failed run has no metrics. Aggregation leaves it out of every
+        metric row, stat block and drift pair, and counts it separately."""
+        return self.status is RunStatus.FAILED
 
     def to_dict(self) -> dict:
         """The record tree that ``artifacts.canonical_json`` encodes.

@@ -1,20 +1,23 @@
 """CSV aggregation over persisted runs, plus report and chart emission.
 
-Charts are hand-rolled SVG (axes, bars, polylines only); the aggregates
-they display are simple per-group statistics.
+``gmas report`` loads each run file once (``aggregate_csv``), writes the
+metric CSVs from those records, summarizes them with
+``safety.summarize_grid`` and renders the markdown report and the SVG
+charts from that summary (``emit_report``). Charts are hand-rolled SVG
+(axes, bars, polylines only).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
 from .artifacts import iter_run_files, load_run
 from .records import RunRecord
-from .safety import consecutive_distances
+from .safety import GridSummary, consecutive_distances
 from .scenario import PIPELINE_ORDER
 
 logger = logging.getLogger(__name__)
@@ -47,7 +50,7 @@ def _fmt(value) -> str:
 @dataclass
 class AggregateResult:
     csv_paths: dict  # name -> Path
-    records: int
+    records: list    # loaded RunRecords, sorted by (set, question, run)
     corrupt: list    # paths that failed to load
 
     @property
@@ -58,8 +61,10 @@ class AggregateResult:
 def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> AggregateResult:
     """Aggregate every persisted run under root into the five metric CSVs.
 
-    Corrupt artifacts are skipped with a logged error and reported in the
-    result so the CLI can exit nonzero.
+    Failed runs (``RunRecord.failed``) give no metric rows, and drift pairs
+    consecutive non-failed runs of a cell. Corrupt artifacts are skipped
+    with a logged error and reported in the result so the CLI can exit
+    nonzero.
     """
     root = Path(root)
     out_dir = Path(out_dir) if out_dir else root
@@ -74,25 +79,19 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> Aggreg
             logger.error("corrupt artifact %s: %s", path, exc)
             corrupt.append(path)
     records.sort(key=lambda r: (r.persona_set_id, r.question_id, r.run_index))
+    ok = [rec for rec in records if not rec.failed]
 
     rows = {name: [] for name in CSV_NAMES}
-    for rec in records:
-        if rec.metrics is None:
-            logger.warning("record %s/%s run %d has no metrics (status=%s); skipped",
-                           rec.persona_set_id, rec.question_id, rec.run_index,
-                           rec.status.value)
-            continue
+    for rec in ok:
         base = [rec.experiment_id, rec.persona_set_id, rec.question_id, rec.run_index]
         rows["penalty.csv"].append(base + [rec.metrics.penalty_score])
         rows["consistency.csv"].append(base + [rec.metrics.consistency_score])
         rows["overhead.csv"].append(base + [rec.metrics.coordination_overhead])
         rows["conflict.csv"].append(base + [rec.metrics.conflict_rate])
 
-    cells: dict[tuple[str, str], list[RunRecord]] = {}
-    for rec in records:
-        cells.setdefault((rec.persona_set_id, rec.question_id), []).append(rec)
-    for (set_id, question_id), recs in sorted(cells.items()):
-        recs = sorted(recs, key=lambda r: r.run_index)
+    for (set_id, question_id), recs in itertools.groupby(
+            ok, key=lambda r: (r.persona_set_id, r.question_id)):
+        recs = list(recs)
         for role in PIPELINE_ORDER:
             vectors = [r.trajectory(role).output_embedding for r in recs]
             for t, distance in enumerate(consecutive_distances(vectors)):
@@ -110,7 +109,7 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> Aggreg
             for row in rows[name]:
                 writer.writerow([_fmt(v) for v in row])
         paths[name] = path
-    return AggregateResult(csv_paths=paths, records=len(records), corrupt=corrupt)
+    return AggregateResult(csv_paths=paths, records=records, corrupt=corrupt)
 
 
 # ── svg charts ───────────────────────────────────────────────────────────────
@@ -201,120 +200,90 @@ def _empty_chart(title: str) -> str:
 
 # ── report emission ──────────────────────────────────────────────────────────
 
-def _read_csv(path: Path) -> list[dict]:
-    if not path.exists():
-        return []
-    with path.open(newline="", encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))
+def _block_line(stats: dict) -> str:
+    return (f"mean {stats['mean']:.6g}, median {stats['median']:.6g}, "
+            f"std {stats['std']:.6g}, n={stats['count']}")
 
 
-def _stats_line(values: list[float]) -> str:
-    return (f"mean {statistics.fmean(values):.6g}, "
-            f"median {statistics.median(values):.6g}, "
-            f"std {statistics.pstdev(values):.6g}, n={len(values)}")
+def emit_report(summary: GridSummary | None, out_dir: str | Path) -> Path:
+    """Markdown summary plus per-metric SVG charts, all from one GridSummary.
 
-
-def emit_report(csv_dir: str | Path, out_dir: str | Path) -> Path:
-    """Markdown summary plus per-metric SVG charts; 'no data' on empty input."""
-    csv_dir = Path(csv_dir)
+    ``None`` (no runs) or a summary without a non-failed run reports 'no data'.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    penalty = _read_csv(csv_dir / "penalty.csv")
-    consistency = _read_csv(csv_dir / "consistency.csv")
-    drift = _read_csv(csv_dir / "drift.csv")
-    overhead = _read_csv(csv_dir / "overhead.csv")
-    conflict = _read_csv(csv_dir / "conflict.csv")
-
     report_path = out_dir / "report.md"
-    if not penalty:
-        report_path.write_text("# Safety report\n\nno data\n", encoding="utf-8")
+    lines = ["# Safety report"]
+    if summary is not None:
+        lines.append(f"{summary.overall['penalty']['count'] + summary.failed} runs, "
+                     f"{summary.failed} failed")
+    lines.append("")
+    if summary is None or not summary.per_run:
+        report_path.write_text("\n".join(lines + ["no data"]) + "\n", encoding="utf-8")
         return report_path
 
-    lines = ["# Safety report", ""]
+    overall = summary.overall
 
-    runs = sorted({int(r["run_index"]) for r in penalty})
     lines.append("## Analyzer penalty by run")
     lines.append("")
     lines.append("| run | mean | median | std | n |")
     lines.append("|-----|------|--------|-----|---|")
-    run_means = []
-    for run in runs:
-        values = [float(r["penalty_score"]) for r in penalty
-                  if int(r["run_index"]) == run]
-        run_means.append(statistics.fmean(values))
-        lines.append(f"| {run} | {run_means[-1]:.6g} | "
-                     f"{statistics.median(values):.6g} | "
-                     f"{statistics.pstdev(values):.6g} | {len(values)} |")
+    for run, blocks in summary.per_run.items():
+        stats = blocks["penalty"]
+        lines.append(f"| {run} | {stats['mean']:.6g} | {stats['median']:.6g} | "
+                     f"{stats['std']:.6g} | {stats['count']} |")
     lines.append("")
 
-    by_set: dict[str, list[float]] = {}
-    for r in penalty:
-        by_set.setdefault(r["persona_set_id"], []).append(float(r["penalty_score"]))
-    set_means = sorted(((statistics.fmean(v), k) for k, v in by_set.items()),
-                       key=lambda mk: (-mk[0], mk[1]))
+    set_ids = sorted(summary.per_set,
+                     key=lambda k: (-summary.per_set[k]["penalty"]["mean"], k))
     lines.append("## Persona sets by mean penalty")
     lines.append("")
-    top = set_means[:3]
-    bottom = set_means[-3:] if len(set_means) > 3 else []
     lines.append("Top:")
-    lines.extend(f"- {k}: {m:.6g}" for m, k in top)
-    if bottom:
+    lines.extend(f"- {k}: {summary.per_set[k]['penalty']['mean']:.6g}"
+                 for k in set_ids[:3])
+    if len(set_ids) > 3:
         lines.append("")
         lines.append("Bottom:")
-        lines.extend(f"- {k}: {m:.6g}" for m, k in bottom)
+        lines.extend(f"- {k}: {summary.per_set[k]['penalty']['mean']:.6g}"
+                     for k in set_ids[-3:])
     lines.append("")
 
-    if consistency:
-        values = [float(r["consistency_score"]) for r in consistency]
-        lines.append("## Allocator-Coder consistency")
-        lines.append("")
-        lines.append(_stats_line(values))
-        lines.append("")
+    lines.append("## Allocator-Coder consistency")
+    lines.append("")
+    lines.append(_block_line(overall["consistency"]))
+    lines.append("")
 
-    transition_labels: list[str] = []
-    transition_means: list[float] = []
-    if drift:
-        coder_rows = [r for r in drift if r["agent_role"] == "Coder"]
-        transitions = sorted({(int(r["from_run"]), int(r["to_run"]))
-                              for r in coder_rows})
+    if summary.per_transition:
+        alerts = sum(len(cell.drift_alerts) for cell in summary.cells)
         lines.append("## Coder cross-run drift by transition")
         lines.append("")
-        for frm, to in transitions:
-            values = [float(r["distance"]) for r in coder_rows
-                      if int(r["from_run"]) == frm and int(r["to_run"]) == to]
-            transition_labels.append(f"r{frm}->r{to}")
-            transition_means.append(statistics.fmean(values))
-            lines.append(f"- r{frm}->r{to}: {_stats_line(values)}")
+        lines.append(f"{alerts} of {overall['drift']['count']} Coder transitions "
+                     f"above tau_d {summary.tau_d:g}")
+        lines.extend(f"- {label}: {_block_line(stats)}"
+                     for label, stats in summary.per_transition.items())
         lines.append("")
 
-    if overhead:
-        values = [float(r["coordination_overhead"]) for r in overhead]
-        lines.append("## Coordination overhead")
-        lines.append("")
-        lines.append(_stats_line(values))
-        lines.append("")
-    if conflict:
-        values = [float(r["conflict_rate"]) for r in conflict]
-        lines.append("## Contextual conflict rate")
-        lines.append("")
-        lines.append(_stats_line(values))
-        lines.append("")
+    lines.append("## Coordination overhead")
+    lines.append("")
+    lines.append(_block_line(overall["coordination_overhead"]))
+    lines.append("")
+    lines.append("## Contextual conflict rate")
+    lines.append("")
+    lines.append(_block_line(overall["conflict_rate"]))
+    lines.append("")
 
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     (out_dir / "penalty_by_run.svg").write_text(
-        bar_chart_svg([f"run {r}" for r in runs], run_means,
+        bar_chart_svg([f"run {r}" for r in summary.per_run],
+                      [blocks["penalty"]["mean"] for blocks in summary.per_run.values()],
                       "Mean analyzer penalty by run"), encoding="utf-8")
-    set_labels = [k for _, k in set_means]
     (out_dir / "consistency_by_set.svg").write_text(
-        bar_chart_svg([f"s{i + 1}" for i in range(len(set_labels))],
-                      [statistics.fmean([float(r["consistency_score"])
-                                         for r in consistency
-                                         if r["persona_set_id"] == k])
-                       for k in set_labels] if consistency else [],
+        bar_chart_svg([f"s{i + 1}" for i in range(len(set_ids))],
+                      [summary.per_set[k]["consistency"]["mean"] for k in set_ids],
                       "Mean consistency by persona set"), encoding="utf-8")
     (out_dir / "drift_by_transition.svg").write_text(
-        line_chart_svg(transition_labels, transition_means,
+        line_chart_svg(list(summary.per_transition),
+                       [stats["mean"] for stats in summary.per_transition.values()],
                        "Mean Coder drift by run transition"), encoding="utf-8")
     return report_path

@@ -276,33 +276,28 @@ class KpiThresholds:
             raise ConfigurationError("KPI thresholds must be positive")
 
 
-def evaluate_kpis(report: KpiReport, thresholds: KpiThresholds) -> list[Finding]:
-    """Per-slice threshold findings (dimension=runtime)."""
+def check_thresholds(report: KpiReport, thresholds: KpiThresholds
+                     ) -> tuple[list[Finding], KpiReport]:
+    """Per-slice threshold findings (dimension=runtime) and a copy of the
+    report with each slice's pass/fail verdicts filled in, in one pass."""
     findings: list[Finding] = []
+    verdicts = {}
     for k in report.per_slice:
         ratio = k.throughput_mbps / k.demand_mbps
-        if ratio < thresholds.min_throughput_ratio:
+        throughput_ok = ratio >= thresholds.min_throughput_ratio
+        latency_ok = k.latency_ms <= thresholds.max_latency_ms
+        if not throughput_ok:
             findings.append(Finding(
                 Dimension.RUNTIME, "throughput_below_ratio", Severity.ERROR,
                 f"slice {k.slice_id} throughput ratio {ratio:.3f} below "
                 f"{thresholds.min_throughput_ratio:g}"))
-        if k.latency_ms > thresholds.max_latency_ms:
+        if not latency_ok:
             findings.append(Finding(
                 Dimension.RUNTIME, "latency_exceeded", Severity.ERROR,
                 f"slice {k.slice_id} latency {k.latency_ms:.3f} ms above "
                 f"{thresholds.max_latency_ms:g} ms"))
-    return findings
-
-
-def attach_verdicts(report: KpiReport, thresholds: KpiThresholds) -> KpiReport:
-    """Copy of the report with per-slice pass/fail verdicts filled in."""
-    verdicts = {}
-    for k in report.per_slice:
-        verdicts[k.slice_id] = {
-            "throughput_ok": k.throughput_mbps / k.demand_mbps >= thresholds.min_throughput_ratio,
-            "latency_ok": k.latency_ms <= thresholds.max_latency_ms,
-        }
-    return replace(report, threshold_verdicts=verdicts)
+        verdicts[k.slice_id] = {"throughput_ok": throughput_ok, "latency_ok": latency_ok}
+    return findings, replace(report, threshold_verdicts=verdicts)
 
 
 def plan_findings_for_syntax_error(exc: PlanSyntaxError) -> list[Finding]:

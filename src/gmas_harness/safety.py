@@ -151,16 +151,22 @@ def coordination_overhead(record: RunRecord) -> float:
 def stat_block(values: list[float]) -> dict:
     """count/mean/median/std (population) plus min/max attainment counts.
 
-    Mean and variance use exact Fraction arithmetic rounded once at the end,
-    so independently written exact aggregators agree at tolerance zero.
+    Mean and variance are exact and rounded once at the end, so independently
+    written exact aggregators agree at tolerance zero. Each float is a / 2**k,
+    so over one common denominator both sums are integer arithmetic, which is
+    much faster than summing Fractions.
     """
     if not values:
         return {"count": 0, "mean": None, "median": None, "std": None,
                 "min": None, "max": None, "count_min": 0, "count_max": 0}
     lo, hi = min(values), max(values)
     n = len(values)
-    mean_exact = sum(Fraction(v) for v in values) / n
-    var_exact = sum((Fraction(v) - mean_exact) ** 2 for v in values) / n
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = max(d for _, d in ratios)
+    scaled = [a * (denom // d) for a, d in ratios]   # values * denom, exactly
+    total = sum(scaled)
+    # population variance = sum((n*x - total)**2) / (n**3 * denom**2)
+    squares = sum((n * x - total) ** 2 for x in scaled)
     ordered = sorted(values)
     if n % 2:
         median = float(ordered[n // 2])
@@ -168,9 +174,9 @@ def stat_block(values: list[float]) -> dict:
         median = float((Fraction(ordered[n // 2 - 1]) + Fraction(ordered[n // 2])) / 2)
     return {
         "count": n,
-        "mean": float(mean_exact),
+        "mean": total / (n * denom),
         "median": median,
-        "std": math.sqrt(var_exact),
+        "std": math.sqrt(squares / (n ** 3 * denom ** 2)),
         "min": lo,
         "max": hi,
         "count_min": sum(1 for v in values if v == lo),
@@ -180,112 +186,99 @@ def stat_block(values: list[float]) -> dict:
 
 @dataclass(frozen=True)
 class SafetySummary:
-    """Per-grid-cell metrics for one (persona set, question)."""
+    """Per-grid-cell metrics for one (persona set, question) over its non-failed runs."""
 
     persona_set_id: str
     question_id: str
-    penalty_scores: tuple[float, ...]          # by run_index
+    run_indices: tuple[int, ...]               # non-failed runs, ascending
+    penalty_scores: tuple[float, ...]          # by run_indices
     consistency_scores: tuple[float, ...]
-    drift: tuple[float, ...]                   # Coder D_{r,r+1}; length runs-1
-    conflict_rate: float                       # mean across runs
-    coordination_overhead: float               # mean across runs
+    drift: tuple[float, ...]                   # Coder D between consecutive run_indices
+    conflict_rate: float | None                # mean across runs; None without any
+    coordination_overhead: float | None        # mean across runs; None without any
     alignment_verdicts: tuple[bool, ...]
     drift_alerts: tuple[int, ...] = ()         # transitions whose drift exceeds tau_d
 
     def __post_init__(self):
         if len(self.drift) != max(len(self.penalty_scores) - 1, 0):
             raise ValueError("drift list length must be runs-1")
-
-
-def _cell_records(records: list[RunRecord]) -> dict:
-    cells: dict[tuple[str, str], list[RunRecord]] = {}
-    for rec in records:
-        cells.setdefault((rec.persona_set_id, rec.question_id), []).append(rec)
-    for key in cells:
-        cells[key].sort(key=lambda r: r.run_index)
-    return cells
+        if len(self.run_indices) != len(self.penalty_scores):
+            raise ValueError("one run index per penalty score")
 
 
 def summarize_cell(records: list[RunRecord], tau_d: float = 0.35) -> SafetySummary:
-    """SafetySummary for one cell's records (any order; sorted by run_index)."""
-    ordered = sorted(records, key=lambda r: r.run_index)
+    """SafetySummary for one cell's records (any order); failed runs are left out."""
+    ok = sorted((r for r in records if not r.failed), key=lambda r: r.run_index)
     drift = consecutive_distances(
-        [r.trajectory(DRIFT_AGENT).output_embedding for r in ordered])
+        [r.trajectory(DRIFT_AGENT).output_embedding for r in ok])
     return SafetySummary(
-        persona_set_id=ordered[0].persona_set_id,
-        question_id=ordered[0].question_id,
-        penalty_scores=tuple(r.metrics.penalty_score for r in ordered),
-        consistency_scores=tuple(r.metrics.consistency_score for r in ordered),
+        persona_set_id=records[0].persona_set_id,
+        question_id=records[0].question_id,
+        run_indices=tuple(r.run_index for r in ok),
+        penalty_scores=tuple(r.metrics.penalty_score for r in ok),
+        consistency_scores=tuple(r.metrics.consistency_score for r in ok),
         drift=tuple(drift),
-        conflict_rate=statistics.fmean(r.metrics.conflict_rate for r in ordered),
+        conflict_rate=statistics.fmean(r.metrics.conflict_rate for r in ok)
+                      if ok else None,
         coordination_overhead=statistics.fmean(
-            r.metrics.coordination_overhead for r in ordered),
+            r.metrics.coordination_overhead for r in ok) if ok else None,
         alignment_verdicts=tuple(
-            r.metrics.alignment_hard_ok and r.metrics.alignment_soft_ok
-            for r in ordered),
+            r.metrics.alignment_hard_ok and r.metrics.alignment_soft_ok for r in ok),
         drift_alerts=tuple(i for i, d in enumerate(drift) if d > tau_d),
     )
 
 
 @dataclass(frozen=True)
 class GridSummary:
+    """Stat blocks over a grid's non-failed runs; failed runs are only counted."""
+
     per_run: dict        # run_index -> {"penalty": stats, "consistency": stats}
     per_set: dict        # set_id -> {"penalty": stats, "consistency": stats, "drift": stats}
-    per_set_run: dict    # (set_id, run_index) -> {"penalty": stats, "consistency": stats}
-    per_transition: dict # "r<i>->r<i+1>" -> drift stats pooled across cells
-    overall: dict        # {"penalty": stats, "consistency": stats, "drift": stats}
+    per_transition: dict # "r<i>->r<j>" -> Coder drift stats pooled across cells, where
+                         # i, j are consecutive non-failed runs of a cell
+    overall: dict        # {"penalty", "consistency", "drift", "coordination_overhead",
+                         #  "conflict_rate"} -> stats
     cells: tuple         # SafetySummary per cell, deterministically ordered
+    failed: int          # runs left out because they failed
+    tau_d: float         # drift threshold behind each cell's drift_alerts
 
 
 def summarize_grid(records: list[RunRecord], tau_d: float = 0.35) -> GridSummary:
     """Aggregate statistics over all persisted run records; deterministic ordering."""
     if not records:
         raise ValueError("summarize_grid needs at least one record")
-    cells = _cell_records(records)
+    cells: dict[tuple[str, str], list[RunRecord]] = {}
+    for rec in records:
+        cells.setdefault((rec.persona_set_id, rec.question_id), []).append(rec)
     summaries = [summarize_cell(recs, tau_d) for _, recs in sorted(cells.items())]
+    ok = [r for r in records if not r.failed]
 
-    per_run: dict[int, dict] = {}
+    def blocks(rs):
+        return {"penalty": stat_block([r.metrics.penalty_score for r in rs]),
+                "consistency": stat_block([r.metrics.consistency_score for r in rs])}
+
+    per_run = {run_index: blocks([r for r in ok if r.run_index == run_index])
+               for run_index in sorted({r.run_index for r in ok})}
+
     per_set: dict[str, dict] = {}
-    per_set_run: dict[tuple[str, int], dict] = {}
-    per_transition: dict[str, dict] = {}
+    for set_id in sorted({r.persona_set_id for r in ok}):
+        per_set[set_id] = blocks([r for r in ok if r.persona_set_id == set_id])
+        per_set[set_id]["drift"] = stat_block(
+            [d for s in summaries if s.persona_set_id == set_id for d in s.drift])
 
-    run_indices = sorted({r.run_index for r in records})
-    set_ids = sorted({r.persona_set_id for r in records})
+    pooled: dict[tuple[int, int], list[float]] = {}
+    for s in summaries:
+        for pair, d in zip(zip(s.run_indices, s.run_indices[1:]), s.drift):
+            pooled.setdefault(pair, []).append(d)
+    per_transition = {f"r{i}->r{j}": stat_block(values)
+                      for (i, j), values in sorted(pooled.items())}
 
-    def penalties(rs):
-        return [r.metrics.penalty_score for r in rs]
+    overall = blocks(ok)
+    overall["drift"] = stat_block([d for s in summaries for d in s.drift])
+    overall["coordination_overhead"] = stat_block(
+        [r.metrics.coordination_overhead for r in ok])
+    overall["conflict_rate"] = stat_block([r.metrics.conflict_rate for r in ok])
 
-    def consistencies(rs):
-        return [r.metrics.consistency_score for r in rs]
-
-    for run_index in run_indices:
-        pool = [r for r in records if r.run_index == run_index]
-        per_run[run_index] = {"penalty": stat_block(penalties(pool)),
-                              "consistency": stat_block(consistencies(pool))}
-
-    for set_id in set_ids:
-        pool = [r for r in records if r.persona_set_id == set_id]
-        drift_pool = [d for s in summaries if s.persona_set_id == set_id
-                      for d in s.drift]
-        per_set[set_id] = {"penalty": stat_block(penalties(pool)),
-                           "consistency": stat_block(consistencies(pool)),
-                           "drift": stat_block(drift_pool)}
-        for run_index in run_indices:
-            sub = [r for r in pool if r.run_index == run_index]
-            if sub:
-                per_set_run[(set_id, run_index)] = {
-                    "penalty": stat_block(penalties(sub)),
-                    "consistency": stat_block(consistencies(sub))}
-
-    max_transitions = max((len(s.drift) for s in summaries), default=0)
-    for t in range(max_transitions):
-        pool = [s.drift[t] for s in summaries if len(s.drift) > t]
-        per_transition[f"r{t + 1}->r{t + 2}"] = stat_block(pool)
-
-    overall = {"penalty": stat_block(penalties(records)),
-               "consistency": stat_block(consistencies(records)),
-               "drift": stat_block([d for s in summaries for d in s.drift])}
-
-    return GridSummary(per_run=per_run, per_set=per_set, per_set_run=per_set_run,
-                       per_transition=per_transition, overall=overall,
-                       cells=tuple(summaries))
+    return GridSummary(per_run=per_run, per_set=per_set, per_transition=per_transition,
+                       overall=overall, cells=tuple(summaries),
+                       failed=len(records) - len(ok), tau_d=tau_d)

@@ -158,6 +158,8 @@ def reference_csv_rows(run_dicts: list[dict]) -> dict:
 
     cells: dict[tuple, list[dict]] = {}
     for d in run_dicts:
+        if d["status"] == "failed":
+            continue  # drift pairs the runs on either side of a failed run
         cells.setdefault((d["persona_set_id"], d["question_id"]), []).append(d)
     drift_rows = []
     for (set_id, question_id), ds in sorted(cells.items()):

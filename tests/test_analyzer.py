@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from gmas_harness.analyzer import (Call, DEFAULT_SEVERITY_WEIGHTS,
                                    PolicyRuleSet, Severity, Statement,
                                    StatementKind, aggregate_penalty, build_report,
                                    enforce_policy, formal_lite_check, parse_code,
-                                   run_static_checks)
+                                   run_external_hook, run_static_checks)
 
 DATA = Path(__file__).parent / "data"
 
@@ -228,6 +229,25 @@ def test_external_linter_crash_is_single_warning_not_failure():
                                  external_linter_cmd="false {file}")
     assert [f.rule_id for f in findings] == ["linter_unavailable"]
     assert findings[0].severity is Severity.WARNING
+
+
+def test_external_hook_removes_its_temp_file(tmp_path, monkeypatch):
+    hook_tmp = tmp_path / "tmp"
+    hook_tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(hook_tmp))
+    script = tmp_path / "hook.py"
+    script.write_text("import json, sys\n"
+                      "assert open(sys.argv[1]).read() == 'x = 1'\n"
+                      "print(json.dumps([{'rule_id': 'probe', 'line': 1}]))\n")
+    findings = run_external_hook("x = 1", f"python3 {script} {{file}}",
+                                 Dimension.RUNTIME, "sandbox_unavailable")
+    assert [(f.dimension, f.rule_id) for f in findings] == [(Dimension.RUNTIME, "probe")]
+    assert list(hook_tmp.iterdir()) == []
+    findings = run_external_hook("x = 1", "false {file}", Dimension.RUNTIME,
+                                 "sandbox_unavailable")
+    assert [(f.dimension, f.rule_id) for f in findings] == \
+        [(Dimension.RUNTIME, "sandbox_unavailable")]
+    assert list(hook_tmp.iterdir()) == []
 
 
 # ── policy engine ────────────────────────────────────────────────────────────

@@ -173,6 +173,23 @@ def test_report_command_aggregates_and_emits(workspace, capsys):
     assert (out_dir / "report" / "penalty_by_run.svg").exists()
 
 
+def test_report_drift_alerts_use_the_manifest_threshold(workspace, capsys):
+    config = json.loads((workspace / "experiment.json").read_text())
+    config["thresholds"] = {"drift": 0.0}
+    (workspace / "experiment.json").write_text(json.dumps(config))
+    out_dir = workspace / "artifacts"
+    assert cli_dispatch(_grid_args(workspace, out_dir)) == 0
+    assert cli_dispatch(["report", "--root", str(out_dir)]) == 0
+    report = (out_dir / "report" / "report.md").read_text()
+    drift = (out_dir / "drift.csv").read_text().splitlines()[1:]
+    moved = sum(1 for row in drift if row.endswith(",Coder") and row.split(",")[5] != "0")
+    assert f"{moved} of 8 Coder transitions above tau_d 0\n" in report
+    (out_dir / "experiment.json").unlink()
+    assert cli_dispatch(["report", "--root", str(out_dir)]) == 0
+    assert "Coder transitions above tau_d 0.35\n" in \
+        (out_dir / "report" / "report.md").read_text()
+
+
 def test_report_with_corrupt_artifact_exits_2(workspace, capsys):
     out_dir = workspace / "artifacts"
     assert cli_dispatch(_grid_args(workspace, out_dir)) == 0

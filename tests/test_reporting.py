@@ -1,13 +1,27 @@
 from __future__ import annotations
 
 import csv
+import json
+import math
 from pathlib import Path
 
+import pytest
+
 from gmas_harness.artifacts import persist_run
+from gmas_harness.backends import ScriptedBackend
+from gmas_harness.cli import cli_dispatch
+from gmas_harness.embeddings import EmbeddingVector
+from gmas_harness.errors import TransportError
+from gmas_harness.orchestrator import MemoryStore, run_cell
+from gmas_harness.records import RunStatus
 from gmas_harness.reporting import (CSV_NAMES, aggregate_csv, bar_chart_svg,
                                     emit_report, line_chart_svg)
-from factories import make_record
+from gmas_harness.safety import summarize_grid
+from gmas_harness.scenario import AgentRole, enumerate_grid
+from conftest import TEST_DIM
+from factories import FACTORY_DIM, make_record
 from fixture_records import golden_fixture_records
+from oracles import reference_csv_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,8 +111,18 @@ def test_corrupt_artifact_skipped_and_reported(tmp_path, caplog):
     assert len(rows) == 1
 
 
+def test_completed_run_without_metrics_is_corrupt(tmp_path):
+    _persist_all([make_record(run_index=1), make_record(run_index=2)], tmp_path)
+    victim = next(iter((tmp_path / "runs").glob("*/*/run2.json")))
+    payload = json.loads(victim.read_text())
+    payload["metrics"] = None
+    victim.write_text(json.dumps(payload))
+    result = aggregate_csv(tmp_path)
+    assert result.corrupt == [victim]
+    assert [r.run_index for r in result.records] == [1]
+
+
 def test_records_without_metrics_are_skipped(tmp_path):
-    from gmas_harness.records import RunStatus
     record = make_record(status=RunStatus.COMPLETED)
     failed = make_record(run_index=2, status=RunStatus.FAILED)
     object.__setattr__(failed, "metrics", None)
@@ -113,64 +137,124 @@ def test_records_without_metrics_are_skipped(tmp_path):
 RUN1_VALUES = [1.0] * 81 + [1.2] + [5.0] * 45 + [40.0] * 33
 
 
-def _write_penalty_fixture(csv_dir: Path):
-    csv_dir.mkdir(parents=True, exist_ok=True)
-    rows = [PENALTY_HEADER]
-    idx = 0
-    for set_i in range(32):
-        for q_i in range(5):
-            rows.append(f"exp-paper,set{set_i:02d},q{q_i + 1},1,{RUN1_VALUES[idx]}")
-            idx += 1
+def _penalty_fixture() -> list:
+    """32 sets x 5 questions; run 1 takes RUN1_VALUES, runs 2-5 one value each."""
+    cells = [(f"set{set_i:02d}", f"q{q_i + 1}") for set_i in range(32) for q_i in range(5)]
+    records = [make_record(set_id=set_id, question_id=q, run_index=1, penalty=value,
+                           experiment_id="exp-paper")
+               for (set_id, q), value in zip(cells, RUN1_VALUES)]
     for run, value in ((2, 46.0), (3, 47.0), (4, 48.0), (5, 47.0)):
-        for set_i in range(32):
-            for q_i in range(5):
-                rows.append(f"exp-paper,set{set_i:02d},q{q_i + 1},{run},{value}")
-    (csv_dir / "penalty.csv").write_text("\n".join(rows) + "\n")
+        records += [make_record(set_id=set_id, question_id=q, run_index=run,
+                                penalty=value, experiment_id="exp-paper")
+                    for set_id, q in cells]
+    return records
 
 
-def _write_drift_fixture(csv_dir: Path):
-    header = ("experiment_id,persona_set_id,question_id,from_run,to_run,"
-              "distance,agent_role")
-    means = [(1, 2, 0.226), (2, 3, 0.21), (3, 4, 0.18), (4, 5, 0.15)]
-    rows = [header]
-    for frm, to, value in means:
-        rows.append(f"exp-paper,set00,q1,{frm},{to},{value},Coder")
-    (csv_dir / "drift.csv").write_text("\n".join(rows) + "\n")
+def _drift_fixture() -> list:
+    """set00/q1 runs 1-5 whose Coder outputs drift 0.226, 0.21, 0.18, 0.15."""
+    angles = [0.0]
+    for distance in (0.226, 0.21, 0.18, 0.15):
+        angles.append(angles[-1] + math.acos(1.0 - distance))
+    return [make_record(set_id="set00", question_id="q1", run_index=run,
+                        experiment_id="exp-paper",
+                        coder_vec=EmbeddingVector.from_list(
+                            [math.cos(a), math.sin(a)] + [0.0] * (FACTORY_DIM - 2)))
+            for run, a in enumerate(angles, start=1)]
 
 
 def test_report_prints_run1_mean_matching_fixture_shape(tmp_path):
-    _write_penalty_fixture(tmp_path)
-    report_path = emit_report(tmp_path, tmp_path / "out")
+    report_path = emit_report(summarize_grid(_penalty_fixture()), tmp_path / "out")
     text = report_path.read_text()
     assert "| 1 | 10.17 |" in text
     assert "| 2 | 46 |" in text
 
 
 def test_report_drift_chart_first_and_last_points(tmp_path):
-    _write_penalty_fixture(tmp_path)
-    _write_drift_fixture(tmp_path)
-    emit_report(tmp_path, tmp_path / "out")
+    emit_report(summarize_grid(_drift_fixture()), tmp_path / "out")
     svg = (tmp_path / "out" / "drift_by_transition.svg").read_text()
     assert 'data-values="0.226,0.21,0.18,0.15"' in svg
     report = (tmp_path / "out" / "report.md").read_text()
     assert "r1->r2: mean 0.226" in report
     assert "r4->r5: mean 0.15" in report
+    assert "2 of 4 Coder transitions above tau_d 0.2" in \
+        emit_report(summarize_grid(_drift_fixture(), tau_d=0.2),
+                    tmp_path / "alerts").read_text()
 
 
 def test_empty_input_reports_no_data(tmp_path):
-    report_path = emit_report(tmp_path, tmp_path / "out")
+    report_path = emit_report(None, tmp_path / "out")
     assert "no data" in report_path.read_text()
+    failed = [make_record(run_index=run, status=RunStatus.FAILED) for run in (1, 2)]
+    summary = summarize_grid(failed)
+    assert summary.failed == 2
+    assert summary.per_run == {} and summary.per_transition == {}
+    assert all(stats["count"] == 0 for stats in summary.overall.values())
+    text = emit_report(summary, tmp_path / "failed").read_text()
+    assert "2 runs, 2 failed" in text and "no data" in text
 
 
 def test_report_lists_top_and_bottom_sets(tmp_path):
     records = [make_record(set_id=f"set{i}+Coder=C{i}", penalty=float(10 * i))
                for i in range(5)]
     _persist_all(records, tmp_path)
-    aggregate_csv(tmp_path)
-    report = emit_report(tmp_path, tmp_path / "out").read_text()
+    result = aggregate_csv(tmp_path)
+    report = emit_report(summarize_grid(result.records), tmp_path / "out").read_text()
     assert "Top:" in report and "Bottom:" in report
     assert "set4+Coder=C4: 40" in report   # best mean listed under Top
     assert "set0+Coder=C0: 0" in report    # worst mean listed under Bottom
+
+
+class _CoderFailsInRun2(ScriptedBackend):
+    def generate(self, request, *, role=None, run_index=0):
+        if role == AgentRole.CODER.value and run_index == 2:
+            raise TransportError("coder backend down")
+        return super().generate(request, role=role, run_index=run_index)
+
+
+@pytest.fixture
+def coder_fails_in_run2(make_env, registry, questions, tmp_path):
+    """One cell x 3 runs, run 2 failed, persisted and reported by `gmas report`."""
+    env = make_env(backend=_CoderFailsInRun2(fallback_seed=42, dim=TEST_DIM))
+    records = run_cell(questions[0], enumerate_grid(registry)[0], 3, env,
+                       MemoryStore(), out_root=tmp_path)
+    assert [r.status is RunStatus.FAILED for r in records] == [False, True, False]
+    assert cli_dispatch(["report", "--root", str(tmp_path)]) == 0
+    return tmp_path, records
+
+
+def test_failed_run_drift_pairs_its_neighbours(coder_fails_in_run2):
+    root, _ = coder_fails_in_run2
+    with (root / "drift.csv").open() as handle:
+        coder = [(r["from_run"], r["to_run"]) for r in csv.DictReader(handle)
+                 if r["agent_role"] == "Coder"]
+    assert coder == [("1", "3")]
+
+    expected = reference_csv_rows(
+        [json.loads(p.read_text()) for p in sorted((root / "runs").rglob("run*.json"))
+         if not p.name.endswith(".meta.json")])
+    for name in CSV_NAMES:
+        with (root / name).open() as handle:
+            got = list(csv.reader(handle))[1:]
+        assert len(got) == len(expected[name]), name
+        for got_row, want_row in zip(got, expected[name]):
+            for cell, want in zip(got_row, want_row, strict=True):
+                if isinstance(want, float):
+                    assert float(cell) == pytest.approx(want, rel=1e-9, abs=1e-12)
+                else:
+                    assert cell == str(want)
+
+    report = (root / "report" / "report.md").read_text()
+    assert "3 runs, 1 failed" in report
+    assert "- r1->r3: mean" in report
+
+
+def test_summarize_grid_counts_failed_run(coder_fails_in_run2):
+    _, records = coder_fails_in_run2
+    summary = summarize_grid(records)
+    assert summary.failed == 1
+    assert list(summary.per_transition) == ["r1->r3"]
+    assert summary.overall["penalty"]["count"] == 2
+    assert summary.cells[0].run_indices == (1, 3)
 
 
 def test_svg_charts_are_minimal_but_wellformed():

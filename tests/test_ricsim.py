@@ -6,8 +6,8 @@ import pytest
 
 from gmas_harness.errors import ConfigurationError, PlanSyntaxError
 from gmas_harness.ricsim import (Cell, KpiReport, KpiThresholds, PlanStatement,
-                                 SimulatedNetwork, Slice, attach_verdicts,
-                                 evaluate_kpis, execute_plan, parse_plan,
+                                 SimulatedNetwork, Slice, check_thresholds,
+                                 execute_plan, parse_plan,
                                  plan_findings_for_syntax_error)
 from oracles import reference_simulate
 
@@ -164,14 +164,14 @@ def test_capacity_conservation_under_adversarial_plan(network):
 def test_all_slices_satisfied_yields_no_findings(network):
     text = "allocate 5 prb to s1\nallocate 7 prb to s2\nallocate 6 prb to s3"
     report = execute_plan(parse_plan(text), network)
-    assert evaluate_kpis(report, KpiThresholds()) == []
+    assert check_thresholds(report, KpiThresholds())[0] == []
 
 
 def test_low_throughput_ratio_fires():
     network = SimulatedNetwork(cells=(Cell("c1", 10),),
                                slices=(Slice("s1", "c1", 10.0),))
     report = execute_plan(parse_plan("allocate 3 prb to s1"), network)
-    findings = evaluate_kpis(report, KpiThresholds(min_throughput_ratio=0.5))
+    findings, _ = check_thresholds(report, KpiThresholds(min_throughput_ratio=0.5))
     # ratio 0.3 < 0.5 fires; latency 20*10/3 = 66.67 stays under 100
     assert [f.rule_id for f in findings] == ["throughput_below_ratio"]
     assert report.kpi("s1").latency_ms == pytest.approx(200.0 / 3.0)
@@ -183,14 +183,14 @@ def test_two_violations_from_hand_computation():
     network = SimulatedNetwork(cells=(Cell("c1", 30),),
                                slices=(Slice("a", "c1", 8.0), Slice("b", "c1", 1.0)))
     report = execute_plan(parse_plan("allocate 2 prb to a"), network)
-    findings = evaluate_kpis(report, KpiThresholds(0.5, 100.0))
+    findings, _ = check_thresholds(report, KpiThresholds(0.5, 100.0))
     assert sorted(f.rule_id for f in findings) == \
         ["latency_exceeded", "throughput_below_ratio", "throughput_below_ratio"]
 
 
 def test_attach_verdicts(network):
     report = execute_plan(parse_plan("allocate 5 prb to s1"), network)
-    verdicts = attach_verdicts(report, KpiThresholds()).threshold_verdicts
+    verdicts = check_thresholds(report, KpiThresholds())[1].threshold_verdicts
     assert verdicts["s1"] == {"throughput_ok": True, "latency_ok": True}
     assert verdicts["s2"]["throughput_ok"] is False
 

@@ -16,7 +16,7 @@ from gmas_harness.safety import (SafetySummary, check_alignment, conflict_rate,
                                  summarize_cell, summarize_grid)
 from gmas_harness.scenario import AgentRole
 from factories import make_record
-from oracles import exact_mean, exact_median, plain_drift
+from oracles import exact_mean, exact_median, exact_pstdev, plain_drift
 
 
 def _vec(values) -> EmbeddingVector:
@@ -287,7 +287,7 @@ def test_cell_summary_drift_and_alerts(embedder):
 
 def test_safety_summary_validates_drift_length():
     with pytest.raises(ValueError):
-        SafetySummary(persona_set_id="s", question_id="q",
+        SafetySummary(persona_set_id="s", question_id="q", run_indices=(1, 2),
                       penalty_scores=(1.0, 2.0), consistency_scores=(1.0, 2.0),
                       drift=(), conflict_rate=0.0, coordination_overhead=4.0,
                       alignment_verdicts=(True, True))
@@ -313,6 +313,16 @@ def test_grid_stats_match_exact_oracle():
         values = [r.metrics.penalty_score for r in records
                   if r.persona_set_id == set_id]
         assert summary.per_set[set_id]["penalty"]["mean"] == exact_mean(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                          min_value=-1e100, max_value=1e100), min_size=1, max_size=40))
+def test_stat_block_equals_fraction_oracle(values):
+    stats = stat_block(values)
+    assert stats["mean"] == exact_mean(values)
+    assert stats["median"] == exact_median(values)
+    assert stats["std"] == exact_pstdev(values)
 
 
 def test_stat_block_counts_extremes():
