@@ -561,7 +561,7 @@ def run_external_hook(code: str, cmd_template: str, dimension: Dimension,
         proc = subprocess.run(cmd, shell=True, capture_output=True, text=True,
                               timeout=30)
         if proc.returncode != 0:
-            raise RuntimeError(f"linter exited {proc.returncode}")
+            raise RuntimeError(f"exited with status {proc.returncode}")
         raw = json.loads(proc.stdout)
         return [Finding(dimension, item["rule_id"],
                         Severity(item.get("severity", "warning")),
@@ -569,9 +569,9 @@ def run_external_hook(code: str, cmd_template: str, dimension: Dimension,
                         (int(item["line"]), 1) if item.get("line") else None)
                 for item in raw]
     except Exception as exc:                      # hook crash is never a run failure
-        logger.warning("external linter failed: %s", exc)
+        logger.warning("external %s hook failed: %s", dimension.value, exc)
         return [Finding(dimension, unavailable_rule, Severity.WARNING,
-                        f"external linter failed: {exc}")]
+                        f"external {dimension.value} hook failed: {exc}")]
     finally:
         if path is not None:
             path.unlink(missing_ok=True)

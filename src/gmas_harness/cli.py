@@ -172,7 +172,7 @@ def _cmd_grid(args) -> int:
     records = run_grid(questions, persona_sets, runs, env, workers=workers,
                        memory=memory, out_root=root)
     write_atomic(root / "memory.json", canonical_json(memory.to_dict()) + "\n")
-    failed = sum(1 for r in records if r.status.value == "failed")
+    failed = sum(1 for r in records if r.failed)
     print(f"{experiment_id}: {len(records)} runs persisted under {root} "
           f"({failed} failed)")
     return EXIT_RUNTIME if failed else EXIT_OK
@@ -197,7 +197,7 @@ def _cmd_run(args) -> int:
         path = root / run_relpath(record.persona_set_id, record.question_id,
                                   record.run_index)
         print(f"{record.status.value}: {path}")
-    failed = sum(1 for r in records if r.status.value == "failed")
+    failed = sum(1 for r in records if r.failed)
     return EXIT_RUNTIME if failed else EXIT_OK
 
 

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .analyzer import PolicyRuleSet, Severity
+from .analyzer import DEFAULT_SEVERITY_WEIGHTS, PolicyRuleSet
 from .backends import LiveBackend, ScriptedBackend, load_script
 from .embeddings import DEFAULT_DIM
 from .errors import ConfigurationError
@@ -42,16 +42,14 @@ class ExperimentConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
+def _present(raw: dict, cls) -> dict:
+    """The entries of ``raw`` that name fields of the dataclass ``cls``."""
+    return {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
+
+
 def parse_thresholds(raw: dict) -> Thresholds:
     """The ``thresholds`` of a raw config dict (a file's or a manifest's snapshot)."""
-    thresholds_raw = raw.get("thresholds", {})
-    return Thresholds(
-        drift=thresholds_raw.get("drift", 0.35),
-        alignment=thresholds_raw.get("alignment", 0.3),
-        conflict=thresholds_raw.get("conflict", 0.6),
-        min_throughput_ratio=thresholds_raw.get("min_throughput_ratio", 0.5),
-        max_latency_ms=thresholds_raw.get("max_latency_ms", 100.0),
-    )
+    return Thresholds(**_present(raw.get("thresholds", {}), Thresholds))
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -63,25 +61,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
 
-    thresholds = parse_thresholds(raw)
-    run = RunConfig(
-        tot_path_count=raw.get("tot_path_count", 3),
-        max_refinement_depth=raw.get("max_refinement_depth", 3),
-        thresholds=thresholds,
-        top_k=raw.get("top_k", 4),
-        hop_expand=raw.get("hop_expand", 1),
-        memory_budget_chars=raw.get("memory_budget_chars", 1200),
-        consistency_alpha=raw.get("consistency_alpha", 1.0),
-        seed=raw.get("seed", 42),
-        temperature=raw.get("temperature", 0.2),
-        max_tokens=raw.get("max_tokens", 1024),
-        external_linter_cmd=raw.get("external_linter_cmd"),
-        external_sandbox_cmd=raw.get("external_sandbox_cmd"),
-    )
+    run = RunConfig(**{**_present(raw, RunConfig), "thresholds": parse_thresholds(raw)})
     weights_raw = raw.get("severity_weights", {})
     weights = {sev: float(weights_raw.get(sev.value, default))
-               for sev, default in ((Severity.INFO, 1.0), (Severity.WARNING, 5.0),
-                                    (Severity.ERROR, 15.0), (Severity.CRITICAL, 30.0))}
+               for sev, default in DEFAULT_SEVERITY_WEIGHTS.items()}
     backend_mode = raw.get("backend", {}).get("mode", "scripted")
     if backend_mode not in ("scripted", "live"):
         raise ConfigurationError(f"unknown backend mode {backend_mode!r}")

@@ -225,6 +225,22 @@ def build_user_prompt(question: Question, bundle: ContextBundle, digest: str,
     return "\n".join(parts)
 
 
+def _agent_prompt(question: Question, persona: Persona, bundle: ContextBundle,
+                  digest: str, task_block: str,
+                  feedback: tuple[str, ...]) -> tuple[str, str]:
+    """(system, user) prompts of one agent turn."""
+    return (render_persona_prompt(persona, ROLE_CHARTERS[persona.role]),
+            build_user_prompt(question, bundle, digest, task_block, feedback))
+
+
+def _ask(backend: Backend, role: AgentRole, system: str, user: str, run_index: int,
+         temperature: float, max_tokens: int, seed: int | None) -> str:
+    request = GenerationRequest(system_prompt=system, user_prompt=user,
+                                temperature=temperature, max_tokens=max_tokens,
+                                seed=seed)
+    return backend.generate(request, role=role.value, run_index=run_index)
+
+
 def planner_task(k: int) -> str:
     return (f"Propose exactly {k} solution paths for this question.\n"
             "Format each as:\n"
@@ -321,13 +337,14 @@ def propose_paths(question: Question, persona: Persona, bundle: ContextBundle,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    system = render_persona_prompt(persona, ROLE_CHARTERS[persona.role])
-    user = build_user_prompt(question, bundle, digest, planner_task(k), feedback)
-    request = GenerationRequest(system_prompt=system, user_prompt=user,
-                                temperature=temperature, max_tokens=max_tokens,
-                                seed=seed)
-    raw = backend.generate(request, role=persona.role.value, run_index=run_index)
+    system, user = _agent_prompt(question, persona, bundle, digest, planner_task(k),
+                                 feedback)
 
+    def ask(prompt: str) -> str:
+        return _ask(backend, persona.role, system, prompt, run_index, temperature,
+                    max_tokens, seed)
+
+    raw = ask(user)
     blocks = parse_path_blocks(raw)[:k]
     aux: list[tuple[str, str]] = []
     paths: list[SolutionPath] = []
@@ -339,15 +356,10 @@ def propose_paths(question: Question, persona: Persona, bundle: ContextBundle,
                                       rationale="fallback: candidate unparseable"))
             continue
         steps, rationale = block
-        eval_user = ("Rate how promising this solution path is for the question.\n"
-                     f"Question: {question.text}\n"
-                     "Path steps:\n" + "\n".join(f"- {s}" for s in steps) + "\n"
-                     "Return only a number between 0 and 1.")
-        eval_request = GenerationRequest(system_prompt=system, user_prompt=eval_user,
-                                         temperature=temperature,
-                                         max_tokens=max_tokens, seed=seed)
-        eval_raw = backend.generate(eval_request, role=persona.role.value,
-                                    run_index=run_index)
+        eval_raw = ask("Rate how promising this solution path is for the question.\n"
+                       f"Question: {question.text}\n"
+                       "Path steps:\n" + "\n".join(f"- {s}" for s in steps) + "\n"
+                       "Return only a number between 0 and 1.")
         aux.append((f"self_eval_path_{position}", eval_raw))
         paths.append(SolutionPath(path_id=position, steps=tuple(steps),
                                   self_eval=parse_self_eval(eval_raw),
@@ -390,23 +402,6 @@ class ExperimentEnv:
     severity_weights: dict = field(default_factory=lambda: dict(DEFAULT_SEVERITY_WEIGHTS))
 
 
-def _make_trajectory(role: AgentRole, prompt: str, output: str, summary: str,
-                     bundle: ContextBundle, backend: Backend,
-                     reasons: tuple[str, ...] = (),
-                     aux: tuple[tuple[str, str], ...] = (),
-                     output_embedding: EmbeddingVector | None = None) -> Trajectory:
-    """``output_embedding``, when given, must be the backend's embedding of ``output``."""
-    prompt_embedding = backend.embed(prompt)
-    if output_embedding is None:
-        output_embedding = backend.embed(output)
-    return Trajectory(
-        role=role, prompt=prompt, prompt_embedding=prompt_embedding,
-        output=output, output_embedding=output_embedding,
-        thought_summary=summary, refinement_reasons=reasons,
-        context_items=bundle.items, context_centroid=bundle.bundle_embedding,
-        aux_exchanges=aux)
-
-
 def _stub_trajectory(role: AgentRole, backend: Backend, note: str) -> Trajectory:
     zero = EmbeddingVector.from_list([0.0] * backend.dim)
     return Trajectory(role=role, prompt="", prompt_embedding=zero, output="",
@@ -431,20 +426,42 @@ def _failure_reason(report: AnalyzerReport, alignment_ok: bool, hard_ok: bool,
     return "; ".join(parts)
 
 
-def _run_sandbox_hook(code: str, cmd_template: str | None) -> list[Finding]:
-    if not cmd_template:
-        return [Finding(Dimension.RUNTIME, "runtime_skipped", Severity.INFO,
-                        "no external sandbox configured; generated code not executed")]
-    return run_external_hook(code, cmd_template, Dimension.RUNTIME, "sandbox_unavailable")
+def _analyze(plan: AllocationPlan, code: CodeArtifact,
+             env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None]:
+    """The Analyzer's report on a plan and its code, and the plan's KPI dict."""
+    cfg = env.config
+    tree = parse_code(code.code)
+    findings = list(run_static_checks(tree, code.code, cfg.external_linter_cmd))
+    findings.extend(enforce_policy(tree, env.policy_rules))
+    findings.extend(formal_lite_check(tree, code.code))
+    kpi_dict = None
+    try:
+        parsed_plan = parse_plan(plan.pseudo_code)
+    except PlanSyntaxError as exc:
+        findings.extend(plan_findings_for_syntax_error(exc))
+    else:
+        threshold_findings, kpi_report = check_thresholds(
+            execute_plan(parsed_plan, env.network), cfg.thresholds.kpi())
+        findings.extend(kpi_report.findings)
+        findings.extend(threshold_findings)
+        kpi_dict = kpi_report.to_dict()
+    if cfg.external_sandbox_cmd:
+        findings.extend(run_external_hook(code.code, cfg.external_sandbox_cmd,
+                                          Dimension.RUNTIME, "sandbox_unavailable"))
+    else:
+        findings.append(Finding(Dimension.RUNTIME, "runtime_skipped", Severity.INFO,
+                                "no external sandbox configured; generated code not executed"))
+    return build_report(findings, env.severity_weights), kpi_dict
 
 
 def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
                 env: ExperimentEnv, memory: MemoryView) -> RunRecord:
     """One full pipeline pass with the targeted refinement loop.
 
-    Backend hard failures are recorded as status=failed, not raised past
-    the run boundary; exhausting the refinement budget keeps the last
-    analyzer report and records status=budget_exhausted.
+    A refinement re-runs the routed role and every later stage. Backend
+    hard failures are recorded as status=failed, not raised past the run
+    boundary; exhausting the refinement budget keeps the last analyzer
+    report and records status=budget_exhausted.
     """
     cfg = env.config
     backend = env.backend
@@ -466,148 +483,84 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
     report: AnalyzerReport | None = None
     kpi_dict: dict | None = None
 
-    def run_planner():
-        nonlocal paths
-        persona = personas[AgentRole.PLANNER]
-        paths, prompt, raw, aux = propose_paths(
-            question, persona, bundles[AgentRole.PLANNER], cfg.tot_path_count,
-            backend, run_index, digests[AgentRole.PLANNER],
-            tuple(feedback[AgentRole.PLANNER]), temperature=cfg.temperature,
-            max_tokens=cfg.max_tokens, seed=cfg.seed)
-        best = max(p.self_eval for p in paths)
-        summary = (f"proposed {len(paths)} paths; best self-eval {best:.2f}")
-        trajectories[AgentRole.PLANNER] = _make_trajectory(
-            AgentRole.PLANNER, prompt, raw, summary, bundles[AgentRole.PLANNER],
-            backend, tuple(feedback[AgentRole.PLANNER]), tuple(aux))
+    def turn(role: AgentRole, task: str, output: str | None = None) -> tuple[str, str]:
+        """(prompt, output) of one agent turn; the backend writes the output unless given."""
+        system, user = _agent_prompt(question, personas[role], bundles[role],
+                                     digests[role], task, tuple(feedback[role]))
+        if output is None:
+            output = _ask(backend, role, system, user, run_index, cfg.temperature,
+                          cfg.max_tokens, cfg.seed)
+        return system + "\n" + user, output
 
-    def run_coordinator():
-        nonlocal selected
-        persona = personas[AgentRole.COORDINATOR]
-        selected = select_path(paths)
-        system = render_persona_prompt(persona, ROLE_CHARTERS[AgentRole.COORDINATOR])
-        user = build_user_prompt(question, bundles[AgentRole.COORDINATOR],
-                                 digests[AgentRole.COORDINATOR],
-                                 coordinator_task(paths),
-                                 tuple(feedback[AgentRole.COORDINATOR]))
-        output = (f"selected path {selected.path_id} "
-                  f"(self-eval {selected.self_eval:.2f})\n" + selected.steps_text())
-        summary = (f"selected path {selected.path_id} of {len(paths)} by argmax self-eval")
-        trajectories[AgentRole.COORDINATOR] = _make_trajectory(
-            AgentRole.COORDINATOR, system + "\n" + user, output, summary,
-            bundles[AgentRole.COORDINATOR], backend,
-            tuple(feedback[AgentRole.COORDINATOR]))
-
-    def run_allocator():
-        nonlocal plan
-        persona = personas[AgentRole.ALLOCATOR]
-        system = render_persona_prompt(persona, ROLE_CHARTERS[AgentRole.ALLOCATOR])
-        user = build_user_prompt(question, bundles[AgentRole.ALLOCATOR],
-                                 digests[AgentRole.ALLOCATOR],
-                                 allocator_task(selected, env.network),
-                                 tuple(feedback[AgentRole.ALLOCATOR]))
-        request = GenerationRequest(system_prompt=system, user_prompt=user,
-                                    temperature=cfg.temperature,
-                                    max_tokens=cfg.max_tokens, seed=cfg.seed)
-        raw = backend.generate(request, role=AgentRole.ALLOCATOR.value,
-                               run_index=run_index)
-        plan = AllocationPlan(pseudo_code=raw, plan_embedding=backend.embed(raw),
-                              source_path=selected.path_id)
-        n_statements = sum(1 for ln in raw.splitlines()
-                           if ln.strip() and not ln.strip().startswith("#"))
-        summary = f"emitted plan with {n_statements} statements"
-        trajectories[AgentRole.ALLOCATOR] = _make_trajectory(
-            AgentRole.ALLOCATOR, system + "\n" + user, raw, summary,
-            bundles[AgentRole.ALLOCATOR], backend, tuple(feedback[AgentRole.ALLOCATOR]),
-            output_embedding=plan.plan_embedding)
-
-    def run_coder():
-        nonlocal code
-        persona = personas[AgentRole.CODER]
-        system = render_persona_prompt(persona, ROLE_CHARTERS[AgentRole.CODER])
-        user = build_user_prompt(question, bundles[AgentRole.CODER],
-                                 digests[AgentRole.CODER],
-                                 coder_task(plan.pseudo_code),
-                                 tuple(feedback[AgentRole.CODER]))
-        request = GenerationRequest(system_prompt=system, user_prompt=user,
-                                    temperature=cfg.temperature,
-                                    max_tokens=cfg.max_tokens, seed=cfg.seed)
-        raw = backend.generate(request, role=AgentRole.CODER.value, run_index=run_index)
-        code = CodeArtifact(code=raw, code_embedding=backend.embed(raw))
-        summary = f"translated plan into {len(raw.splitlines())} code lines"
-        trajectories[AgentRole.CODER] = _make_trajectory(
-            AgentRole.CODER, system + "\n" + user, raw, summary,
-            bundles[AgentRole.CODER], backend, tuple(feedback[AgentRole.CODER]),
-            output_embedding=code.code_embedding)
-
-    def run_analyzer():
-        nonlocal report, kpi_dict
-        persona = personas[AgentRole.ANALYZER]
-        findings: list[Finding] = []
-        tree = parse_code(code.code)
-        findings.extend(run_static_checks(tree, code.code, cfg.external_linter_cmd))
-        findings.extend(enforce_policy(tree, env.policy_rules))
-        findings.extend(formal_lite_check(tree, code.code))
-        kpi_dict = None
-        try:
-            parsed_plan = parse_plan(plan.pseudo_code)
-        except PlanSyntaxError as exc:
-            findings.extend(plan_findings_for_syntax_error(exc))
+    def step(role: AgentRole) -> None:
+        """One pipeline stage: the role's work, then its trajectory."""
+        nonlocal paths, selected, plan, code, report, kpi_dict
+        aux: list[tuple[str, str]] = []
+        output_embedding = None
+        if role is AgentRole.PLANNER:
+            paths, prompt, output, aux = propose_paths(
+                question, personas[role], bundles[role], cfg.tot_path_count, backend,
+                run_index, digests[role], tuple(feedback[role]),
+                temperature=cfg.temperature, max_tokens=cfg.max_tokens, seed=cfg.seed)
+            summary = (f"proposed {len(paths)} paths; "
+                       f"best self-eval {max(p.self_eval for p in paths):.2f}")
+        elif role is AgentRole.COORDINATOR:
+            selected = select_path(paths)
+            prompt, output = turn(role, coordinator_task(paths),
+                                  f"selected path {selected.path_id} "
+                                  f"(self-eval {selected.self_eval:.2f})\n"
+                                  + selected.steps_text())
+            summary = f"selected path {selected.path_id} of {len(paths)} by argmax self-eval"
+        elif role is AgentRole.ALLOCATOR:
+            prompt, output = turn(role, allocator_task(selected, env.network))
+            plan = AllocationPlan(pseudo_code=output, plan_embedding=backend.embed(output))
+            output_embedding = plan.plan_embedding
+            n_statements = sum(1 for ln in output.splitlines()
+                               if ln.strip() and not ln.strip().startswith("#"))
+            summary = f"emitted plan with {n_statements} statements"
+        elif role is AgentRole.CODER:
+            prompt, output = turn(role, coder_task(plan.pseudo_code))
+            code = CodeArtifact(code=output, code_embedding=backend.embed(output))
+            output_embedding = code.code_embedding
+            summary = f"translated plan into {len(output.splitlines())} code lines"
         else:
-            threshold_findings, kpi_report = check_thresholds(
-                execute_plan(parsed_plan, env.network), cfg.thresholds.kpi())
-            findings.extend(kpi_report.findings)
-            findings.extend(threshold_findings)
-            kpi_dict = kpi_report.to_dict()
-        findings.extend(_run_sandbox_hook(code.code, cfg.external_sandbox_cmd))
-        report = build_report(findings, env.severity_weights)
-
-        system = render_persona_prompt(persona, ROLE_CHARTERS[AgentRole.ANALYZER])
-        user = build_user_prompt(question, bundles[AgentRole.ANALYZER],
-                                 digests[AgentRole.ANALYZER],
-                                 analyzer_task(plan.pseudo_code, code.code))
-        lines = [f"penalty {report.penalty_score:g}; "
-                 f"failed dimensions: "
-                 f"{', '.join(d.value for d in report.failed_dimensions()) or 'none'}"]
-        lines += [f"[{f.severity.value}] {f.dimension.value}/{f.rule_id}: {f.message}"
-                  for f in report.findings]
-        output = "\n".join(lines)
-        summary = (f"report: {len(report.findings)} findings; "
-                   f"penalty {report.penalty_score:g}")
-        trajectories[AgentRole.ANALYZER] = _make_trajectory(
-            AgentRole.ANALYZER, system + "\n" + user, output, summary,
-            bundles[AgentRole.ANALYZER], backend)
+            report, kpi_dict = _analyze(plan, code, env)
+            failed = ", ".join(d.value for d in report.failed_dimensions()) or "none"
+            lines = [f"penalty {report.penalty_score:g}; failed dimensions: {failed}"]
+            lines += [f"[{f.severity.value}] {f.dimension.value}/{f.rule_id}: {f.message}"
+                      for f in report.findings]
+            prompt, output = turn(role, analyzer_task(plan.pseudo_code, code.code),
+                                  "\n".join(lines))
+            summary = (f"report: {len(report.findings)} findings; "
+                       f"penalty {report.penalty_score:g}")
+        prompt_embedding = backend.embed(prompt)
+        if output_embedding is None:
+            output_embedding = backend.embed(output)
+        trajectories[role] = Trajectory(
+            role=role, prompt=prompt, prompt_embedding=prompt_embedding,
+            output=output, output_embedding=output_embedding,
+            thought_summary=summary, refinement_reasons=tuple(feedback[role]),
+            context_items=bundles[role].items,
+            context_centroid=bundles[role].bundle_embedding, aux_exchanges=tuple(aux))
 
     status = RunStatus.COMPLETED
+    start = AgentRole.PLANNER
     try:
-        run_planner()
-        run_coordinator()
-        run_allocator()
-        run_coder()
-        run_analyzer()
-        verdict = check_alignment(paths, selected, plan,
-                                  cfg.thresholds.alignment, backend)
-        while (not verdict.ok or report.failed_dimensions()) \
-                and len(events) < cfg.max_refinement_depth:
-            routed = route_refinement(report, verdict.ok)
-            reason = _failure_reason(report, verdict.ok, verdict.hard_ok,
-                                     verdict.cosine_value, cfg.thresholds.alignment)
-            events.append(RefinementEvent(len(events) + 1, routed, reason))
-            feedback[routed].append(reason)
-            if routed == AgentRole.PLANNER:
-                run_planner()
-                run_coordinator()
-                run_allocator()
-                run_coder()
-            elif routed == AgentRole.ALLOCATOR:
-                run_allocator()
-                run_coder()
-            else:
-                run_coder()
-            run_analyzer()
+        while True:
+            for role in PIPELINE_ORDER[PIPELINE_ORDER.index(start):]:
+                step(role)
             verdict = check_alignment(paths, selected, plan,
                                       cfg.thresholds.alignment, backend)
-        if not verdict.ok or report.failed_dimensions():
-            status = RunStatus.BUDGET_EXHAUSTED
+            if verdict.ok and not report.failed_dimensions():
+                break
+            if len(events) >= cfg.max_refinement_depth:
+                status = RunStatus.BUDGET_EXHAUSTED
+                break
+            start = route_refinement(report, verdict.ok)
+            reason = _failure_reason(report, verdict.ok, verdict.hard_ok,
+                                     verdict.cosine_value, cfg.thresholds.alignment)
+            events.append(RefinementEvent(len(events) + 1, start, reason))
+            feedback[start].append(reason)
     except GmasError as exc:
         logger.error("run failed for %s/%s run %d: %s", persona_set.set_id,
                      question.id, run_index, exc)

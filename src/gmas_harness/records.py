@@ -41,7 +41,6 @@ class SolutionPath:
 class AllocationPlan:
     pseudo_code: str
     plan_embedding: EmbeddingVector
-    source_path: int
 
     def __post_init__(self):
         if not self.pseudo_code:
@@ -52,7 +51,6 @@ class AllocationPlan:
 class CodeArtifact:
     code: str
     code_embedding: EmbeddingVector
-    language_tag: str = "python_restricted"
 
     def __post_init__(self):
         if not self.code:

@@ -206,9 +206,9 @@ def test_acceptance_05_metric_kernels():
     rng = random.Random(5)
     for _ in range(500):
         a, b = _rand_vec(rng), _rand_vec(rng)
-        plan_a = AllocationPlan("allocate 1 prb to s1", a, 1)
+        plan_a = AllocationPlan("allocate 1 prb to s1", a)
         code_b = CodeArtifact("import ric", b)
-        plan_b = AllocationPlan("allocate 1 prb to s1", b, 1)
+        plan_b = AllocationPlan("allocate 1 prb to s1", b)
         code_a = CodeArtifact("import ric", a)
         forward = consistency_score(plan_a, code_b)
         backward = consistency_score(plan_b, code_a)

@@ -229,6 +229,7 @@ def test_external_linter_crash_is_single_warning_not_failure():
                                  external_linter_cmd="false {file}")
     assert [f.rule_id for f in findings] == ["linter_unavailable"]
     assert findings[0].severity is Severity.WARNING
+    assert findings[0].message == "external static hook failed: exited with status 1"
 
 
 def test_external_hook_removes_its_temp_file(tmp_path, monkeypatch):
@@ -247,6 +248,8 @@ def test_external_hook_removes_its_temp_file(tmp_path, monkeypatch):
                                  "sandbox_unavailable")
     assert [(f.dimension, f.rule_id) for f in findings] == \
         [(Dimension.RUNTIME, "sandbox_unavailable")]
+    assert findings[0].message == "external runtime hook failed: exited with status 1"
+    assert "linter" not in findings[0].message
     assert list(hook_tmp.iterdir()) == []
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 
@@ -14,11 +15,13 @@ from gmas_harness.embeddings import DeterministicEmbedder
 from gmas_harness.errors import TransportError
 from gmas_harness.knowledge import SourceTag, build_graph, index_documents
 from gmas_harness.orchestrator import (MemoryEntry, MemoryStore, RunConfig, StoreSet,
+                                       Thresholds,
                                        execute_run, memory_digest, parse_path_blocks,
                                        parse_self_eval, propose_paths,
                                        route_refinement, run_cell, run_grid,
                                        select_path)
 from gmas_harness.records import RunStatus, SolutionPath
+from gmas_harness.safety import overhead_from_events
 from gmas_harness.scenario import (AgentRole, PIPELINE_ORDER, generate_questions)
 from conftest import TEST_DIM
 
@@ -282,6 +285,71 @@ def test_always_failing_code_exhausts_budget(make_env, registry, questions):
     assert len(record.refinement_events) == 3
     assert record.analyzer_report is not None  # last report retained
     assert not record.analyzer_report.passes[Dimension.POLICY]
+
+
+class _CountingBackend(ScriptedBackend):
+    """Counts generate calls per role."""
+
+    def __init__(self, script):
+        super().__init__(script=script, fallback_seed=42, dim=TEST_DIM)
+        self.generated = collections.Counter()
+
+    def generate(self, request, *, role=None, run_index=0):
+        self.generated[role] += 1
+        return super().generate(request, role=role, run_index=run_index)
+
+
+def _reasons_by_role(record):
+    return {role.value: len(record.trajectory(role).refinement_reasons)
+            for role in PIPELINE_ORDER}
+
+
+def test_alignment_failure_reruns_from_the_planner(make_env, registry, questions):
+    text = ("PATH 1:\n- step alpha\nRATIONALE: a\n"
+            "PATH 2:\n- step beta\nRATIONALE: b\n"
+            "PATH 3:\n- step gamma\nRATIONALE: c\n")
+    backend = _CountingBackend(_planner_script(text, []))
+    # no cosine reaches 1.01, so every pass fails alignment
+    env = make_env(backend=backend, config=RunConfig(
+        max_refinement_depth=2, thresholds=Thresholds(alignment=1.01)))
+    record = execute_run(questions[0], _first_set(registry), 1, env,
+                         MemoryStore().view("x"))
+    assert record.status is RunStatus.BUDGET_EXHAUSTED
+    assert [e.routed_role for e in record.refinement_events] == [AgentRole.PLANNER] * 2
+    # three passes, each one propose and three self-evals, then a plan and code
+    assert backend.generated == {"Planner": 12, "Allocator": 3, "Coder": 3}
+    assert _reasons_by_role(record) == {"Planner": 2, "Coordinator": 0,
+                                        "Allocator": 0, "Coder": 0, "Analyzer": 0}
+    assert all(r.startswith("alignment:")
+               for r in record.trajectory(AgentRole.PLANNER).refinement_reasons)
+    assert record.metrics.coordination_overhead == \
+        overhead_from_events(record.refinement_events) == 4 + 2 * (1 + 4)
+
+
+FITTING_PLAN = "allocate 8 prb to s1\nallocate 8 prb to s2\nallocate 8 prb to s3"
+OVER_CAPACITY_PLAN = "allocate 20 prb to s1\nallocate 8 prb to s2\nallocate 8 prb to s3"
+
+
+def test_runtime_failure_reruns_from_the_allocator(make_env, registry, questions):
+    # the one proposed path spells the fitting plan, so alignment passes
+    path = "PATH 1:\n" + "".join(f"- {ln}\n" for ln in FITTING_PLAN.splitlines())
+    backend = _CountingBackend(_planner_script(path, []) + [
+        ScriptEntry(response=FITTING_PLAN, role="Allocator",
+                    prompt_contains="Refinement feedback"),
+        ScriptEntry(response=OVER_CAPACITY_PLAN, role="Allocator"),
+    ])
+    env = make_env(backend=backend, config=RunConfig(tot_path_count=1))
+    record = execute_run(questions[0], _first_set(registry), 1, env,
+                         MemoryStore().view("x"))
+    assert record.status is RunStatus.COMPLETED
+    assert [e.routed_role for e in record.refinement_events] == [AgentRole.ALLOCATOR]
+    assert "capacity_exceeded" in record.refinement_events[0].reason
+    assert backend.generated == {"Planner": 2, "Allocator": 2, "Coder": 2}
+    assert _reasons_by_role(record) == {"Planner": 0, "Coordinator": 0,
+                                        "Allocator": 1, "Coder": 0, "Analyzer": 0}
+    assert record.plan_text == FITTING_PLAN
+    assert record.metrics.coordination_overhead == \
+        overhead_from_events(record.refinement_events) == 4 + 1 + 2
 
 
 def test_selected_path_always_among_proposed(make_env, registry, questions):

@@ -24,7 +24,7 @@ def _vec(values) -> EmbeddingVector:
 
 
 def _plan(embedding, text="allocate 1 prb to s1") -> AllocationPlan:
-    return AllocationPlan(pseudo_code=text, plan_embedding=embedding, source_path=1)
+    return AllocationPlan(pseudo_code=text, plan_embedding=embedding)
 
 
 def _code(embedding, text="import ric") -> CodeArtifact:
