@@ -24,7 +24,6 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .embeddings import EmbeddingVector
@@ -277,7 +276,13 @@ RUN_RECORD_SCHEMA = {
 
 
 def validate_record_dict(data: dict) -> None:
-    """Schema-validate a run record payload; raises ValidationError on failure."""
+    """Schema-validate a run record payload; raises ValidationError on failure.
+
+    ``jsonschema`` is imported here, not at module level, because only the
+    tests validate records and the installed package does not depend on it.
+    """
+    import jsonschema
+
     try:
         jsonschema.validate(data, RUN_RECORD_SCHEMA)
     except jsonschema.ValidationError as exc:

@@ -10,18 +10,21 @@ whole grid experiments can run hermetically.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import math
 import random
 import re
+import selectors
+import socket
+import ssl
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
-
-import requests
 
 from .embeddings import DEFAULT_DIM, DeterministicEmbedder, EmbeddingVector
 from .errors import ConfigurationError, DimensionMismatchError, TransportError
@@ -345,15 +348,29 @@ class TokenBucket:
             time.sleep(wait)
 
 
+def _peer_closed(sock: socket.socket) -> bool:
+    """True when an idle kept-alive socket is readable.
+
+    Between requests the server has nothing to say, so a readable socket
+    means it closed the connection (or broke the protocol), and the next
+    request on it would fail.
+    """
+    with selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
+
+
 class LiveBackend:
     """OpenAI-compatible wire protocol: /v1/chat/completions and /v1/embeddings.
 
-    Transient failures (connection errors, 429, 5xx, malformed bodies) are
-    retried with exponential backoff; other 4xx fail fast as configuration
-    problems. A wrong embedding dimension is a hard error because every
-    downstream metric would be meaningless. Embeddings are requested once
-    per distinct text, which assumes the endpoint returns the same vector
-    for the same input; failures are never cached.
+    Each worker thread keeps one ``http.client`` connection to ``api_base``
+    alive across requests, and reopens it when the server has closed it
+    meanwhile. Transient failures (connection errors, 429, 5xx, malformed
+    bodies) are retried with exponential backoff; other 4xx fail fast as
+    configuration problems. A wrong embedding dimension is a hard error
+    because every downstream metric would be meaningless. Embeddings are
+    requested once per distinct text, which assumes the endpoint returns
+    the same vector for the same input; failures are never cached.
     """
 
     def __init__(self, api_base: str, api_key: str = "", *,
@@ -361,10 +378,20 @@ class LiveBackend:
                  embedding_model: str = "all-MiniLM-L6-v2",
                  dim: int = DEFAULT_DIM, retries: int = 3,
                  backoff_s: float = 0.5, rate_limit_per_s: float = 10.0,
-                 timeout_s: float = 60.0, session: requests.Session | None = None):
+                 timeout_s: float = 60.0):
         if not api_base:
             raise ConfigurationError("live backend needs an api_base (GMAS_API_BASE)")
         self.api_base = api_base.rstrip("/")
+        url = urllib.parse.urlsplit(self.api_base)
+        try:
+            port = url.port
+        except ValueError as exc:
+            raise ConfigurationError(f"api_base {api_base!r}: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigurationError(f"api_base {api_base!r} is not an http(s) URL")
+        self._address = (url.hostname, port)
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._path_prefix = url.path
         self.api_key = api_key
         self.chat_model = chat_model
         self.embedding_model = embedding_model
@@ -373,7 +400,7 @@ class LiveBackend:
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
         self._bucket = TokenBucket(rate_limit_per_s)
-        self._session = session or requests.Session()
+        self._local = threading.local()
         self._embeddings = Memo()
 
     @property
@@ -386,23 +413,49 @@ class LiveBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; a fresh one if the server closed the last."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            host, port = self._address
+            if self._tls is None:
+                conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+            else:
+                conn = http.client.HTTPSConnection(host, port, timeout=self.timeout_s,
+                                                   context=self._tls)
+            self._local.conn = conn
+        elif conn.sock is not None and _peer_closed(conn.sock):
+            conn.close()  # the next request connects again
+        return conn
+
+    def _exchange(self, path: str, payload: bytes) -> tuple[int, bytes]:
+        """POST ``payload`` on this thread's connection; (status, response body)."""
+        conn = self._connection()
+        try:
+            conn.request("POST", self._path_prefix + path, payload, self._headers())
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        except BaseException:
+            conn.close()  # a half-done exchange leaves the connection unusable
+            raise
+
     def _post(self, path: str, body: dict) -> dict:
         url = self.api_base + path
+        payload = json.dumps(body, allow_nan=False).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(1, self.retries + 1):
             self._bucket.acquire()
             try:
-                resp = self._session.post(url, json=body, headers=self._headers(),
-                                          timeout=self.timeout_s)
-                if resp.status_code == 200:
-                    return resp.json()
-                if resp.status_code == 429 or resp.status_code >= 500:
+                status, data = self._exchange(path, payload)
+                if status == 200:
+                    return json.loads(data)
+                if status == 429 or status >= 500:
                     last_error = TransportError(
-                        f"{url} returned {resp.status_code}", attempts=attempt)
+                        f"{url} returned {status}", attempts=attempt)
                 else:
-                    raise ConfigurationError(
-                        f"{url} returned {resp.status_code}: {resp.text[:200]}")
-            except (requests.RequestException, ValueError) as exc:
+                    text = data.decode("utf-8", errors="replace")
+                    raise ConfigurationError(f"{url} returned {status}: {text[:200]}")
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_error = exc
             if attempt < self.retries:
                 delay = self.backoff_s * (2 ** (attempt - 1))

@@ -3,27 +3,53 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class StubOpenAIServer:
-    """Serves /v1/chat/completions and /v1/embeddings with canned payloads."""
+    """Serves /v1/chat/completions and /v1/embeddings with canned payloads.
+
+    Any path prefix before ``/v1/`` is accepted and recorded as sent. The
+    first ``fail_first`` requests are answered with ``status_on_fail`` and an
+    empty body. By default each response closes its connection (HTTP/1.0).
+    With ``drop_keep_alive`` the server answers as HTTP/1.1, which lets the
+    client keep the connection, and then closes it anyway after each
+    response without saying so; ``dropped`` counts those closes.
+    """
 
     def __init__(self, completion_text: str = "stub completion", dim: int = 8,
-                 fail_first: int = 0, status_on_fail: int = 500):
+                 fail_first: int = 0, status_on_fail: int = 500,
+                 drop_keep_alive: bool = False):
         self.completion_text = completion_text
         self.dim = dim
         self.fail_first = fail_first
         self.status_on_fail = status_on_fail
         self.requests: list[dict] = []
+        self.dropped = threading.Semaphore(0)
         self._failures_left = fail_first
         self._lock = threading.Lock()
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            if drop_keep_alive:
+                protocol_version = "HTTP/1.1"
+
             def log_message(self, *args):
                 pass
+
+            def _reply(self, status: int, data: bytes = b"") -> None:
+                self.send_response(status)
+                if data:
+                    self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+                if drop_keep_alive:
+                    self.close_connection = True
+                    self.connection.shutdown(socket.SHUT_WR)
+                    server.dropped.release()
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
@@ -31,26 +57,19 @@ class StubOpenAIServer:
                 with server._lock:
                     server.requests.append({"path": self.path, "body": body,
                                             "auth": self.headers.get("Authorization")})
-                    if server._failures_left > 0:
+                    failing = server._failures_left > 0
+                    if failing:
                         server._failures_left -= 1
-                        self.send_response(server.status_on_fail)
-                        self.end_headers()
-                        return
-                if self.path == "/v1/chat/completions":
-                    payload = {"choices": [{"message": {
-                        "role": "assistant", "content": server.completion_text}}]}
-                elif self.path == "/v1/embeddings":
-                    payload = {"data": [{"embedding": [0.5] * server.dim}]}
+                if failing:
+                    self._reply(server.status_on_fail)
+                elif self.path.endswith("/v1/chat/completions"):
+                    self._reply(200, json.dumps({"choices": [{"message": {
+                        "role": "assistant", "content": server.completion_text}}]}).encode())
+                elif self.path.endswith("/v1/embeddings"):
+                    self._reply(200, json.dumps(
+                        {"data": [{"embedding": [0.5] * server.dim}]}).encode())
                 else:
-                    self.send_response(404)
-                    self.end_headers()
-                    return
-                data = json.dumps(payload).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                    self._reply(404)
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)

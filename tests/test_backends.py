@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -321,3 +322,48 @@ def test_live_embed_failures_are_not_cached():
             backend.embed("text")
         assert backend.embed("text").tolist() == [0.5] * 8
         assert len(server.requests) == 4
+
+
+def test_live_reopens_a_keep_alive_connection_the_server_closed():
+    with StubOpenAIServer(completion_text="fresh", drop_keep_alive=True) as server:
+        backend = LiveBackend(server.base_url, dim=8, retries=1, rate_limit_per_s=1000)
+        assert backend.generate(_request("first")) == "fresh"
+        assert server.dropped.acquire(timeout=5)
+        assert backend.generate(_request("second")) == "fresh"
+        assert len(server.requests) == 2
+
+
+def test_live_connection_refused_uses_every_attempt():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    backend = LiveBackend(f"http://127.0.0.1:{port}", dim=8, retries=2,
+                          backoff_s=0.01, rate_limit_per_s=1000)
+    with pytest.raises(TransportError) as exc:
+        backend.generate(_request())
+    assert exc.value.attempts == 2
+
+
+def test_live_retries_a_200_without_json():
+    with StubOpenAIServer(completion_text="parsed", fail_first=1,
+                          status_on_fail=200) as server:
+        backend = LiveBackend(server.base_url, dim=8, retries=2, backoff_s=0.01,
+                              rate_limit_per_s=1000)
+        assert backend.generate(_request()) == "parsed"
+        assert len(server.requests) == 2
+
+
+def test_live_keeps_the_api_base_path_prefix():
+    with StubOpenAIServer(dim=8) as server:
+        backend = LiveBackend(server.base_url + "/prefix/", dim=8,
+                              rate_limit_per_s=1000)
+        backend.generate(_request())
+        backend.embed("text")
+        assert [r["path"] for r in server.requests] == [
+            "/prefix/v1/chat/completions", "/prefix/v1/embeddings"]
+
+
+@pytest.mark.parametrize("api_base", ["ftp://127.0.0.1:1", "http://", "http://h:port"])
+def test_live_rejects_an_api_base_that_is_not_an_http_url(api_base):
+    with pytest.raises(ConfigurationError):
+        LiveBackend(api_base, dim=8)

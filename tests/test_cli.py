@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gmas_harness
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.scenario import PersonaRegistry
 
@@ -204,3 +209,15 @@ def test_missing_config_exits_1(workspace, capsys):
                         ["--config", str(workspace / "nope.json"),
                          "--out", str(workspace / "y")])
     assert code == 1
+
+
+def test_cli_imports_no_http_or_schema_library():
+    # Runtime dependencies are numpy and the stdlib; a fresh interpreter shows
+    # what importing the CLI pulls in.
+    src = str(Path(gmas_harness.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, gmas_harness.cli; print(sorted({'requests', 'urllib3', "
+            "'jsonschema'} & {name.split('.')[0] for name in sys.modules}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
