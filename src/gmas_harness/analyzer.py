@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
@@ -552,6 +551,7 @@ def run_external_hook(code: str, cmd_template: str, dimension: Dimension,
     A crash or unreadable output is one `unavailable_rule` warning, never a
     run failure. The temp file is removed either way.
     """
+    import subprocess  # only hooks need it; it loads selectors
     path = None
     try:
         with tempfile.NamedTemporaryFile("w", suffix=".code", delete=False) as handle:

@@ -10,25 +10,25 @@ whole grid experiments can run hermetically.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import math
 import random
 import re
-import selectors
-import socket
-import ssl
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from .embeddings import DEFAULT_DIM, DeterministicEmbedder, EmbeddingVector
 from .errors import ConfigurationError, DimensionMismatchError, TransportError
 from .memo import Memo
+
+if TYPE_CHECKING:
+    import http.client
+    import socket
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +74,16 @@ class Backend(Protocol):
     def generate(self, request: GenerationRequest, *, role: str | None = None,
                  run_index: int = 0) -> str: ...
 
+    def generate_all(self, requests: list[GenerationRequest], *,
+                     role: str | None = None, run_index: int = 0) -> list[str]:
+        """One reply per request, in request order; the requests are independent."""
+        ...
+
     def embed(self, text: str) -> EmbeddingVector: ...
+
+    def close(self) -> None:
+        """Release what the backend holds open; it may still be used afterwards."""
+        ...
 
     @property
     def dim(self) -> int: ...
@@ -152,8 +161,16 @@ class ScriptedBackend:
                 f"script miss for role={role} run={run_index} fp={fp} and no fallback")
         return _fallback_response(self.fallback_seed, role, fp, run_index, full)
 
+    def generate_all(self, requests: list[GenerationRequest], *,
+                     role: str | None = None, run_index: int = 0) -> list[str]:
+        return [self.generate(request, role=role, run_index=run_index)
+                for request in requests]
+
     def embed(self, text: str) -> EmbeddingVector:
         return self._embeddings.get(text, lambda: self._embedder.embed(text))
+
+    def close(self) -> None:
+        pass
 
 
 # ── fallback generator ───────────────────────────────────────────────────────
@@ -355,6 +372,7 @@ def _peer_closed(sock: socket.socket) -> bool:
     means it closed the connection (or broke the protocol), and the next
     request on it would fail.
     """
+    import selectors
     with selectors.DefaultSelector() as selector:
         selector.register(sock, selectors.EVENT_READ)
         return bool(selector.select(0))
@@ -363,14 +381,17 @@ def _peer_closed(sock: socket.socket) -> bool:
 class LiveBackend:
     """OpenAI-compatible wire protocol: /v1/chat/completions and /v1/embeddings.
 
-    Each worker thread keeps one ``http.client`` connection to ``api_base``
-    alive across requests, and reopens it when the server has closed it
-    meanwhile. Transient failures (connection errors, 429, 5xx, malformed
-    bodies) are retried with exponential backoff; other 4xx fail fast as
-    configuration problems. A wrong embedding dimension is a hard error
-    because every downstream metric would be meaningless. Embeddings are
-    requested once per distinct text, which assumes the endpoint returns
-    the same vector for the same input; failures are never cached.
+    Each worker thread keeps its own ``http.client`` connections to
+    ``api_base`` alive across requests, one per request it has in flight at
+    once, and reopens one when the server has closed it meanwhile.
+    ``generate_all`` sends all its requests before it reads the first reply.
+    Transient failures (connection errors, 429, 5xx, malformed bodies) are
+    retried with exponential backoff, only for the requests that failed;
+    other 4xx fail fast as configuration problems. A wrong embedding
+    dimension is a hard error because every downstream metric would be
+    meaningless. Embeddings are requested once per distinct text, which
+    assumes the endpoint returns the same vector for the same input;
+    failures are never cached. ``close`` closes every connection opened.
     """
 
     def __init__(self, api_base: str, api_key: str = "", *,
@@ -390,7 +411,10 @@ class LiveBackend:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigurationError(f"api_base {api_base!r} is not an http(s) URL")
         self._address = (url.hostname, port)
-        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._tls = None
+        if url.scheme == "https":
+            import ssl
+            self._tls = ssl.create_default_context()
         self._path_prefix = url.path
         self.api_key = api_key
         self.chat_model = chat_model
@@ -401,11 +425,19 @@ class LiveBackend:
         self.timeout_s = timeout_s
         self._bucket = TokenBucket(rate_limit_per_s)
         self._local = threading.local()
+        self._opened: list[http.client.HTTPConnection] = []
+        self._opened_lock = threading.Lock()
         self._embeddings = Memo()
 
     @property
     def dim(self) -> int:
         return self._dim
+
+    def close(self) -> None:
+        """Close every connection this backend opened, on any thread."""
+        with self._opened_lock:
+            for conn in self._opened:
+                conn.close()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -413,60 +445,110 @@ class LiveBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection; a fresh one if the server closed the last."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
+    def _connections(self, n: int) -> list[http.client.HTTPConnection]:
+        """The first ``n`` of this thread's connections, adding new ones as needed."""
+        conns = getattr(self._local, "conns", None)
+        if conns is None:
+            conns = self._local.conns = []
+        while len(conns) < n:
+            import http.client
             host, port = self._address
             if self._tls is None:
                 conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
             else:
                 conn = http.client.HTTPSConnection(host, port, timeout=self.timeout_s,
                                                    context=self._tls)
-            self._local.conn = conn
-        elif conn.sock is not None and _peer_closed(conn.sock):
-            conn.close()  # the next request connects again
-        return conn
+            with self._opened_lock:
+                self._opened.append(conn)
+            conns.append(conn)
+        return conns[:n]
 
-    def _exchange(self, path: str, payload: bytes) -> tuple[int, bytes]:
-        """POST ``payload`` on this thread's connection; (status, response body)."""
-        conn = self._connection()
+    def _send(self, conn: http.client.HTTPConnection, path: str, payload: bytes) -> None:
+        """POST ``payload`` on ``conn``, reconnecting if the server closed it."""
+        if conn.sock is not None and _peer_closed(conn.sock):
+            conn.close()  # the request below connects again
         try:
             conn.request("POST", self._path_prefix + path, payload, self._headers())
-            resp = conn.getresponse()
-            return resp.status, resp.read()
         except BaseException:
-            conn.close()  # a half-done exchange leaves the connection unusable
+            conn.close()  # a half-sent request leaves the connection unusable
             raise
 
-    def _post(self, path: str, body: dict) -> dict:
+    def _receive(self, conn: http.client.HTTPConnection, url: str, attempt: int) -> dict:
+        """The decoded reply to the request sent on ``conn``.
+
+        Raises TransportError for a status worth retrying and
+        ConfigurationError for any other that is not 200.
+        """
+        try:
+            resp = conn.getresponse()
+            status, data = resp.status, resp.read()
+        except BaseException:
+            conn.close()  # a half-read reply leaves the connection unusable
+            raise
+        if status == 200:
+            return json.loads(data)
+        if status == 429 or status >= 500:
+            raise TransportError(f"{url} returned {status}", attempts=attempt)
+        text = data.decode("utf-8", errors="replace")
+        raise ConfigurationError(f"{url} returned {status}: {text[:200]}")
+
+    def _post_all(self, path: str, bodies: list[dict]) -> list[dict]:
+        """POST each body to ``path``; the decoded replies, in body order.
+
+        Each round first sends every pending body on its own connection of
+        this thread, then reads the replies in order. Only the bodies that
+        failed go into the next round, one backoff later. A 4xx reply
+        raises ConfigurationError once the round's other replies are read.
+        """
+        import http.client
         url = self.api_base + path
-        payload = json.dumps(body, allow_nan=False).encode("utf-8")
+        payloads = [json.dumps(body, allow_nan=False).encode("utf-8") for body in bodies]
+        replies: list = [None] * len(payloads)
+        pending = list(range(len(payloads)))
         last_error: Exception | None = None
         for attempt in range(1, self.retries + 1):
-            self._bucket.acquire()
-            try:
-                status, data = self._exchange(path, payload)
-                if status == 200:
-                    return json.loads(data)
-                if status == 429 or status >= 500:
-                    last_error = TransportError(
-                        f"{url} returned {status}", attempts=attempt)
+            sent, failed = [], []
+            for conn, i in zip(self._connections(len(pending)), pending):
+                self._bucket.acquire()
+                try:
+                    self._send(conn, path, payloads[i])
+                except (OSError, http.client.HTTPException) as exc:
+                    last_error = exc
+                    failed.append(i)
                 else:
-                    text = data.decode("utf-8", errors="replace")
-                    raise ConfigurationError(f"{url} returned {status}: {text[:200]}")
-            except (OSError, http.client.HTTPException, ValueError) as exc:
-                last_error = exc
+                    sent.append((conn, i))
+            rejected: ConfigurationError | None = None
+            for n, (conn, i) in enumerate(sent):
+                try:
+                    replies[i] = self._receive(conn, url, attempt)
+                except (OSError, http.client.HTTPException, ValueError,
+                        TransportError) as exc:
+                    last_error = exc
+                    failed.append(i)
+                except ConfigurationError as exc:
+                    rejected = rejected or exc
+                except BaseException:
+                    for unread, _ in sent[n + 1:]:
+                        unread.close()
+                    raise
+            if rejected is not None:
+                raise rejected
+            pending = sorted(failed)
+            if not pending:
+                return replies
             if attempt < self.retries:
                 delay = self.backoff_s * (2 ** (attempt - 1))
-                logger.warning("backend call failed (attempt %d/%d), retrying in %.2fs: %s",
+                logger.warning("%d of %d backend calls failed (attempt %d/%d), "
+                               "retrying in %.2fs: %s", len(pending), len(payloads),
                                attempt, self.retries, delay, last_error)
                 time.sleep(delay)
         raise TransportError(f"{url} failed after {self.retries} attempts: {last_error}",
                              attempts=self.retries)
 
-    def generate(self, request: GenerationRequest, *, role: str | None = None,
-                 run_index: int = 0) -> str:
+    def _post(self, path: str, body: dict) -> dict:
+        return self._post_all(path, [body])[0]
+
+    def _chat_body(self, request: GenerationRequest) -> dict:
         body = {
             "model": self.chat_model,
             "messages": [
@@ -478,7 +560,9 @@ class LiveBackend:
         }
         if request.seed is not None:
             body["seed"] = request.seed
-        data = self._post("/v1/chat/completions", body)
+        return body
+
+    def _completion(self, data: dict) -> str:
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -487,6 +571,16 @@ class LiveBackend:
         if not content:
             raise TransportError("empty completion content", attempts=self.retries)
         return content
+
+    def generate(self, request: GenerationRequest, *, role: str | None = None,
+                 run_index: int = 0) -> str:
+        return self.generate_all([request], role=role, run_index=run_index)[0]
+
+    def generate_all(self, requests: list[GenerationRequest], *,
+                     role: str | None = None, run_index: int = 0) -> list[str]:
+        replies = self._post_all("/v1/chat/completions",
+                                 [self._chat_body(request) for request in requests])
+        return [self._completion(data) for data in replies]
 
     def embed(self, text: str) -> EmbeddingVector:
         return self._embeddings.get(text, lambda: self._request_embedding(text))

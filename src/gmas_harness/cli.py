@@ -112,8 +112,12 @@ def _cmd_gen_questions(args) -> int:
             raise ConfigurationError("llm mode needs --config for the backend")
         from .config import build_backend
         backend = build_backend(load_experiment_config(args.config))
-    questions = generate_questions(args.count, _parse_topics(args.topics),
-                                   mode=args.mode, seed=args.seed, backend=backend)
+    try:
+        questions = generate_questions(args.count, _parse_topics(args.topics),
+                                       mode=args.mode, seed=args.seed, backend=backend)
+    finally:
+        if backend is not None:
+            backend.close()
     if args.out:
         save_questions(questions, args.out)
         print(f"wrote {len(questions)} questions to {args.out}")
@@ -163,14 +167,16 @@ def _cmd_grid(args) -> int:
     experiment_id = _experiment_id(config, Path(args.questions), args.personas,
                                    runs, grid_mode)
     env = build_env(config, experiment_id, registry)
-    root = Path(args.out)
-    root.mkdir(parents=True, exist_ok=True)
-    _write_grid_manifest(root, experiment_id, config, Path(args.questions),
-                         args.personas, len(questions), len(persona_sets), runs)
-
-    memory = MemoryStore()
-    records = run_grid(questions, persona_sets, runs, env, workers=workers,
-                       memory=memory, out_root=root)
+    try:
+        root = Path(args.out)
+        root.mkdir(parents=True, exist_ok=True)
+        _write_grid_manifest(root, experiment_id, config, Path(args.questions),
+                             args.personas, len(questions), len(persona_sets), runs)
+        memory = MemoryStore()
+        records = run_grid(questions, persona_sets, runs, env, workers=workers,
+                           memory=memory, out_root=root)
+    finally:
+        env.backend.close()
     write_atomic(root / "memory.json", canonical_json(memory.to_dict()) + "\n")
     failed = sum(1 for r in records if r.failed)
     print(f"{experiment_id}: {len(records)} runs persisted under {root} "
@@ -188,11 +194,13 @@ def _cmd_run(args) -> int:
     experiment_id = _experiment_id(config, Path(args.questions), args.personas,
                                    args.runs, "single")
     env = build_env(config, experiment_id, registry)
-    root = Path(args.out)
-    root.mkdir(parents=True, exist_ok=True)
-    memory = MemoryStore()
-    records = run_cell(questions[args.question], persona_set, args.runs, env,
-                       memory, out_root=root)
+    try:
+        root = Path(args.out)
+        root.mkdir(parents=True, exist_ok=True)
+        records = run_cell(questions[args.question], persona_set, args.runs, env,
+                           MemoryStore(), out_root=root)
+    finally:
+        env.backend.close()
     for record in records:
         path = root / run_relpath(record.persona_set_id, record.question_id,
                                   record.run_index)

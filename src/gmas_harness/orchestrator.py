@@ -1,9 +1,11 @@
 """Run life cycle: Planner proposes, Coordinator selects, Allocator plans,
 Coder translates, Analyzer verdicts route targeted refinement.
 
-One run is strictly sequential. The grid runner may execute distinct
-(question, persona set) cells concurrently; runs within a cell are
-sequential so run r+1 can read the episodic memory of run r.
+One run's stages are sequential. Within the Planner's turn the k
+self-evaluations depend only on its first reply, so they go to the backend
+as one batch, which a live backend sends at once. The grid runner may
+execute distinct (question, persona set) cells concurrently; runs within a
+cell are sequential so run r+1 can read the episodic memory of run r.
 """
 
 from __future__ import annotations
@@ -233,12 +235,16 @@ def _agent_prompt(question: Question, persona: Persona, bundle: ContextBundle,
             build_user_prompt(question, bundle, digest, task_block, feedback))
 
 
+def _request(system: str, user: str, temperature: float, max_tokens: int,
+             seed: int | None) -> GenerationRequest:
+    return GenerationRequest(system_prompt=system, user_prompt=user,
+                             temperature=temperature, max_tokens=max_tokens, seed=seed)
+
+
 def _ask(backend: Backend, role: AgentRole, system: str, user: str, run_index: int,
          temperature: float, max_tokens: int, seed: int | None) -> str:
-    request = GenerationRequest(system_prompt=system, user_prompt=user,
-                                temperature=temperature, max_tokens=max_tokens,
-                                seed=seed)
-    return backend.generate(request, role=role.value, run_index=run_index)
+    return backend.generate(_request(system, user, temperature, max_tokens, seed),
+                            role=role.value, run_index=run_index)
 
 
 def planner_task(k: int) -> str:
@@ -248,6 +254,13 @@ def planner_task(k: int) -> str:
             "- <step>\n"
             "- <step>\n"
             "RATIONALE: <one line>")
+
+
+def self_eval_task(question: Question, steps: list[str]) -> str:
+    return ("Rate how promising this solution path is for the question.\n"
+            f"Question: {question.text}\n"
+            "Path steps:\n" + "\n".join(f"- {s}" for s in steps) + "\n"
+            "Return only a number between 0 and 1.")
 
 
 def coordinator_task(paths: list[SolutionPath]) -> str:
@@ -340,26 +353,26 @@ def propose_paths(question: Question, persona: Persona, bundle: ContextBundle,
     system, user = _agent_prompt(question, persona, bundle, digest, planner_task(k),
                                  feedback)
 
-    def ask(prompt: str) -> str:
-        return _ask(backend, persona.role, system, prompt, run_index, temperature,
-                    max_tokens, seed)
-
-    raw = ask(user)
+    raw = _ask(backend, persona.role, system, user, run_index, temperature,
+               max_tokens, seed)
     blocks = parse_path_blocks(raw)[:k]
+    # each candidate is rated on its own, so the ratings go out as one batch
+    scored = [position for position, (steps, _) in enumerate(blocks, 1) if steps]
+    requests = [_request(system, self_eval_task(question, blocks[position - 1][0]),
+                         temperature, max_tokens, seed)
+                for position in scored]
+    evals = dict(zip(scored, backend.generate_all(requests, role=persona.role.value,
+                                                  run_index=run_index)))
     aux: list[tuple[str, str]] = []
     paths: list[SolutionPath] = []
     for position in range(1, k + 1):
-        block = blocks[position - 1] if position <= len(blocks) else None
-        if block is None or not block[0]:
+        if position not in evals:
             paths.append(SolutionPath(path_id=position, steps=(FALLBACK_STEP,),
                                       self_eval=0.0,
                                       rationale="fallback: candidate unparseable"))
             continue
-        steps, rationale = block
-        eval_raw = ask("Rate how promising this solution path is for the question.\n"
-                       f"Question: {question.text}\n"
-                       "Path steps:\n" + "\n".join(f"- {s}" for s in steps) + "\n"
-                       "Return only a number between 0 and 1.")
+        steps, rationale = blocks[position - 1]
+        eval_raw = evals[position]
         aux.append((f"self_eval_path_{position}", eval_raw))
         paths.append(SolutionPath(path_id=position, steps=tuple(steps),
                                   self_eval=parse_self_eval(eval_raw),

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -325,12 +327,19 @@ def test_live_embed_failures_are_not_cached():
 
 
 def test_live_reopens_a_keep_alive_connection_the_server_closed():
-    with StubOpenAIServer(completion_text="fresh", drop_keep_alive=True) as server:
-        backend = LiveBackend(server.base_url, dim=8, retries=1, rate_limit_per_s=1000)
-        assert backend.generate(_request("first")) == "fresh"
-        assert server.dropped.acquire(timeout=5)
-        assert backend.generate(_request("second")) == "fresh"
-        assert len(server.requests) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with StubOpenAIServer(completion_text="fresh", drop_keep_alive=True) as server:
+            backend = LiveBackend(server.base_url, dim=8, retries=1,
+                                  rate_limit_per_s=1000)
+            assert backend.generate(_request("first")) == "fresh"
+            assert server.dropped.acquire(timeout=5)
+            assert backend.generate(_request("second")) == "fresh"
+            assert len(server.requests) == 2
+            backend.close()
+        del backend
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_live_connection_refused_uses_every_attempt():
@@ -361,6 +370,81 @@ def test_live_keeps_the_api_base_path_prefix():
         backend.embed("text")
         assert [r["path"] for r in server.requests] == [
             "/prefix/v1/chat/completions", "/prefix/v1/embeddings"]
+
+
+# ── generate_all: one batch of independent requests ─────────────────────────
+
+def _user_prompt(body):
+    return body["messages"][1]["content"]
+
+
+def test_scripted_generate_all_equals_generate_one_at_a_time():
+    backend = ScriptedBackend(fallback_seed=42, dim=8)
+    requests = [_request(text) for text in ("a", "b", "a", PLAN_MARKER)]
+    assert backend.generate_all(requests, role="Planner", run_index=2) == [
+        backend.generate(r, role="Planner", run_index=2) for r in requests]
+    assert backend.generate_all([], role="Planner") == []
+
+
+def test_live_generate_all_keeps_request_order_when_replies_finish_reversed():
+    delays = {"first": 0.3, "second": 0.15, "third": 0.0}
+    with StubOpenAIServer(completion_text=_user_prompt, keep_alive=True,
+                          delay_s=lambda body: delays[_user_prompt(body)]) as server:
+        backend = LiveBackend(server.base_url, dim=8, rate_limit_per_s=1000)
+        try:
+            assert backend.generate_all([_request(t) for t in delays]) == list(delays)
+        finally:
+            backend.close()
+
+
+def test_live_generate_all_has_every_request_in_flight_at_once():
+    with StubOpenAIServer(completion_text=_user_prompt, keep_alive=True,
+                          delay_s=lambda body: 0.2) as server:
+        backend = LiveBackend(server.base_url, dim=8, rate_limit_per_s=1000)
+        try:
+            assert backend.generate_all([_request(t) for t in "abc"]) == list("abc")
+            assert server.peak_in_flight == 3
+            assert backend.generate(_request("d")) == "d"  # the connections are reused
+        finally:
+            backend.close()
+        assert len(server.requests) == 4
+
+
+def test_live_generate_all_retries_only_the_failed_request():
+    with StubOpenAIServer(completion_text=_user_prompt, fail_first=1,
+                          status_on_fail=503) as server:
+        backend = LiveBackend(server.base_url, dim=8, retries=3, backoff_s=0.01,
+                              rate_limit_per_s=1000)
+        assert backend.generate_all([_request(t) for t in "abc"]) == list("abc")
+        bodies = [r["body"] for r in server.requests]
+        assert len(bodies) == 4
+        assert sorted(_user_prompt(b) for b in bodies[:3]) == list("abc")
+        assert bodies[3] == bodies[0]  # the one answered with 503
+
+
+def test_live_generate_all_client_error_leaves_the_thread_usable():
+    with StubOpenAIServer(completion_text=_user_prompt, fail_first=1,
+                          status_on_fail=400, keep_alive=True) as server:
+        backend = LiveBackend(server.base_url, dim=8, retries=3, backoff_s=0.01,
+                              rate_limit_per_s=1000)
+        try:
+            with pytest.raises(ConfigurationError):
+                backend.generate_all([_request(t) for t in "abc"])
+            assert len(server.requests) == 3
+            assert backend.generate_all([_request(t) for t in "de"]) == list("de")
+        finally:
+            backend.close()
+        assert len(server.requests) == 5
+
+
+def test_live_generate_all_gives_up_with_attempt_count():
+    with StubOpenAIServer(fail_first=99) as server:
+        backend = LiveBackend(server.base_url, dim=8, retries=2, backoff_s=0.01,
+                              rate_limit_per_s=1000)
+        with pytest.raises(TransportError) as exc:
+            backend.generate_all([_request(t) for t in "abc"])
+        assert exc.value.attempts == 2
+        assert len(server.requests) == 6
 
 
 @pytest.mark.parametrize("api_base", ["ftp://127.0.0.1:1", "http://", "http://h:port"])

@@ -9,8 +9,12 @@ from pathlib import Path
 import pytest
 
 import gmas_harness
+from gmas_harness import config as config_module
+from gmas_harness.backends import (GenerationRequest, LiveBackend, SELF_EVAL_MARKER,
+                                   ScriptedBackend)
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.scenario import PersonaRegistry
+from stub_server import StubOpenAIServer
 
 SET_ALL_DEFAULT = ("Planner=Default+Coordinator=Default+Allocator=Default+"
                    "Coder=Default+Analyzer=Default")
@@ -138,6 +142,11 @@ def test_grid_reruns_are_byte_identical(workspace):
     out_b = workspace / "b"
     assert cli_dispatch(_grid_args(workspace, out_a)) == 0
     assert cli_dispatch(_grid_args(workspace, out_b)) == 0
+    _assert_same_run_tree(out_a, out_b)
+
+
+def _assert_same_run_tree(out_a, out_b):
+    """Every artifact but the timing sidecars is byte-identical."""
     files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*.json")
                      if not p.name.endswith(".meta.json"))
     files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*.json")
@@ -145,6 +154,66 @@ def test_grid_reruns_are_byte_identical(workspace):
     assert files_a == files_b
     for rel in files_a:
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+
+_REPLIER = ScriptedBackend(fallback_seed=42, dim=8)
+
+
+def _scripted_reply(body):
+    """The offline fallback's answer, so a live run parses paths and self-evaluates."""
+    system, user = (m["content"] for m in body["messages"])
+    return _REPLIER.generate(GenerationRequest(system_prompt=system, user_prompt=user))
+
+
+@pytest.fixture
+def live_workspace(workspace, monkeypatch):
+    """The workspace with a live backend, served by a keep-alive stub."""
+    config = json.loads((workspace / "experiment.json").read_text())
+    config["backend"] = {"mode": "live", "rate_limit_per_s": 1000}
+    (workspace / "experiment.json").write_text(json.dumps(config))
+    with StubOpenAIServer(completion_text=_scripted_reply, dim=32,
+                          keep_alive=True) as server:
+        monkeypatch.setenv("GMAS_API_BASE", server.base_url)
+        yield workspace, server
+
+
+def _live_grid(workspace, out_dir):
+    """2 questions x 2 persona sets x 2 runs on 2 worker threads."""
+    return cli_dispatch(_grid_args(workspace, out_dir)
+                        + ["--max-sets", "2", "--workers", "2"])
+
+
+class _OneRequestAtATime(LiveBackend):
+    """Sends a batch one request after another."""
+
+    def generate_all(self, requests, *, role=None, run_index=0):
+        replies = []
+        for request in requests:
+            replies += super().generate_all([request], role=role, run_index=run_index)
+        return replies
+
+
+def test_live_grid_closes_every_connection_it_opened(live_workspace, monkeypatch):
+    workspace, server = live_workspace
+    built = []
+    build_backend = config_module.build_backend
+    monkeypatch.setattr(config_module, "build_backend",
+                        lambda config: built.append(build_backend(config)) or built[-1])
+    assert _live_grid(workspace, workspace / "live") == 0
+    (backend,) = built
+    # each of the 2 workers holds at most one connection per candidate path
+    assert 2 <= len(backend._opened) <= 2 * 3
+    assert all(conn.sock is None for conn in backend._opened)
+
+
+def test_live_grid_batching_writes_the_same_tree(live_workspace, monkeypatch):
+    workspace, server = live_workspace
+    assert _live_grid(workspace, workspace / "batched") == 0
+    assert any(SELF_EVAL_MARKER in r["body"]["messages"][1]["content"]
+               for r in server.requests if r["path"].endswith("/chat/completions"))
+    monkeypatch.setattr(config_module, "LiveBackend", _OneRequestAtATime)
+    assert _live_grid(workspace, workspace / "one-at-a-time") == 0
+    _assert_same_run_tree(workspace / "batched", workspace / "one-at-a-time")
 
 
 def test_run_single_cell(workspace, capsys):
@@ -216,8 +285,11 @@ def test_cli_imports_no_http_or_schema_library():
     # what importing the CLI pulls in.
     src = str(Path(gmas_harness.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, gmas_harness.cli; print(sorted({'requests', 'urllib3', "
-            "'jsonschema'} & {name.split('.')[0] for name in sys.modules}))")
+    # The live transport's own modules load only when LiveBackend uses them.
+    code = ("import sys, gmas_harness.cli; "
+            "loaded = set(sys.modules) | {name.split('.')[0] for name in sys.modules}; "
+            "print(sorted({'requests', 'urllib3', 'jsonschema', 'http.client', 'ssl', "
+            "'selectors'} & loaded))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
