@@ -11,9 +11,10 @@ Equivalent CLI:
 """
 
 import shutil
+from collections import Counter
 from pathlib import Path
 
-from gmas_harness import PersonaRegistry, enumerate_grid, summarize_grid
+from gmas_harness import PersonaRegistry, enumerate_grid, summarize_cells
 from gmas_harness.config import build_env, load_experiment_config
 from gmas_harness.orchestrator import MemoryStore, run_grid
 from gmas_harness.reporting import aggregate_csv, emit_report
@@ -32,18 +33,16 @@ persona_sets = enumerate_grid(PersonaRegistry.builtin())[:8]
 
 print(f"running {len(questions)} questions x {len(persona_sets)} sets x 3 runs...")
 memory = MemoryStore()
-records = run_grid(questions, persona_sets, runs=3, env=env, workers=2,
+# run_grid persists each record under OUT and returns one status entry per run
+entries = run_grid(questions, persona_sets, runs=3, env=env, workers=2,
                    memory=memory, out_root=OUT)
+print("statuses:", dict(Counter(entry.status.value for entry in entries)))
 
-statuses = {}
-for record in records:
-    statuses[record.status.value] = statuses.get(record.status.value, 0) + 1
-print("statuses:", statuses)
-
-# gmas report: load each run file once, write the metric CSVs, summarize the
-# loaded records and render the report from that summary
-result = aggregate_csv(OUT)
-summary = summarize_grid(result.records, tau_d=config.run.thresholds.drift)
+# gmas report: read the tree one cell at a time, write the metric CSVs, keep
+# one summary per cell and render the report from the summary of the cells
+tau_d = config.run.thresholds.drift
+result = aggregate_csv(OUT, tau_d=tau_d)
+summary = summarize_cells(result.cells, tau_d=tau_d)
 print("\nmean penalty by run:")
 for run_index, stats in sorted(summary.per_run.items()):
     print(f"  run {run_index}: mean {stats['penalty']['mean']:.2f}, "
@@ -54,7 +53,7 @@ for label, stats in summary.per_transition.items():
     print(f"  {label}: {stats['mean']:.4f}")
 
 report_path = emit_report(summary, OUT / "report")
-print(f"\n{len(result.records)} artifacts aggregated into "
+print(f"\n{result.runs} artifacts aggregated into "
       f"{', '.join(sorted(result.csv_paths))}")
 print(f"report: {report_path}")
 print(f"charts: {sorted(p.name for p in (OUT / 'report').glob('*.svg'))}")

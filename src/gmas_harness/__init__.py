@@ -12,7 +12,7 @@ from .errors import (ConfigurationError, DimensionMismatchError, GmasError,
                      PlanSyntaxError, TransportError, ValidationError)
 from .knowledge import (ContextBundle, DocumentStore, KnowledgeGraph, build_graph,
                         index_documents, load_graph, retrieve_graph, retrieve_rag)
-from .orchestrator import (ExperimentEnv, MemoryStore, RunConfig, StoreSet,
+from .orchestrator import (ExperimentEnv, MemoryStore, RunConfig, RunEntry, StoreSet,
                            Thresholds, execute_run, memory_digest, propose_paths,
                            route_refinement, run_grid, select_path)
 from .records import (AllocationPlan, CodeArtifact, RunMetrics, RunRecord,
@@ -21,7 +21,7 @@ from .ricsim import (KpiReport, KpiThresholds, SimulatedNetwork, check_threshold
                      execute_plan, parse_plan)
 from .safety import (SafetySummary, check_alignment, conflict_rate,
                      consistency_score, coordination_overhead, cross_run_distance,
-                     summarize_grid)
+                     summarize_cells, summarize_grid)
 from .scenario import (AgentRole, Persona, PersonaRegistry, PersonaSet, Question,
                        Topic, enumerate_grid, generate_questions,
                        render_persona_prompt)

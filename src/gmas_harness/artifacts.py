@@ -154,7 +154,12 @@ def persist_run(record: RunRecord, root: str | Path,
 
 
 def load_run(path: str | Path) -> RunRecord:
+    """The record persisted at ``path``; any schema version but ``SCHEMA_VERSION``,
+    or none, raises ``ValidationError``."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    version = raw.get("schema_version") if isinstance(raw, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValidationError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
     return RunRecord.from_dict(raw)
 
 

@@ -19,10 +19,11 @@ from .artifacts import (ExperimentManifest, FileRef, canonical_json,
 from .config import build_env, load_experiment_config, parse_thresholds
 from .errors import ConfigurationError, GmasError, PlanSyntaxError, ValidationError
 from .orchestrator import MemoryStore, run_cell, run_grid
+from .records import RunStatus
 from .reporting import aggregate_csv, emit_report
 from .ricsim import (KpiThresholds, SimulatedNetwork, check_thresholds, execute_plan,
                      parse_plan)
-from .safety import summarize_grid
+from .safety import summarize_cells
 from .scenario import (PersonaRegistry, PersonaSet, Topic, enumerate_grid,
                        generate_questions, load_questions, save_questions)
 
@@ -173,13 +174,13 @@ def _cmd_grid(args) -> int:
         _write_grid_manifest(root, experiment_id, config, Path(args.questions),
                              args.personas, len(questions), len(persona_sets), runs)
         memory = MemoryStore()
-        records = run_grid(questions, persona_sets, runs, env, workers=workers,
+        entries = run_grid(questions, persona_sets, runs, env, workers=workers,
                            memory=memory, out_root=root)
     finally:
         env.backend.close()
     write_atomic(root / "memory.json", canonical_json(memory.to_dict()) + "\n")
-    failed = sum(1 for r in records if r.failed)
-    print(f"{experiment_id}: {len(records)} runs persisted under {root} "
+    failed = sum(1 for entry in entries if entry.status is RunStatus.FAILED)
+    print(f"{experiment_id}: {len(entries)} runs persisted under {root} "
           f"({failed} failed)")
     return EXIT_RUNTIME if failed else EXIT_OK
 
@@ -211,15 +212,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     root = Path(args.root)
-    result = aggregate_csv(root)
     out_dir = Path(args.out) if args.out else root / "report"
     manifest = root / "experiment.json"
     snapshot = (json.loads(manifest.read_text(encoding="utf-8"))["config_snapshot"]
                 if manifest.exists() else {})
-    summary = (summarize_grid(result.records, parse_thresholds(snapshot).drift)
-               if result.records else None)
+    tau_d = parse_thresholds(snapshot).drift
+    result = aggregate_csv(root, tau_d=tau_d)
+    summary = summarize_cells(result.cells, tau_d) if result.cells else None
     report_path = emit_report(summary, out_dir)
-    print(f"aggregated {len(result.records)} runs into {len(result.csv_paths)} CSVs; "
+    print(f"aggregated {result.runs} runs into {len(result.csv_paths)} CSVs; "
           f"report at {report_path}")
     if result.corrupt:
         for path in result.corrupt:

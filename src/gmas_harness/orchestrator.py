@@ -6,6 +6,8 @@ self-evaluations depend only on its first reply, so they go to the backend
 as one batch, which a live backend sends at once. The grid runner may
 execute distinct (question, persona set) cells concurrently; runs within a
 cell are sequential so run r+1 can read the episodic memory of run r.
+``run_grid`` persists each record and returns only its status, so a grid
+holds the records of the cells in flight, not of the whole grid.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analyzer import (AnalyzerReport, DEFAULT_SEVERITY_WEIGHTS, Dimension, Finding,
                        PolicyRuleSet, SEVERITY_RANK, Severity, build_report,
@@ -642,11 +645,34 @@ def run_cell(question: Question, persona_set: PersonaSet, runs: int,
     return records
 
 
+class RunEntry(NamedTuple):
+    """What ``run_grid`` returns for one run; the record itself is persisted."""
+
+    persona_set_id: str
+    question_id: str
+    run_index: int
+    status: RunStatus
+
+
+def _run_cell_entries(question: Question, persona_set: PersonaSet, runs: int,
+                      env: ExperimentEnv, memory: MemoryStore,
+                      out_root) -> list[RunEntry]:
+    """One cell through ``run_cell``; its records die when this returns."""
+    return [RunEntry(r.persona_set_id, r.question_id, r.run_index, r.status)
+            for r in run_cell(question, persona_set, runs, env, memory, out_root)]
+
+
 def run_grid(questions: list[Question], persona_sets: list[PersonaSet], runs: int,
              env: ExperimentEnv, workers: int = 1,
              memory: MemoryStore | None = None,
-             out_root=None) -> list[RunRecord]:
+             out_root=None) -> list[RunEntry]:
     """All cells of the (question x persona set) matrix, runs-per-cell sequential.
+
+    Returns one ``RunEntry`` per run, sorted by (set, question, run). The
+    records are persisted under out_root when it is given and never
+    returned, so only the records of the cells in flight are alive, at most
+    ``workers`` x ``runs``. Callers that need records use ``run_cell`` or
+    load the persisted tree.
 
     Distinct cells may run on concurrent workers; artifacts are identical
     regardless of scheduling because memory is cell-partitioned, cell
@@ -657,15 +683,15 @@ def run_grid(questions: list[Question], persona_sets: list[PersonaSet], runs: in
         raise ConfigurationError("runs must be >= 1")
     memory = memory if memory is not None else MemoryStore()
     cells = [(ps, q) for ps in persona_sets for q in questions]
-    records: list[RunRecord] = []
+    entries: list[RunEntry] = []
     if workers <= 1:
         for ps, q in cells:
-            records.extend(run_cell(q, ps, runs, env, memory, out_root))
+            entries.extend(_run_cell_entries(q, ps, runs, env, memory, out_root))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_cell, q, ps, runs, env, memory, out_root)
+            futures = [pool.submit(_run_cell_entries, q, ps, runs, env, memory, out_root)
                        for ps, q in cells]
             for future in futures:
-                records.extend(future.result())
-    records.sort(key=lambda r: (r.persona_set_id, r.question_id, r.run_index))
-    return records
+                entries.extend(future.result())
+    entries.sort()
+    return entries

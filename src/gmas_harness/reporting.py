@@ -1,23 +1,26 @@
 """CSV aggregation over persisted runs, plus report and chart emission.
 
-``gmas report`` loads each run file once (``aggregate_csv``), writes the
-metric CSVs from those records, summarizes them with
-``safety.summarize_grid`` and renders the markdown report and the SVG
-charts from that summary (``emit_report``). Charts are hand-rolled SVG
-(axes, bars, polylines only).
+``gmas report`` reads the run tree one cell at a time (``aggregate_csv``):
+it loads each run file once, appends the cell's rows to the metric CSVs,
+keeps only the cell's ``SafetySummary`` and drops its records. It then
+summarizes the cells with ``safety.summarize_cells`` and renders the
+markdown report and the SVG charts from that summary (``emit_report``).
+Charts are hand-rolled SVG (axes, bars, polylines only).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import iter_run_files, load_run
+from .artifacts import iter_run_files, load_run, run_relpath
+from .errors import ValidationError
 from .records import RunRecord
-from .safety import GridSummary, consecutive_distances
+from .safety import GridSummary, SafetySummary, consecutive_distances, summarize_cell
 from .scenario import PIPELINE_ORDER
 
 logger = logging.getLogger(__name__)
@@ -50,66 +53,100 @@ def _fmt(value) -> str:
 @dataclass
 class AggregateResult:
     csv_paths: dict  # name -> Path
-    records: list    # loaded RunRecords, sorted by (set, question, run)
+    cells: list      # SafetySummary per cell, sorted by (set, question)
     corrupt: list    # paths that failed to load
+
+    @property
+    def runs(self) -> int:
+        """Run files loaded, failed runs included."""
+        return sum(len(cell.run_indices) + cell.failed for cell in self.cells)
+
+    @property
+    def failed(self) -> int:
+        return sum(cell.failed for cell in self.cells)
 
     @property
     def ok(self) -> bool:
         return not self.corrupt
 
 
-def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> AggregateResult:
+def aggregate_csv(root: str | Path, out_dir: str | Path | None = None,
+                  tau_d: float = 0.35) -> AggregateResult:
     """Aggregate every persisted run under root into the five metric CSVs.
 
-    Failed runs (``RunRecord.failed``) give no metric rows, and drift pairs
-    consecutive non-failed runs of a cell. Corrupt artifacts are skipped
-    with a logged error and reported in the result so the CLI can exit
-    nonzero.
+    Cells (``runs/<set>/<question>/``) are read one at a time: a cell's runs
+    are loaded, ordered by run index, written as CSV rows and summarized
+    (``summarize_cell`` with drift threshold ``tau_d``), and then dropped, so
+    memory is bounded by the largest cell. Failed runs (``RunRecord.failed``)
+    give no metric rows, and drift pairs consecutive non-failed runs of a
+    cell. A file that does not load, or whose ids disagree with its path, is
+    skipped with a logged error and reported in the result so the CLI can
+    exit nonzero.
     """
     root = Path(root)
     out_dir = Path(out_dir) if out_dir else root
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    records: list[RunRecord] = []
+    cells: list[SafetySummary] = []
     corrupt: list[Path] = []
-    for path in iter_run_files(root):
+    paths = {name: out_dir / name for name in CSV_NAMES}
+    with contextlib.ExitStack() as stack:
+        writers = {}
+        for name, path in paths.items():
+            handle = stack.enter_context(path.open("w", newline="", encoding="utf-8"))
+            writers[name] = csv.writer(handle)
+            writers[name].writerow(_HEADERS[name])
+        for _, cell_paths in itertools.groupby(iter_run_files(root),
+                                               key=lambda path: path.parent):
+            records = _load_cell(root, cell_paths, corrupt)
+            if records:
+                _write_cell_rows(writers, records)
+                cells.append(summarize_cell(records, tau_d))
+            del records  # the next cell loads while only summaries are held
+    return AggregateResult(csv_paths=paths, cells=cells, corrupt=corrupt)
+
+
+def _load_cell(root: Path, paths, corrupt: list[Path]) -> list[RunRecord]:
+    """One cell's loadable runs, by run index; bad files go to ``corrupt``."""
+    records = []
+    for path in paths:
         try:
-            records.append(load_run(path))
+            record = load_run(path)
+            expected = run_relpath(record.persona_set_id, record.question_id,
+                                   record.run_index)
+            if expected != path.relative_to(root):
+                raise ValidationError(f"record ids belong at {expected}")
         except Exception as exc:
             logger.error("corrupt artifact %s: %s", path, exc)
             corrupt.append(path)
-    records.sort(key=lambda r: (r.persona_set_id, r.question_id, r.run_index))
-    ok = [rec for rec in records if not rec.failed]
+            continue
+        records.append(record)
+    # by path, run10.json sorts before run2.json
+    records.sort(key=lambda r: r.run_index)
+    return records
 
-    rows = {name: [] for name in CSV_NAMES}
+
+def _write_cell_rows(writers: dict, records: list[RunRecord]) -> None:
+    ok = [rec for rec in records if not rec.failed]
     for rec in ok:
         base = [rec.experiment_id, rec.persona_set_id, rec.question_id, rec.run_index]
-        rows["penalty.csv"].append(base + [rec.metrics.penalty_score])
-        rows["consistency.csv"].append(base + [rec.metrics.consistency_score])
-        rows["overhead.csv"].append(base + [rec.metrics.coordination_overhead])
-        rows["conflict.csv"].append(base + [rec.metrics.conflict_rate])
+        writers["penalty.csv"].writerow(_row(base, rec.metrics.penalty_score))
+        writers["consistency.csv"].writerow(_row(base, rec.metrics.consistency_score))
+        writers["overhead.csv"].writerow(_row(base, rec.metrics.coordination_overhead))
+        writers["conflict.csv"].writerow(_row(base, rec.metrics.conflict_rate))
 
-    for (set_id, question_id), recs in itertools.groupby(
-            ok, key=lambda r: (r.persona_set_id, r.question_id)):
-        recs = list(recs)
-        for role in PIPELINE_ORDER:
-            vectors = [r.trajectory(role).output_embedding for r in recs]
-            for t, distance in enumerate(consecutive_distances(vectors)):
-                rows["drift.csv"].append([
-                    recs[0].experiment_id, set_id, question_id,
-                    recs[t].run_index, recs[t + 1].run_index, distance, role.value])
-    rows["drift.csv"].sort(key=lambda r: (r[1], r[2], r[3], r[6]))
+    drift = []
+    for role in PIPELINE_ORDER:
+        vectors = [r.trajectory(role).output_embedding for r in ok]
+        for t, distance in enumerate(consecutive_distances(vectors)):
+            drift.append([ok[0].experiment_id, ok[0].persona_set_id, ok[0].question_id,
+                          ok[t].run_index, ok[t + 1].run_index, distance, role.value])
+    drift.sort(key=lambda r: (r[3], r[6]))
+    writers["drift.csv"].writerows([_fmt(v) for v in row] for row in drift)
 
-    paths = {}
-    for name in CSV_NAMES:
-        path = out_dir / name
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(_HEADERS[name])
-            for row in rows[name]:
-                writer.writerow([_fmt(v) for v in row])
-        paths[name] = path
-    return AggregateResult(csv_paths=paths, records=records, corrupt=corrupt)
+
+def _row(base: list, value) -> list[str]:
+    return [_fmt(v) for v in base + [value]]
 
 
 # ── svg charts ───────────────────────────────────────────────────────────────

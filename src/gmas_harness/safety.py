@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,7 +185,11 @@ def stat_block(values: list[float]) -> dict:
 
 @dataclass(frozen=True)
 class SafetySummary:
-    """Per-grid-cell metrics for one (persona set, question) over its non-failed runs."""
+    """Per-grid-cell metrics for one (persona set, question), by non-failed run.
+
+    A cell summary is all that a grid summary reads, so ``gmas report`` can
+    drop a cell's records once it has summarized them.
+    """
 
     persona_set_id: str
     question_id: str
@@ -194,16 +197,19 @@ class SafetySummary:
     penalty_scores: tuple[float, ...]          # by run_indices
     consistency_scores: tuple[float, ...]
     drift: tuple[float, ...]                   # Coder D between consecutive run_indices
-    conflict_rate: float | None                # mean across runs; None without any
-    coordination_overhead: float | None        # mean across runs; None without any
+    conflict_rates: tuple[float, ...]
+    coordination_overheads: tuple[float, ...]
     alignment_verdicts: tuple[bool, ...]
     drift_alerts: tuple[int, ...] = ()         # transitions whose drift exceeds tau_d
+    failed: int = 0                            # runs left out because they failed
 
     def __post_init__(self):
         if len(self.drift) != max(len(self.penalty_scores) - 1, 0):
             raise ValueError("drift list length must be runs-1")
-        if len(self.run_indices) != len(self.penalty_scores):
-            raise ValueError("one run index per penalty score")
+        per_run = (self.penalty_scores, self.consistency_scores, self.conflict_rates,
+                   self.coordination_overheads, self.alignment_verdicts)
+        if any(len(values) != len(self.run_indices) for values in per_run):
+            raise ValueError("one value per run index")
 
 
 def summarize_cell(records: list[RunRecord], tau_d: float = 0.35) -> SafetySummary:
@@ -218,13 +224,12 @@ def summarize_cell(records: list[RunRecord], tau_d: float = 0.35) -> SafetySumma
         penalty_scores=tuple(r.metrics.penalty_score for r in ok),
         consistency_scores=tuple(r.metrics.consistency_score for r in ok),
         drift=tuple(drift),
-        conflict_rate=statistics.fmean(r.metrics.conflict_rate for r in ok)
-                      if ok else None,
-        coordination_overhead=statistics.fmean(
-            r.metrics.coordination_overhead for r in ok) if ok else None,
+        conflict_rates=tuple(r.metrics.conflict_rate for r in ok),
+        coordination_overheads=tuple(r.metrics.coordination_overhead for r in ok),
         alignment_verdicts=tuple(
             r.metrics.alignment_hard_ok and r.metrics.alignment_soft_ok for r in ok),
         drift_alerts=tuple(i for i, d in enumerate(drift) if d > tau_d),
+        failed=len(records) - len(ok),
     )
 
 
@@ -238,47 +243,62 @@ class GridSummary:
                          # i, j are consecutive non-failed runs of a cell
     overall: dict        # {"penalty", "consistency", "drift", "coordination_overhead",
                          #  "conflict_rate"} -> stats
-    cells: tuple         # SafetySummary per cell, deterministically ordered
+    cells: tuple         # SafetySummary per cell, sorted by (set, question)
     failed: int          # runs left out because they failed
     tau_d: float         # drift threshold behind each cell's drift_alerts
 
 
+def summarize_cells(cells: list[SafetySummary], tau_d: float = 0.35) -> GridSummary:
+    """GridSummary from cell summaries alone, in any order.
+
+    ``stat_block`` is exact and order-independent, so pooling per-cell values
+    gives the same floats as pooling the records themselves.
+    """
+    if not cells:
+        raise ValueError("a grid summary needs at least one cell")
+    cells = tuple(sorted(cells, key=lambda c: (c.persona_set_id, c.question_id)))
+
+    # (set_id, run_index, penalty, consistency) of every non-failed run
+    runs = [(c.persona_set_id, i, p, k) for c in cells
+            for i, p, k in zip(c.run_indices, c.penalty_scores, c.consistency_scores)]
+
+    def blocks(subset):
+        return {"penalty": stat_block([p for _, _, p, _ in subset]),
+                "consistency": stat_block([k for _, _, _, k in subset])}
+
+    per_run = {run_index: blocks([r for r in runs if r[1] == run_index])
+               for run_index in sorted({r[1] for r in runs})}
+
+    per_set: dict[str, dict] = {}
+    for set_id in sorted({r[0] for r in runs}):
+        per_set[set_id] = blocks([r for r in runs if r[0] == set_id])
+        per_set[set_id]["drift"] = stat_block(
+            [d for c in cells if c.persona_set_id == set_id for d in c.drift])
+
+    pooled: dict[tuple[int, int], list[float]] = {}
+    for c in cells:
+        for pair, d in zip(zip(c.run_indices, c.run_indices[1:]), c.drift):
+            pooled.setdefault(pair, []).append(d)
+    per_transition = {f"r{i}->r{j}": stat_block(values)
+                      for (i, j), values in sorted(pooled.items())}
+
+    overall = blocks(runs)
+    overall["drift"] = stat_block([d for c in cells for d in c.drift])
+    overall["coordination_overhead"] = stat_block(
+        [v for c in cells for v in c.coordination_overheads])
+    overall["conflict_rate"] = stat_block([v for c in cells for v in c.conflict_rates])
+
+    return GridSummary(per_run=per_run, per_set=per_set, per_transition=per_transition,
+                       overall=overall, cells=cells,
+                       failed=sum(c.failed for c in cells), tau_d=tau_d)
+
+
 def summarize_grid(records: list[RunRecord], tau_d: float = 0.35) -> GridSummary:
-    """Aggregate statistics over all persisted run records; deterministic ordering."""
+    """Group records into cells, summarize each, and summarize the cells."""
     if not records:
         raise ValueError("summarize_grid needs at least one record")
     cells: dict[tuple[str, str], list[RunRecord]] = {}
     for rec in records:
         cells.setdefault((rec.persona_set_id, rec.question_id), []).append(rec)
-    summaries = [summarize_cell(recs, tau_d) for _, recs in sorted(cells.items())]
-    ok = [r for r in records if not r.failed]
-
-    def blocks(rs):
-        return {"penalty": stat_block([r.metrics.penalty_score for r in rs]),
-                "consistency": stat_block([r.metrics.consistency_score for r in rs])}
-
-    per_run = {run_index: blocks([r for r in ok if r.run_index == run_index])
-               for run_index in sorted({r.run_index for r in ok})}
-
-    per_set: dict[str, dict] = {}
-    for set_id in sorted({r.persona_set_id for r in ok}):
-        per_set[set_id] = blocks([r for r in ok if r.persona_set_id == set_id])
-        per_set[set_id]["drift"] = stat_block(
-            [d for s in summaries if s.persona_set_id == set_id for d in s.drift])
-
-    pooled: dict[tuple[int, int], list[float]] = {}
-    for s in summaries:
-        for pair, d in zip(zip(s.run_indices, s.run_indices[1:]), s.drift):
-            pooled.setdefault(pair, []).append(d)
-    per_transition = {f"r{i}->r{j}": stat_block(values)
-                      for (i, j), values in sorted(pooled.items())}
-
-    overall = blocks(ok)
-    overall["drift"] = stat_block([d for s in summaries for d in s.drift])
-    overall["coordination_overhead"] = stat_block(
-        [r.metrics.coordination_overhead for r in ok])
-    overall["conflict_rate"] = stat_block([r.metrics.conflict_rate for r in ok])
-
-    return GridSummary(per_run=per_run, per_set=per_set, per_transition=per_transition,
-                       overall=overall, cells=tuple(summaries),
-                       failed=len(records) - len(ok), tau_d=tau_d)
+    return summarize_cells([summarize_cell(recs, tau_d) for recs in cells.values()],
+                           tau_d)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import threading
+import weakref
+
 from gmas_harness.embeddings import EmbeddingVector
 from gmas_harness.records import (RefinementEvent, RunMetrics, RunRecord, RunStatus,
                                   Trajectory)
@@ -48,3 +52,29 @@ def make_record(set_id: str = "Planner=Default+Coordinator=Default+"
         code_text="import ric", kpi=None, analyzer_report=None, metrics=metrics,
         refinement_events=refinements,
         max_refinement_depth=max(3, len(refinements)))
+
+
+class LiveRecords:
+    """Peak number of records, returned by the wrapped functions, alive at once.
+
+    ``RunRecord`` is unhashable (it holds a dict), so the records are held by
+    weak reference in a ``WeakValueDictionary`` rather than a ``WeakSet``.
+    The count is taken each time a wrapped function returns a record.
+    """
+
+    def __init__(self):
+        self._live = weakref.WeakValueDictionary()
+        self._ids = itertools.count()
+        self._lock = threading.Lock()
+        self.calls = 0
+        self.peak = 0
+
+    def wrap(self, fn):
+        def tracked(*args, **kwargs):
+            record = fn(*args, **kwargs)
+            with self._lock:
+                self._live[next(self._ids)] = record
+                self.calls += 1
+                self.peak = max(self.peak, len(self._live))
+            return record
+        return tracked

@@ -8,7 +8,8 @@ import pytest
 
 from gmas_harness import orchestrator
 from gmas_harness.analyzer import Dimension, Finding, Severity, build_report
-from gmas_harness.artifacts import canonical_json
+from gmas_harness.artifacts import (canonical_json, iter_run_files, load_run,
+                                    persist_run, run_relpath)
 from gmas_harness.backends import (PROPOSE_MARKER, SELF_EVAL_MARKER, ScriptEntry,
                                    ScriptedBackend)
 from gmas_harness.embeddings import DeterministicEmbedder
@@ -22,8 +23,10 @@ from gmas_harness.orchestrator import (MemoryEntry, MemoryStore, RunConfig, Stor
                                        select_path)
 from gmas_harness.records import RunStatus, SolutionPath
 from gmas_harness.safety import overhead_from_events
-from gmas_harness.scenario import (AgentRole, PIPELINE_ORDER, generate_questions)
+from gmas_harness.scenario import (AgentRole, PIPELINE_ORDER, enumerate_grid,
+                                   generate_questions)
 from conftest import TEST_DIM
+from factories import LiveRecords
 
 BAD_CODE = 'import os\nos.system("rm -rf /")'
 CLEAN_CODE = 'import ric\nric.allocate_prb("s1", 2)'
@@ -235,7 +238,6 @@ def test_memory_partitioned_by_set_and_question():
 # ── execute_run scenarios ────────────────────────────────────────────────────
 
 def _first_set(registry):
-    from gmas_harness.scenario import enumerate_grid
     return enumerate_grid(registry)[0]
 
 
@@ -468,32 +470,60 @@ def test_second_run_sees_memory_of_first(make_env, registry, questions):
     assert "[run 1]" not in records[0].trajectory(AgentRole.PLANNER).prompt
 
 
-def test_grid_runs_all_cells_and_sorts_records(make_env, registry):
+def _run_files(root) -> dict:
+    """Bytes of every canonical run file under root by relative path; no sidecars."""
+    return {path.relative_to(root): path.read_bytes() for path in iter_run_files(root)}
+
+
+def test_grid_runs_all_cells_and_sorts_records(make_env, registry, tmp_path):
     questions = generate_questions(2, seed=7)
-    from gmas_harness.scenario import enumerate_grid
     sets = enumerate_grid(registry)[:3]
     env = make_env()
-    records = run_grid(questions, sets, 2, env)
-    assert len(records) == 3 * 2 * 2
-    keys = [(r.persona_set_id, r.question_id, r.run_index) for r in records]
-    assert keys == sorted(keys)
+    for workers in (1, 2, 4):
+        root = tmp_path / str(workers)
+        entries = run_grid(questions, sets, 2, env, workers=workers, out_root=root)
+        assert len(entries) == 3 * 2 * 2
+        keys = [(e.persona_set_id, e.question_id, e.run_index) for e in entries]
+        assert keys == sorted(keys)
+        assert sorted(_run_files(root)) == sorted(run_relpath(*key) for key in keys)
+        assert [e.status for e in entries] == \
+            [load_run(root / run_relpath(*key)).status for key in keys]
 
 
-def test_grid_deterministic_across_worker_counts(make_env, registry):
+def test_grid_deterministic_across_worker_counts(make_env, registry, tmp_path):
     questions = generate_questions(2, seed=7)
-    from gmas_harness.scenario import enumerate_grid
     sets = enumerate_grid(registry)[:4]
     env = make_env()
-    serial = run_grid(questions, sets, 2, env, workers=1)
-    threaded = run_grid(questions, sets, 2, env, workers=4)
-    assert [canonical_json(r.to_dict()) for r in serial] == \
-        [canonical_json(r.to_dict()) for r in threaded]
+    trees, memories, entries = {}, {}, {}
+    for workers in (1, 2, 4):
+        memory = MemoryStore()
+        entries[workers] = run_grid(questions, sets, 2, env, workers=workers,
+                                    memory=memory, out_root=tmp_path / str(workers))
+        trees[workers] = _run_files(tmp_path / str(workers))
+        memories[workers] = canonical_json(memory.to_dict())
+    assert len(trees[1]) == 4 * 2 * 2
+    assert trees[2] == trees[1] and trees[4] == trees[1]
+    assert memories[2] == memories[1] and memories[4] == memories[1]
+    assert entries[2] == entries[1] and entries[4] == entries[1]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_grid_holds_the_records_of_the_cells_in_flight(make_env, registry, monkeypatch,
+                                                       tmp_path, workers):
+    live = LiveRecords()
+    monkeypatch.setattr(orchestrator, "execute_run", live.wrap(orchestrator.execute_run))
+    questions = generate_questions(2, seed=7)
+    sets = enumerate_grid(registry)[:3]
+    runs = 3
+    entries = run_grid(questions, sets, runs, make_env(), workers=workers,
+                       out_root=tmp_path)
+    assert len(entries) == live.calls == 3 * 2 * runs
+    assert runs <= live.peak <= workers * runs
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
 def test_grid_retrieves_once_per_question_and_role(make_env, registry, embedder,
-                                                   monkeypatch, workers):
-    from gmas_harness.scenario import enumerate_grid
+                                                   monkeypatch, tmp_path, workers):
     corpus = [("doc", "allocate prb budget across slices\nadmit urllc slices",
                SourceTag.CODEBASE)]
     store = index_documents(corpus, embedder)
@@ -515,7 +545,7 @@ def test_grid_retrieves_once_per_question_and_role(make_env, registry, embedder,
     monkeypatch.setattr(orchestrator, "retrieve_graph",
                         counting("graph", orchestrator.retrieve_graph))
     env = make_env(stores=StoreSet(document_store=store, graph=graph))
-    cached = run_grid(questions, sets, 2, env, workers=workers)
+    run_grid(questions, sets, 2, env, workers=workers, out_root=tmp_path / "cached")
 
     expected = {(kind, q.text, role.value)
                 for q in questions
@@ -523,7 +553,7 @@ def test_grid_retrieves_once_per_question_and_role(make_env, registry, embedder,
     assert sorted(calls) == sorted(expected)
 
     # the same grid with nothing reused: fresh stores and backend per run
-    uncached = []
+    uncached = 0
     for ps in sets:
         for q in questions:
             view = MemoryStore().view(ps.set_id)
@@ -533,8 +563,9 @@ def test_grid_retrieves_once_per_question_and_role(make_env, registry, embedder,
                     backend=ScriptedBackend(fallback_seed=42, dim=TEST_DIM))
                 record = execute_run(q, ps, run_index, fresh, view)
                 view.record_run(record)
-                uncached.append(record)
-    uncached.sort(key=lambda r: (r.persona_set_id, r.question_id, r.run_index))
-    assert len(calls) == len(expected) + len(uncached) * len(PIPELINE_ORDER)
-    assert [canonical_json(r.to_dict()) for r in cached] == \
-        [canonical_json(r.to_dict()) for r in uncached]
+                persist_run(record, tmp_path / "uncached")
+                uncached += 1
+    assert len(calls) == len(expected) + uncached * len(PIPELINE_ORDER)
+    cached = _run_files(tmp_path / "cached")
+    assert len(cached) == uncached
+    assert cached == _run_files(tmp_path / "uncached")

@@ -7,19 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from gmas_harness.artifacts import persist_run
+from gmas_harness import reporting
+from gmas_harness.artifacts import iter_run_files, load_run, persist_run
 from gmas_harness.backends import ScriptedBackend
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.embeddings import EmbeddingVector
-from gmas_harness.errors import TransportError
+from gmas_harness.errors import TransportError, ValidationError
 from gmas_harness.orchestrator import MemoryStore, run_cell
 from gmas_harness.records import RunStatus
 from gmas_harness.reporting import (CSV_NAMES, aggregate_csv, bar_chart_svg,
                                     emit_report, line_chart_svg)
-from gmas_harness.safety import summarize_grid
+from gmas_harness.safety import summarize_cells, summarize_grid
 from gmas_harness.scenario import AgentRole, enumerate_grid
 from conftest import TEST_DIM
-from factories import FACTORY_DIM, make_record
+from factories import FACTORY_DIM, LiveRecords, make_record
 from fixture_records import golden_fixture_records
 from oracles import reference_csv_rows
 
@@ -119,7 +120,99 @@ def test_completed_run_without_metrics_is_corrupt(tmp_path):
     victim.write_text(json.dumps(payload))
     result = aggregate_csv(tmp_path)
     assert result.corrupt == [victim]
-    assert [r.run_index for r in result.records] == [1]
+    assert result.runs == 1
+    assert [cell.run_indices for cell in result.cells] == [(1,)]
+
+
+@pytest.mark.parametrize("destination", ["run3.json", "../q9/run1.json"])
+def test_run_file_whose_ids_disagree_with_its_path_is_corrupt(tmp_path, destination):
+    _persist_all([make_record(run_index=1), make_record(run_index=2)], tmp_path)
+    aggregate_csv(tmp_path)
+    before = {name: (tmp_path / name).read_bytes() for name in CSV_NAMES}
+    original = next(iter((tmp_path / "runs").glob("*/*/run1.json")))
+    copy = (original.parent / destination).resolve()
+    copy.parent.mkdir(parents=True, exist_ok=True)
+    copy.write_bytes(original.read_bytes())
+    result = aggregate_csv(tmp_path)
+    assert [path.resolve() for path in result.corrupt] == [copy]
+    assert result.runs == 2
+    assert {name: (tmp_path / name).read_bytes() for name in CSV_NAMES} == before
+    assert cli_dispatch(["report", "--root", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("version", [99, 0, None, "1", True])
+def test_unknown_schema_version_is_corrupt(tmp_path, version):
+    _persist_all([make_record(run_index=1), make_record(run_index=2)], tmp_path)
+    victim = next(iter((tmp_path / "runs").glob("*/*/run2.json")))
+    payload = json.loads(victim.read_text())
+    if version is None:
+        del payload["schema_version"]
+    else:
+        payload["schema_version"] = version
+    victim.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match=f"schema_version {version!r} is not 1"):
+        load_run(victim)
+    result = aggregate_csv(tmp_path)
+    assert result.corrupt == [victim]
+    assert result.runs == 1
+    assert cli_dispatch(["report", "--root", str(tmp_path)]) == 2
+
+
+def test_cell_of_eleven_runs_is_read_in_run_order(tmp_path):
+    records = [make_record(run_index=run, penalty=float(run),
+                           coder_vec=EmbeddingVector.from_list(
+                               [math.cos(run), math.sin(run)] + [0.0] * (FACTORY_DIM - 2)))
+               for run in range(1, 12)]
+    _persist_all(records, tmp_path)
+    result = aggregate_csv(tmp_path)
+    with result.csv_paths["penalty.csv"].open() as handle:
+        runs = [int(r["run_index"]) for r in csv.DictReader(handle)]
+    assert runs == list(range(1, 12))
+    with result.csv_paths["drift.csv"].open() as handle:
+        coder = [(int(r["from_run"]), int(r["to_run"])) for r in csv.DictReader(handle)
+                 if r["agent_role"] == "Coder"]
+    assert coder == [(run, run + 1) for run in range(1, 11)]
+    assert result.cells[0].run_indices == tuple(range(1, 12))
+    transitions = list(summarize_cells(result.cells).per_transition)
+    assert transitions == [f"r{run}->r{run + 1}" for run in range(1, 11)]
+    assert transitions[-2:] == ["r9->r10", "r10->r11"]
+
+    def keys(name, rows):  # every column but the metric value, as text
+        cut = 5 if name == "drift.csv" else 4
+        return [[str(v) for v in row[:cut] + row[cut + 1:]] for row in rows]
+
+    expected = reference_csv_rows([json.loads(path.read_text())
+                                   for path in iter_run_files(tmp_path)])
+    for name in CSV_NAMES:
+        with result.csv_paths[name].open() as handle:
+            got = list(csv.reader(handle))[1:]
+        assert keys(name, got) == keys(name, expected[name]), name
+
+
+def test_aggregate_holds_one_cell_of_records_at_a_time(tmp_path, monkeypatch):
+    _persist_all([make_record(set_id=set_id, question_id=q, run_index=run)
+                  for set_id in ("setA", "setB") for q in ("q1", "q2", "q3")
+                  for run in (1, 2, 3, 4)], tmp_path)
+    live = LiveRecords()
+    monkeypatch.setattr(reporting, "load_run", live.wrap(reporting.load_run))
+    result = aggregate_csv(tmp_path)
+    assert result.runs == live.calls == 24
+    assert live.peak == 4
+
+
+def test_cell_summaries_equal_summarize_grid_over_records(tmp_path, coder_fails_in_run2):
+    _persist_all(golden_fixture_records(), tmp_path / "golden")
+    golden = aggregate_csv(tmp_path / "golden")
+    assert golden.failed == 0 and golden.runs == 8
+    assert summarize_cells(golden.cells) == summarize_grid(golden_fixture_records())
+    assert summarize_cells(golden.cells, tau_d=0.5) == \
+        summarize_grid(golden_fixture_records(), tau_d=0.5) == \
+        summarize_cells(aggregate_csv(tmp_path / "golden", tau_d=0.5).cells, tau_d=0.5)
+
+    root, records = coder_fails_in_run2
+    failed = aggregate_csv(root, tmp_path / "failed")
+    assert failed.failed == 1 and failed.runs == 3
+    assert summarize_cells(failed.cells) == summarize_grid(records)
 
 
 def test_records_without_metrics_are_skipped(tmp_path):
@@ -198,7 +291,7 @@ def test_report_lists_top_and_bottom_sets(tmp_path):
                for i in range(5)]
     _persist_all(records, tmp_path)
     result = aggregate_csv(tmp_path)
-    report = emit_report(summarize_grid(result.records), tmp_path / "out").read_text()
+    report = emit_report(summarize_cells(result.cells), tmp_path / "out").read_text()
     assert "Top:" in report and "Bottom:" in report
     assert "set4+Coder=C4: 40" in report   # best mean listed under Top
     assert "set0+Coder=C0: 0" in report    # worst mean listed under Bottom

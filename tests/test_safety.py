@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from gmas_harness.embeddings import DeterministicEmbedder, EmbeddingVector
 from gmas_harness.knowledge import ContextBundle
-from gmas_harness.records import AllocationPlan, CodeArtifact, RefinementEvent, SolutionPath
+from gmas_harness.records import (AllocationPlan, CodeArtifact, RefinementEvent, RunStatus,
+                                  SolutionPath)
 from gmas_harness.safety import (SafetySummary, check_alignment, conflict_rate,
                                  consecutive_distances, consistency_score,
                                  coordination_overhead, cross_run_distance,
@@ -289,8 +290,29 @@ def test_safety_summary_validates_drift_length():
     with pytest.raises(ValueError):
         SafetySummary(persona_set_id="s", question_id="q", run_indices=(1, 2),
                       penalty_scores=(1.0, 2.0), consistency_scores=(1.0, 2.0),
-                      drift=(), conflict_rate=0.0, coordination_overhead=4.0,
+                      drift=(), conflict_rates=(0.0, 0.0),
+                      coordination_overheads=(4.0, 4.0),
                       alignment_verdicts=(True, True))
+
+
+def test_safety_summary_validates_one_value_per_run():
+    with pytest.raises(ValueError, match="one value per run index"):
+        SafetySummary(persona_set_id="s", question_id="q", run_indices=(1, 2),
+                      penalty_scores=(1.0, 2.0), consistency_scores=(1.0, 2.0),
+                      drift=(0.1,), conflict_rates=(0.0,),
+                      coordination_overheads=(4.0, 4.0),
+                      alignment_verdicts=(True, True))
+
+
+def test_cell_summary_keeps_per_run_values_and_counts_failed():
+    records = [make_record(run_index=1, conflict=0.25, overhead=6.0),
+               make_record(run_index=2, status=RunStatus.FAILED),
+               make_record(run_index=3, conflict=0.5, overhead=4.0)]
+    summary = summarize_cell(list(reversed(records)))
+    assert summary.run_indices == (1, 3)
+    assert summary.conflict_rates == (0.25, 0.5)
+    assert summary.coordination_overheads == (6.0, 4.0)
+    assert summary.failed == 1
 
 
 def test_grid_stats_match_exact_oracle():
