@@ -10,6 +10,14 @@ embeddings are ``EmbeddingVector`` objects. Each vector is encoded as a
 JSON array of floats, and its text is computed once and reused for as long
 as the vector lives, so a vector shared by many runs is formatted once.
 Every file is written atomically (``write_atomic``).
+
+The loader mirrors this: ``load_run`` cuts each vector field's array out of
+the file text, parses the rest with ``json.loads``, and decodes each array
+through a ``VectorMemo`` that maps the array text to one shared vector, so
+a report that loads the whole tree with one memo decodes each distinct
+vector text once. The record is always the one the plain
+``RunRecord.from_dict(json.loads(text))`` gives, and a file that decode
+refuses is refused.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ import hashlib
 import json
 import math
 import os
+import re
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -28,7 +38,7 @@ import numpy as np
 
 from .embeddings import EmbeddingVector
 from .errors import ValidationError
-from .records import RunRecord, SCHEMA_VERSION
+from .records import RunRecord, SCHEMA_VERSION, is_number_list
 from .scenario import AgentRole
 
 
@@ -153,14 +163,110 @@ def persist_run(record: RunRecord, root: str | Path,
     return path
 
 
-def load_run(path: str | Path) -> RunRecord:
-    """The record persisted at ``path``; any schema version but ``SCHEMA_VERSION``,
-    or none, raises ``ValidationError``."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+# Most vector texts of a run tree recur across its files (a seed-42 sample
+# grid holds 727 distinct ones among 7,200), so the loader decodes each
+# distinct text once through a VectorMemo of at most this many vectors.
+VECTOR_MEMO_SIZE = 1024
+
+_VECTOR_FIELDS = ("context_centroid", "output_embedding", "prompt_embedding")
+_VECTOR_KEY_RE = re.compile('"(?:' + "|".join(_VECTOR_FIELDS) + ')":\\[')
+
+
+class VectorMemo:
+    """Shared, read-only ``EmbeddingVector``s by the text they were decoded from.
+
+    Keyed by a 16-byte blake2b digest of the text rather than by the text, and
+    least recently used first out beyond ``VECTOR_MEMO_SIZE`` entries, so its
+    memory is bounded whatever the size of the run tree.
+    """
+
+    def __init__(self):
+        self._vectors: OrderedDict[bytes, EmbeddingVector] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._vectors)
+
+    def get(self, text: str) -> EmbeddingVector | None:
+        """The vector ``EmbeddingVector.from_list(json.loads(text))``, or None
+        when ``text`` is not a JSON array of one or more numbers."""
+        key = hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
+        vector = self._vectors.get(key)
+        if vector is not None:
+            self._vectors.move_to_end(key)
+            return vector
+        try:
+            values = json.loads(text)
+        except (ValueError, RecursionError):
+            return None
+        if type(values) is not list or not values or not is_number_list(values):
+            return None
+        vector = self._vectors[key] = EmbeddingVector.from_list(values)
+        if len(self._vectors) > VECTOR_MEMO_SIZE:
+            self._vectors.popitem(last=False)
+        return vector
+
+
+def load_run(path: str | Path, vectors: VectorMemo | None = None) -> RunRecord:
+    """The record persisted at ``path``: equal to
+    ``RunRecord.from_dict(json.loads(text))``, and refused where that is.
+
+    Each vector field's array is cut out of the text before ``json.loads``
+    parses the rest, and is decoded through ``vectors`` (a fresh memo when
+    none is given), so records loaded with one memo share one
+    ``EmbeddingVector`` per distinct array text. Any schema version but
+    ``SCHEMA_VERSION``, or none, raises ``ValidationError``.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    raw = _decode_cut(text, VectorMemo() if vectors is None else vectors)
+    if raw is None:
+        raw = json.loads(text)
     version = raw.get("schema_version") if isinstance(raw, dict) else None
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValidationError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
     return RunRecord.from_dict(raw)
+
+
+def _decode_cut(text: str, vectors: VectorMemo):
+    """The payload of ``text`` with its vector fields' arrays already decoded,
+    or None where the plain ``json.loads(text)`` must decide.
+
+    An array runs from a vector field's ``[`` to the next ``]`` and stands in
+    the rest as the string ``"\\u0000<n>"``. The result is None, and the file
+    goes the plain way, when the rest spells a NUL itself, when it does not
+    parse, when an array is not one or more numbers, or when an array is not
+    the value of a trajectory's vector field (an ``output_embedding`` key in
+    ``kpi``, say), so every payload returned is the plain decode's.
+    """
+    pieces, slots = [], {}
+    end = 0
+    match = _VECTOR_KEY_RE.search(text)
+    while match:
+        start = match.end() - 1
+        close = text.find("]", start) + 1
+        vector = vectors.get(text[start:close]) if close else None
+        if vector is None:
+            return None
+        pieces.append(text[end:start])
+        pieces.append(f'"\\u0000{len(slots)}"')
+        slots[f"\x00{len(slots)}"] = vector
+        end = close
+        match = _VECTOR_KEY_RE.search(text, end)
+    pieces.append(text[end:])
+    if any("\\u0000" in piece for piece in pieces[::2]):
+        return None
+    try:
+        raw = json.loads("".join(pieces))
+    except ValueError:
+        return None
+    trajectories = raw.get("trajectories") if isinstance(raw, dict) else None
+    if isinstance(trajectories, dict):
+        for trajectory in trajectories.values():
+            if isinstance(trajectory, dict):
+                for field in _VECTOR_FIELDS:
+                    value = trajectory.get(field)
+                    if type(value) is str and value in slots:
+                        trajectory[field] = slots.pop(value)
+    return None if slots else raw
 
 
 def iter_run_files(root: str | Path):

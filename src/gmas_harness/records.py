@@ -7,6 +7,7 @@ from enum import Enum
 
 from .analyzer import AnalyzerReport
 from .embeddings import EmbeddingVector
+from .errors import ValidationError
 from .scenario import AgentRole, PIPELINE_ORDER
 
 SCHEMA_VERSION = 1
@@ -57,6 +58,22 @@ class CodeArtifact:
             raise ValueError("code artifact must be non-empty")
 
 
+def is_number_list(values: list) -> bool:
+    """Whether every item is a JSON number (``bool`` is not one)."""
+    return set(map(type, values)) <= {int, float}
+
+
+def _vector(value) -> EmbeddingVector:
+    """An embedding field of a record payload: a flat list of numbers, or the
+    vector already built from one (``to_dict`` gives these, and
+    ``artifacts.load_run`` builds each distinct one once)."""
+    if isinstance(value, EmbeddingVector):
+        return value
+    if type(value) is not list or not is_number_list(value):
+        raise ValidationError(f"embedding {value!r:.40} is not a flat list of numbers")
+    return EmbeddingVector.from_list(value)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One agent's record within a run: what it saw, produced, and why it re-ran."""
@@ -91,14 +108,14 @@ class Trajectory:
         return cls(
             role=AgentRole(d["role"]),
             prompt=d["prompt"],
-            prompt_embedding=EmbeddingVector.from_list(d["prompt_embedding"]),
+            prompt_embedding=_vector(d["prompt_embedding"]),
             output=d["output"],
-            output_embedding=EmbeddingVector.from_list(d["output_embedding"]),
+            output_embedding=_vector(d["output_embedding"]),
             thought_summary=d["thought_summary"],
             refinement_reasons=tuple(d.get("refinement_reasons", [])),
             context_items=tuple((t, s, p) for t, s, p in d.get("context_items", [])),
-            context_centroid=EmbeddingVector.from_list(d["context_centroid"])
-                             if d.get("context_centroid") else None,
+            context_centroid=None if d.get("context_centroid") in (None, [])
+                             else _vector(d["context_centroid"]),
             aux_exchanges=tuple((p, o) for p, o in d.get("aux_exchanges", [])),
         )
 
@@ -228,6 +245,15 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
+        """The record of a payload; an embedding field that is not a flat list
+        of numbers, or vectors of different lengths, raise ``ValidationError``."""
+        trajectories = {AgentRole(k): Trajectory.from_dict(v)
+                        for k, v in d["trajectories"].items()}
+        dims = {vector.dim for t in trajectories.values()
+                for vector in (t.prompt_embedding, t.output_embedding, t.context_centroid)
+                if vector is not None}
+        if len(dims) > 1:
+            raise ValidationError(f"embedding dims differ: {sorted(dims)}")
         return cls(
             experiment_id=d["experiment_id"],
             question_id=d["question_id"],
@@ -235,8 +261,7 @@ class RunRecord:
             persona_set_id=d["persona_set_id"],
             run_index=d["run_index"],
             status=RunStatus(d["status"]),
-            trajectories={AgentRole(k): Trajectory.from_dict(v)
-                          for k, v in d["trajectories"].items()},
+            trajectories=trajectories,
             proposed_paths=tuple(SolutionPath.from_dict(p) for p in d["proposed_paths"]),
             selected_path_id=d["selected_path_id"],
             plan_text=d["plan_text"],

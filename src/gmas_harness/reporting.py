@@ -2,7 +2,10 @@
 
 ``gmas report`` reads the run tree one cell at a time (``aggregate_csv``):
 it loads each run file once, appends the cell's rows to the metric CSVs,
-keeps only the cell's ``SafetySummary`` and drops its records. It then
+keeps only the cell's ``SafetySummary`` and drops its records. All cells
+load through one ``artifacts.VectorMemo``, so each distinct embedding text
+is decoded once per report and memory stays bounded by the largest cell
+plus the memo's ``VECTOR_MEMO_SIZE`` vectors. It then
 summarizes the cells with ``safety.summarize_cells`` and renders the
 markdown report and the SVG charts from that summary (``emit_report``).
 Charts are hand-rolled SVG (axes, bars, polylines only).
@@ -17,7 +20,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import iter_run_files, load_run, run_relpath
+from .artifacts import VectorMemo, iter_run_files, load_run, run_relpath
 from .errors import ValidationError
 from .records import RunRecord
 from .safety import GridSummary, SafetySummary, consecutive_distances, summarize_cell
@@ -77,7 +80,8 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None,
     Cells (``runs/<set>/<question>/``) are read one at a time: a cell's runs
     are loaded, ordered by run index, written as CSV rows and summarized
     (``summarize_cell`` with drift threshold ``tau_d``), and then dropped, so
-    memory is bounded by the largest cell. Failed runs (``RunRecord.failed``)
+    memory is bounded by the largest cell plus one ``VectorMemo``, fresh for
+    each call, through which every cell's vectors are decoded. Failed runs (``RunRecord.failed``)
     give no metric rows, and drift pairs consecutive non-failed runs of a
     cell. A file that does not load, or whose ids disagree with its path, is
     skipped with a logged error and reported in the result so the CLI can
@@ -89,6 +93,7 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None,
 
     cells: list[SafetySummary] = []
     corrupt: list[Path] = []
+    vectors = VectorMemo()
     paths = {name: out_dir / name for name in CSV_NAMES}
     with contextlib.ExitStack() as stack:
         writers = {}
@@ -98,7 +103,7 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None,
             writers[name].writerow(_HEADERS[name])
         for _, cell_paths in itertools.groupby(iter_run_files(root),
                                                key=lambda path: path.parent):
-            records = _load_cell(root, cell_paths, corrupt)
+            records = _load_cell(root, cell_paths, corrupt, vectors)
             if records:
                 _write_cell_rows(writers, records)
                 cells.append(summarize_cell(records, tau_d))
@@ -106,12 +111,13 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None,
     return AggregateResult(csv_paths=paths, cells=cells, corrupt=corrupt)
 
 
-def _load_cell(root: Path, paths, corrupt: list[Path]) -> list[RunRecord]:
+def _load_cell(root: Path, paths, corrupt: list[Path],
+               vectors: VectorMemo) -> list[RunRecord]:
     """One cell's loadable runs, by run index; bad files go to ``corrupt``."""
     records = []
     for path in paths:
         try:
-            record = load_run(path)
+            record = load_run(path, vectors)
             expected = run_relpath(record.persona_set_id, record.question_id,
                                    record.run_index)
             if expected != path.relative_to(root):

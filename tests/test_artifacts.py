@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gmas_harness import artifacts
-from gmas_harness.artifacts import (ExperimentManifest, _fmt_float, canonical_json,
-                                    derive_experiment_id, iter_run_files, load_run,
-                                    persist_run, run_relpath, validate_record_dict,
-                                    write_manifest)
+from gmas_harness.artifacts import (ExperimentManifest, VectorMemo, _fmt_float,
+                                    canonical_json, derive_experiment_id, iter_run_files,
+                                    load_run, persist_run, run_relpath,
+                                    validate_record_dict, write_manifest)
+from gmas_harness.cli import cli_dispatch
 from gmas_harness.embeddings import EmbeddingVector
 from gmas_harness.errors import ValidationError
 from gmas_harness.records import RunRecord
@@ -170,6 +172,124 @@ def test_persist_load_persist_is_fixed_point(tmp_path):
     reloaded = load_run(path)
     again = persist_run(reloaded, tmp_path).read_bytes()
     assert original == again
+
+
+SAMPLE_DATA = Path(__file__).parent.parent / "sample_data"
+
+
+@pytest.fixture(scope="module")
+def sample_tree(tmp_path_factory):
+    """Run files of a seed-42 sample_data grid: 2 persona sets x 5 questions x 2 runs."""
+    root = tmp_path_factory.mktemp("sample")
+    assert cli_dispatch(["grid", "--questions", str(SAMPLE_DATA / "questions.json"),
+                         "--runs", "2", "--config", str(SAMPLE_DATA / "experiment.json"),
+                         "--out", str(root), "--max-sets", "2"]) == 0
+    return list(iter_run_files(root))
+
+
+def _plain_decode(path):
+    return RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _verdict(load, path):
+    """The loaded record, or the name of the exception that refused the file."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def test_loader_returns_the_plain_decode_of_every_sample_run(sample_tree):
+    assert len(sample_tree) == 20
+    memo = VectorMemo()
+    records = [load_run(path, memo) for path in sample_tree]
+    assert records == [_plain_decode(path) for path in sample_tree]
+    vectors = {id(vector) for record in records for t in record.trajectories.values()
+               for vector in (t.prompt_embedding, t.output_embedding, t.context_centroid)
+               if vector is not None}
+    assert len(vectors) == len(memo) < 15 * len(records)
+
+
+def _traj(payload):
+    return payload["trajectories"]["Coder"]
+
+
+def _prompt_spells_a_field(payload):
+    _traj(payload)["prompt"] += ' "prompt_embedding":[1] ,"output_embedding":[2]'
+
+
+def _escaped_quote_key(payload):
+    _traj(payload)['a"prompt_embedding'] = [1.0, 2.0]
+
+
+def _kpi_vector_keys(payload):
+    payload["kpi"] = {"output_embedding": [0.5, 0.25], "prompt_embedding": [1]}
+
+
+def _kpi_bracket_in_a_string(payload):
+    payload["kpi"] = {"prompt_embedding": ["]", 1]}
+
+
+def _empty_centroid(payload):
+    _traj(payload)["context_centroid"] = []
+
+
+def _prompt_spells_a_nul(payload):
+    _traj(payload)["prompt"] += "\x00"
+
+
+def _placeholder_in_a_vector_field(payload):
+    payload["kpi"] = {"output_embedding": _traj(payload)["output_embedding"]}
+    _traj(payload)["output_embedding"] = "\x000"  # what the kpi array stands in as
+
+
+def _string_in_a_vector(payload):
+    _traj(payload)["output_embedding"] = ["0.5"] + _traj(payload)["output_embedding"][1:]
+
+
+ADVERSARIAL = {  # name: (edit of the payload, whether the plain decode accepts)
+    "prompt spells a vector field": (_prompt_spells_a_field, True),
+    "key a\\\"prompt_embedding in a trajectory": (_escaped_quote_key, True),
+    "vector keys inside kpi": (_kpi_vector_keys, True),
+    "a ] inside a kpi vector key's list": (_kpi_bracket_in_a_string, True),
+    "empty context_centroid": (_empty_centroid, True),
+    "prompt spells a NUL": (_prompt_spells_a_nul, True),
+    "placeholder in a vector field": (_placeholder_in_a_vector_field, False),
+    "string in a vector": (_string_in_a_vector, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_loader_agrees_with_the_plain_decode_on_adversarial_files(sample_tree, tmp_path,
+                                                                  name):
+    edit, accepted = ADVERSARIAL[name]
+    payload = json.loads(sample_tree[0].read_text(encoding="utf-8"))
+    edit(payload)
+    path = tmp_path / "run1.json"
+    path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
+    plain = _verdict(_plain_decode, path)
+    assert isinstance(plain, RunRecord) == accepted
+    assert _verdict(load_run, path) == plain
+    memo = VectorMemo()  # and with the file's vectors already in the memo
+    load_run(sample_tree[0], memo)
+    assert _verdict(lambda p: load_run(p, memo), path) == plain
+
+
+@pytest.mark.parametrize("name", ["truncated", "duplicate key", "spaced"])
+def test_loader_agrees_with_the_plain_decode_on_altered_text(sample_tree, tmp_path, name):
+    text = sample_tree[0].read_text(encoding="utf-8")
+    if name == "truncated":
+        text = text[:len(text) // 2]
+    elif name == "duplicate key":  # json keeps the last value, the file's own vector
+        text = text.replace('"output":', '"output_embedding":[9],"output":', 1)
+        assert '"output_embedding":[9]' in text
+    else:  # no vector field is cut out when ":" and "[" are apart
+        text = json.dumps(json.loads(text), indent=1)
+    path = tmp_path / "run1.json"
+    path.write_text(text, encoding="utf-8")
+    plain = _verdict(_plain_decode, path)
+    assert isinstance(plain, RunRecord) == (name != "truncated")
+    assert _verdict(load_run, path) == plain
 
 
 def test_nan_metric_rejected_with_validation_error(tmp_path):

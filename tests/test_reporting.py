@@ -7,14 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from gmas_harness import reporting
-from gmas_harness.artifacts import iter_run_files, load_run, persist_run
+from gmas_harness import artifacts, reporting
+from gmas_harness.artifacts import (VectorMemo, canonical_json, iter_run_files, load_run,
+                                    persist_run)
 from gmas_harness.backends import ScriptedBackend
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.embeddings import EmbeddingVector
 from gmas_harness.errors import TransportError, ValidationError
 from gmas_harness.orchestrator import MemoryStore, run_cell
-from gmas_harness.records import RunStatus
+from gmas_harness.records import RunRecord, RunStatus
 from gmas_harness.reporting import (CSV_NAMES, aggregate_csv, bar_chart_svg,
                                     emit_report, line_chart_svg)
 from gmas_harness.safety import summarize_cells, summarize_grid
@@ -158,6 +159,27 @@ def test_unknown_schema_version_is_corrupt(tmp_path, version):
     assert cli_dispatch(["report", "--root", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("embedding", [5, [[0.0] * FACTORY_DIM], "0.5",
+                                       [0.0] * (FACTORY_DIM - 1)],
+                         ids=["scalar", "nested", "string", "truncated"])
+def test_malformed_embedding_is_corrupt(tmp_path, embedding):
+    _persist_all([make_record(run_index=1), make_record(run_index=2)], tmp_path)
+    victim = next(iter((tmp_path / "runs").glob("*/*/run2.json")))
+    payload = json.loads(victim.read_text())
+    payload["trajectories"]["Coder"]["output_embedding"] = embedding
+    victim.write_text(canonical_json(payload) + "\n")
+    with pytest.raises(ValidationError, match="embedding"):
+        load_run(victim)
+    with pytest.raises(ValidationError, match="embedding"):
+        RunRecord.from_dict(json.loads(victim.read_text()))
+    result = aggregate_csv(tmp_path)
+    assert result.corrupt == [victim]
+    assert result.runs == 1
+    assert cli_dispatch(["report", "--root", str(tmp_path)]) == 2
+    rows = {name: (tmp_path / name).read_text().splitlines()[1:] for name in CSV_NAMES}
+    assert [len(rows[name]) for name in CSV_NAMES] == [1, 1, 0, 1, 1]
+
+
 def test_cell_of_eleven_runs_is_read_in_run_order(tmp_path):
     records = [make_record(run_index=run, penalty=float(run),
                            coder_vec=EmbeddingVector.from_list(
@@ -198,6 +220,68 @@ def test_aggregate_holds_one_cell_of_records_at_a_time(tmp_path, monkeypatch):
     result = aggregate_csv(tmp_path)
     assert result.runs == live.calls == 24
     assert live.peak == 4
+
+
+def test_equal_vector_texts_share_one_vector_within_one_report(tmp_path, monkeypatch):
+    _persist_all([make_record(question_id=q, run_index=run)
+                  for q in ("q1", "q2") for run in (1, 2)], tmp_path)
+    loaded = []  # every record aggregate_csv loads, kept alive
+
+    def keep(*args, **kwargs):
+        loaded.append(load_run(*args, **kwargs))
+        return loaded[-1]
+    monkeypatch.setattr(reporting, "load_run", keep)
+    aggregate_csv(tmp_path)
+    first = [t.prompt_embedding for r in loaded for t in r.trajectories.values()]
+    assert len({r.question_id for r in loaded}) == 2 and len(first) == 20
+    assert all(vector is first[0] for vector in first)  # all are the zero vector
+    aggregate_csv(tmp_path)
+    second = [t.prompt_embedding for r in loaded[4:] for t in r.trajectories.values()]
+    assert all(vector is second[0] for vector in second)
+    assert second[0] == first[0] and second[0] is not first[0]
+
+
+def test_vector_memo_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(artifacts, "VECTOR_MEMO_SIZE", 2)
+    memo = VectorMemo()
+    a, b = memo.get("[1,0]"), memo.get("[0,1]")
+    assert memo.get("[1,0]") is a
+    c = memo.get("[1,1]")
+    assert len(memo) == 2
+    assert memo.get("[1,1]") is c and memo.get("[1,0]") is a
+    again = memo.get("[0,1]")
+    assert again == b and again is not b
+    assert memo.get("[]") is None and memo.get("[true]") is None and memo.get("[1,") is None
+
+
+def test_report_is_unchanged_when_the_memo_overflows(tmp_path, monkeypatch):
+    records = _drift_fixture() + [make_record(set_id="set01", run_index=run, penalty=run,
+                                              experiment_id="exp-paper")
+                                  for run in (1, 2)]
+    _persist_all(records, tmp_path)
+
+    def report(out):
+        result = aggregate_csv(tmp_path, out)
+        emit_report(summarize_cells(result.cells), out)
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    peaks = []
+
+    class CountedMemo(VectorMemo):
+        def get(self, text):
+            vector = super().get(text)
+            peaks.append(len(self))
+            return vector
+    monkeypatch.setattr(reporting, "VectorMemo", CountedMemo)
+    monkeypatch.setattr(artifacts, "VECTOR_MEMO_SIZE", 2)
+    small = report(tmp_path / "small")
+    assert max(peaks) == 2
+    monkeypatch.undo()
+    monkeypatch.setattr(reporting, "load_run",  # the plain decode, no memo
+                        lambda path, vectors: RunRecord.from_dict(json.loads(path.read_text())))
+    assert report(tmp_path / "plain") == small
+    assert set(small) == {*CSV_NAMES, "report.md", "penalty_by_run.svg",
+                          "consistency_by_set.svg", "drift_by_transition.svg"}
 
 
 def test_cell_summaries_equal_summarize_grid_over_records(tmp_path, coder_fails_in_run2):
