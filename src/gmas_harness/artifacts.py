@@ -17,7 +17,8 @@ through a ``VectorMemo`` that maps the array text to one shared vector, so
 a report that loads the whole tree with one memo decodes each distinct
 vector text once. The record is always the one the plain
 ``RunRecord.from_dict(json.loads(text))`` gives, and a file that decode
-refuses is refused.
+refuses is refused. ``records`` defines and checks the run-file format;
+this module only encodes and decodes it.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ import numpy as np
 
 from .embeddings import EmbeddingVector
 from .errors import ValidationError
-from .records import RunRecord, SCHEMA_VERSION, is_number_list
-from .scenario import AgentRole
+from .records import VECTOR_FIELDS, RunRecord, SCHEMA_VERSION, is_number_list
 
 
 def _fmt_float(value: float) -> str:
@@ -168,8 +168,7 @@ def persist_run(record: RunRecord, root: str | Path,
 # distinct text once through a VectorMemo of at most this many vectors.
 VECTOR_MEMO_SIZE = 1024
 
-_VECTOR_FIELDS = ("context_centroid", "output_embedding", "prompt_embedding")
-_VECTOR_KEY_RE = re.compile('"(?:' + "|".join(_VECTOR_FIELDS) + ')":\\[')
+_VECTOR_KEY_RE = re.compile('"(?:' + "|".join(VECTOR_FIELDS) + ')":\\[')
 
 
 class VectorMemo:
@@ -208,22 +207,17 @@ class VectorMemo:
 
 def load_run(path: str | Path, vectors: VectorMemo | None = None) -> RunRecord:
     """The record persisted at ``path``: equal to
-    ``RunRecord.from_dict(json.loads(text))``, and refused where that is.
+    ``RunRecord.from_dict(json.loads(text))``, and refused where that is,
+    with ``ValidationError`` for every payload ``from_dict`` refuses.
 
     Each vector field's array is cut out of the text before ``json.loads``
     parses the rest, and is decoded through ``vectors`` (a fresh memo when
     none is given), so records loaded with one memo share one
-    ``EmbeddingVector`` per distinct array text. Any schema version but
-    ``SCHEMA_VERSION``, or none, raises ``ValidationError``.
+    ``EmbeddingVector`` per distinct array text.
     """
     text = Path(path).read_text(encoding="utf-8")
     raw = _decode_cut(text, VectorMemo() if vectors is None else vectors)
-    if raw is None:
-        raw = json.loads(text)
-    version = raw.get("schema_version") if isinstance(raw, dict) else None
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ValidationError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
-    return RunRecord.from_dict(raw)
+    return RunRecord.from_dict(json.loads(text) if raw is None else raw)
 
 
 def _decode_cut(text: str, vectors: VectorMemo):
@@ -262,7 +256,7 @@ def _decode_cut(text: str, vectors: VectorMemo):
     if isinstance(trajectories, dict):
         for trajectory in trajectories.values():
             if isinstance(trajectory, dict):
-                for field in _VECTOR_FIELDS:
+                for field in VECTOR_FIELDS:
                     value = trajectory.get(field)
                     if type(value) is str and value in slots:
                         trajectory[field] = slots.pop(value)
@@ -329,73 +323,3 @@ def write_manifest(manifest: ExperimentManifest, root: str | Path) -> Path:
     path = root / "experiment.json"
     write_atomic(path, canonical_json(manifest.to_dict()) + "\n")
     return path
-
-
-# ── artifact schema ──────────────────────────────────────────────────────────
-
-_EMBEDDING = {"type": "array", "items": {"type": "number"}}
-
-_TRAJECTORY_SCHEMA = {
-    "type": "object",
-    "required": ["role", "prompt", "prompt_embedding", "output", "output_embedding",
-                 "thought_summary", "refinement_reasons"],
-    "properties": {
-        "role": {"enum": [r.value for r in AgentRole]},
-        "prompt": {"type": "string"},
-        "prompt_embedding": _EMBEDDING,
-        "output": {"type": "string"},
-        "output_embedding": _EMBEDDING,
-        "thought_summary": {"type": "string"},
-        "refinement_reasons": {"type": "array", "items": {"type": "string"}},
-    },
-}
-
-RUN_RECORD_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "experiment_id", "question_id", "persona_set_id",
-                 "run_index", "status", "trajectories", "proposed_paths",
-                 "plan_text", "code_text", "refinement_events"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "experiment_id": {"type": "string"},
-        "question_id": {"type": "string"},
-        "persona_set_id": {"type": "string"},
-        "run_index": {"type": "integer", "minimum": 1},
-        "status": {"enum": ["completed", "failed", "budget_exhausted"]},
-        "trajectories": {
-            "type": "object",
-            "required": [r.value for r in AgentRole],
-            "additionalProperties": _TRAJECTORY_SCHEMA,
-        },
-        "proposed_paths": {"type": "array"},
-        "selected_path_id": {"type": ["integer", "null"]},
-        "plan_text": {"type": "string"},
-        "code_text": {"type": "string"},
-        "metrics": {
-            "type": ["object", "null"],
-            "properties": {
-                "penalty_score": {"type": "number", "minimum": 0, "maximum": 100},
-                "consistency_score": {"type": "number", "minimum": 0, "maximum": 100},
-                "conflict_rate": {"type": "number", "minimum": 0, "maximum": 1},
-                "coordination_overhead": {"type": "number", "minimum": 0},
-            },
-        },
-        "refinement_events": {"type": "array"},
-    },
-}
-
-
-def validate_record_dict(data: dict) -> None:
-    """Schema-validate a run record payload; raises ValidationError on failure.
-
-    ``jsonschema`` is imported here, not at module level, because only the
-    tests validate records and the installed package does not depend on it.
-    """
-    import jsonschema
-
-    try:
-        jsonschema.validate(data, RUN_RECORD_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(
-            f"run record schema violation at {exc.json_path}: {exc.message}")

@@ -77,7 +77,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 def build_backend(config: ExperimentConfig):
     spec = config.raw.get("backend", {})
-    dim = int(spec.get("embedding_dim", config.raw.get("embedding_dim", DEFAULT_DIM)))
+    dim = int(config.raw.get("embedding_dim", DEFAULT_DIM))
     if config.backend_mode == "scripted":
         script = []
         script_path = config.resolve(spec.get("script_path"))

@@ -12,7 +12,8 @@ class ConfigurationError(GmasError):
 
 
 class ValidationError(GmasError):
-    """An artifact violates its contract (NaN metrics, schema mismatch)."""
+    """An artifact violates its contract (a non-finite float to persist, or a
+    run file ``RunRecord.from_dict`` refuses)."""
 
 
 class TransportError(GmasError):

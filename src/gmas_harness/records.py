@@ -1,8 +1,11 @@
-"""Run-trajectory record types shared by the orchestrator, metrics, and persistence."""
+"""Run-trajectory record types shared by the orchestrator, metrics, and persistence,
+and the one definition of the run-file format: ``RunRecord.to_dict`` writes it,
+``RunRecord.from_dict`` checks it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .analyzer import AnalyzerReport
@@ -35,7 +38,7 @@ class SolutionPath:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolutionPath":
-        return cls(d["path_id"], tuple(d["steps"]), d["self_eval"], d.get("rationale", ""))
+        return cls(d["path_id"], tuple(d["steps"]), d["self_eval"], d["rationale"])
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,33 @@ def is_number_list(values: list) -> bool:
     return set(map(type, values)) <= {int, float}
 
 
-def _vector(value) -> EmbeddingVector:
-    """An embedding field of a record payload: a flat list of numbers, or the
-    vector already built from one (``to_dict`` gives these, and
+def _field(d: dict, key: str, *kinds: type):
+    """``d[key]`` of a record payload, refused unless the key is there and the
+    value's JSON type is one of ``kinds`` (str, int, float, bool, list, dict,
+    NoneType; ``float`` admits an integer, and ``bool`` is neither)."""
+    if key not in d:
+        raise ValidationError(f"{key} is missing")
+    value = d[key]
+    if type(value) in kinds or (type(value) is int and float in kinds):
+        return value
+    raise ValidationError(f"{key} {value!r:.40} is not "
+                          + " or ".join(kind.__name__ for kind in kinds))
+
+
+def _vector(d: dict, key: str) -> EmbeddingVector:
+    """The embedding field ``key`` of a payload: a flat list of numbers, or
+    the vector already built from one (``to_dict`` gives these, and
     ``artifacts.load_run`` builds each distinct one once)."""
+    value = d[key]
     if isinstance(value, EmbeddingVector):
         return value
     if type(value) is not list or not is_number_list(value):
-        raise ValidationError(f"embedding {value!r:.40} is not a flat list of numbers")
+        raise ValidationError(f"{key} {value!r:.40} is not a flat list of numbers")
     return EmbeddingVector.from_list(value)
+
+
+# The embedding fields of a trajectory; all of a record's vectors share one length.
+VECTOR_FIELDS = ("context_centroid", "output_embedding", "prompt_embedding")
 
 
 @dataclass(frozen=True)
@@ -105,18 +126,21 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trajectory":
+        reasons = _field(d, "refinement_reasons", list)
+        if set(map(type, reasons)) - {str}:
+            raise ValidationError(f"refinement_reasons {reasons!r:.40} holds a non-string")
         return cls(
-            role=AgentRole(d["role"]),
-            prompt=d["prompt"],
-            prompt_embedding=_vector(d["prompt_embedding"]),
-            output=d["output"],
-            output_embedding=_vector(d["output_embedding"]),
-            thought_summary=d["thought_summary"],
-            refinement_reasons=tuple(d.get("refinement_reasons", [])),
-            context_items=tuple((t, s, p) for t, s, p in d.get("context_items", [])),
-            context_centroid=None if d.get("context_centroid") in (None, [])
-                             else _vector(d["context_centroid"]),
-            aux_exchanges=tuple((p, o) for p, o in d.get("aux_exchanges", [])),
+            role=AgentRole(_field(d, "role", str)),
+            prompt=_field(d, "prompt", str),
+            prompt_embedding=_vector(d, "prompt_embedding"),
+            output=_field(d, "output", str),
+            output_embedding=_vector(d, "output_embedding"),
+            thought_summary=_field(d, "thought_summary", str),
+            refinement_reasons=tuple(reasons),
+            context_items=tuple((t, s, p) for t, s, p in _field(d, "context_items", list)),
+            context_centroid=None if d["context_centroid"] in (None, [])
+                             else _vector(d, "context_centroid"),
+            aux_exchanges=tuple((p, o) for p, o in _field(d, "aux_exchanges", list)),
         )
 
 
@@ -139,6 +163,13 @@ class RefinementEvent:
     @classmethod
     def from_dict(cls, d: dict) -> "RefinementEvent":
         return cls(d["index"], AgentRole(d["routed_role"]), d["reason"])
+
+
+# [lo, hi] of each float metric; lo <= value <= hi also refuses NaN and infinity.
+_MAX = sys.float_info.max
+_METRIC_RANGES = {"penalty_score": (0.0, 100.0), "consistency_score": (0.0, 100.0),
+                  "conflict_rate": (0.0, 1.0), "coordination_overhead": (0.0, _MAX),
+                  "alignment_cosine": (-_MAX, _MAX)}
 
 
 @dataclass(frozen=True)
@@ -168,6 +199,16 @@ class RunMetrics:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunMetrics":
+        """The metrics of a payload; a flag that is not a boolean, or a score
+        that is not a number in its range, raises ``ValidationError``."""
+        for field in fields(cls):
+            if field.name not in _METRIC_RANGES:
+                _field(d, field.name, bool)
+                continue
+            lo, hi = _METRIC_RANGES[field.name]
+            value = _field(d, field.name, float)
+            if not lo <= value <= hi:
+                raise ValidationError(f"{field.name} {value!r} is outside [{lo:g}, {hi:g}]")
         return cls(**d)
 
 
@@ -216,9 +257,8 @@ class RunRecord:
         """The record tree that ``artifacts.canonical_json`` encodes.
 
         Embeddings stay ``EmbeddingVector`` objects, so the encoder can format
-        each distinct vector once. The JSON payload, the form that schema
-        validation and ``from_dict`` read, is
-        ``json.loads(canonical_json(record.to_dict()))``.
+        each distinct vector once. The JSON payload, the form that
+        ``from_dict`` reads, is ``json.loads(canonical_json(record.to_dict()))``.
         """
         return {
             "schema_version": self.schema_version,
@@ -245,33 +285,55 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        """The record of a payload; an embedding field that is not a flat list
-        of numbers, or vectors of different lengths, raise ``ValidationError``."""
-        trajectories = {AgentRole(k): Trajectory.from_dict(v)
-                        for k, v in d["trajectories"].items()}
+        """The record of a run-file payload. ``ValidationError``, naming the
+        field, refuses a schema version other than ``SCHEMA_VERSION``, a
+        missing key or role, a field of the wrong JSON type, an unknown role
+        or status, a metric out of its range, a run without metrics that did
+        not fail, and embeddings that are not flat lists of numbers or
+        differ in length."""
+        version = d.get("schema_version") if type(d) is dict else None
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ValidationError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
+        try:
+            return cls._from_payload(d)
+        except KeyError as exc:
+            raise ValidationError(f"{exc.args[0]} is missing") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"malformed run record: {exc}") from exc
+
+    @classmethod
+    def _from_payload(cls, d: dict) -> "RunRecord":
+        raw = _field(d, "trajectories", dict)
+        missing = [role.value for role in PIPELINE_ORDER if role.value not in raw]
+        if missing:
+            raise ValidationError(f"trajectories lack {missing}")
+        trajectories = {AgentRole(k): Trajectory.from_dict(_field(raw, k, dict))
+                        for k in raw}
         dims = {vector.dim for t in trajectories.values()
-                for vector in (t.prompt_embedding, t.output_embedding, t.context_centroid)
+                for vector in (getattr(t, name) for name in VECTOR_FIELDS)
                 if vector is not None}
         if len(dims) > 1:
             raise ValidationError(f"embedding dims differ: {sorted(dims)}")
+        report = _field(d, "analyzer_report", dict, type(None))
+        metrics = _field(d, "metrics", dict, type(None))
         return cls(
-            experiment_id=d["experiment_id"],
-            question_id=d["question_id"],
-            question_text=d.get("question_text", ""),
-            persona_set_id=d["persona_set_id"],
-            run_index=d["run_index"],
-            status=RunStatus(d["status"]),
+            experiment_id=_field(d, "experiment_id", str),
+            question_id=_field(d, "question_id", str),
+            question_text=_field(d, "question_text", str),
+            persona_set_id=_field(d, "persona_set_id", str),
+            run_index=_field(d, "run_index", int),
+            status=RunStatus(_field(d, "status", str)),
             trajectories=trajectories,
-            proposed_paths=tuple(SolutionPath.from_dict(p) for p in d["proposed_paths"]),
-            selected_path_id=d["selected_path_id"],
-            plan_text=d["plan_text"],
-            code_text=d["code_text"],
-            kpi=d.get("kpi"),
-            analyzer_report=AnalyzerReport.from_dict(d["analyzer_report"])
-                            if d.get("analyzer_report") else None,
-            metrics=RunMetrics.from_dict(d["metrics"]) if d.get("metrics") else None,
+            proposed_paths=tuple(SolutionPath.from_dict(p)
+                                 for p in _field(d, "proposed_paths", list)),
+            selected_path_id=_field(d, "selected_path_id", int, type(None)),
+            plan_text=_field(d, "plan_text", str),
+            code_text=_field(d, "code_text", str),
+            kpi=_field(d, "kpi", dict, type(None)),
+            analyzer_report=None if report is None else AnalyzerReport.from_dict(report),
+            metrics=None if metrics is None else RunMetrics.from_dict(metrics),
             refinement_events=tuple(RefinementEvent.from_dict(e)
-                                    for e in d.get("refinement_events", [])),
-            max_refinement_depth=d.get("max_refinement_depth", 3),
-            schema_version=d.get("schema_version", SCHEMA_VERSION),
+                                    for e in _field(d, "refinement_events", list)),
+            max_refinement_depth=_field(d, "max_refinement_depth", int),
+            schema_version=d["schema_version"],
         )

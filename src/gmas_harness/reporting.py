@@ -24,7 +24,7 @@ from .artifacts import VectorMemo, iter_run_files, load_run, run_relpath
 from .errors import ValidationError
 from .records import RunRecord
 from .safety import GridSummary, SafetySummary, consecutive_distances, summarize_cell
-from .scenario import PIPELINE_ORDER
+from .scenario import PIPELINE_ORDER, AgentRole
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +85,8 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None,
     give no metric rows, and drift pairs consecutive non-failed runs of a
     cell. A file that does not load, or whose ids disagree with its path, is
     skipped with a logged error and reported in the result so the CLI can
-    exit nonzero.
+    exit nonzero; so is every file of a cell whose runs disagree on the
+    embedding length.
     """
     root = Path(root)
     out_dir = Path(out_dir) if out_dir else root
@@ -113,8 +114,9 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None,
 
 def _load_cell(root: Path, paths, corrupt: list[Path],
                vectors: VectorMemo) -> list[RunRecord]:
-    """One cell's loadable runs, by run index; bad files go to ``corrupt``."""
-    records = []
+    """One cell's loadable runs, by run index; bad files go to ``corrupt``, and
+    so do all of a cell whose records disagree on the embedding length."""
+    loaded = []
     for path in paths:
         try:
             record = load_run(path, vectors)
@@ -126,10 +128,17 @@ def _load_cell(root: Path, paths, corrupt: list[Path],
             logger.error("corrupt artifact %s: %s", path, exc)
             corrupt.append(path)
             continue
-        records.append(record)
+        loaded.append((record, path))
+    dims = {record.trajectory(AgentRole.CODER).output_embedding.dim
+            for record, _ in loaded}
+    if len(dims) > 1:
+        for _, path in loaded:
+            logger.error("corrupt artifact %s: its cell's embedding dims differ: %s",
+                         path, sorted(dims))
+            corrupt.append(path)
+        return []
     # by path, run10.json sorts before run2.json
-    records.sort(key=lambda r: r.run_index)
-    return records
+    return sorted((record for record, _ in loaded), key=lambda r: r.run_index)
 
 
 def _write_cell_rows(writers: dict, records: list[RunRecord]) -> None:

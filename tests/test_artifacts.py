@@ -15,8 +15,7 @@ from hypothesis.extra import numpy as hnp
 from gmas_harness import artifacts
 from gmas_harness.artifacts import (ExperimentManifest, VectorMemo, _fmt_float,
                                     canonical_json, derive_experiment_id, iter_run_files,
-                                    load_run, persist_run, run_relpath,
-                                    validate_record_dict, write_manifest)
+                                    load_run, persist_run, run_relpath, write_manifest)
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.embeddings import EmbeddingVector
 from gmas_harness.errors import ValidationError
@@ -334,22 +333,29 @@ def _persisted_payload(tmp_path) -> dict:
     return json.loads(persist_run(make_record(), tmp_path).read_text())
 
 
+def _rewritten(tmp_path, payload) -> Path:
+    path = tmp_path / "run1.json"
+    path.write_text(canonical_json(payload) + "\n")
+    return path
+
+
 def test_schema_validation_accepts_real_record(tmp_path):
-    validate_record_dict(_persisted_payload(tmp_path))
+    record = make_record()
+    assert load_run(persist_run(record, tmp_path)) == record
 
 
 def test_schema_validation_rejects_missing_role(tmp_path):
     payload = _persisted_payload(tmp_path)
     del payload["trajectories"]["Coder"]
-    with pytest.raises(ValidationError, match="'Coder' is a required property"):
-        validate_record_dict(payload)
+    with pytest.raises(ValidationError, match=r"trajectories lack \['Coder'\]"):
+        load_run(_rewritten(tmp_path, payload))
 
 
 def test_schema_validation_rejects_bad_penalty(tmp_path):
     payload = _persisted_payload(tmp_path)
     payload["metrics"]["penalty_score"] = 150.0
-    with pytest.raises(ValidationError, match=r"metrics\.penalty_score: 150\.0 is greater"):
-        validate_record_dict(payload)
+    with pytest.raises(ValidationError, match=r"penalty_score 150 is outside \[0, 100\]"):
+        load_run(_rewritten(tmp_path, payload))
 
 
 def test_run_record_requires_five_roles():

@@ -15,7 +15,7 @@ from gmas_harness.cli import cli_dispatch
 from gmas_harness.embeddings import EmbeddingVector
 from gmas_harness.errors import TransportError, ValidationError
 from gmas_harness.orchestrator import MemoryStore, run_cell
-from gmas_harness.records import RunRecord, RunStatus
+from gmas_harness.records import VECTOR_FIELDS, RunRecord, RunStatus
 from gmas_harness.reporting import (CSV_NAMES, aggregate_csv, bar_chart_svg,
                                     emit_report, line_chart_svg)
 from gmas_harness.safety import summarize_cells, summarize_grid
@@ -159,25 +159,136 @@ def test_unknown_schema_version_is_corrupt(tmp_path, version):
     assert cli_dispatch(["report", "--root", str(tmp_path)]) == 2
 
 
+_MISSING = object()
+
+
+def _check_only_victim_corrupt(tmp_path, capsys, caplog, field_path, value, match):
+    """Set ``field_path`` of run 2's payload to ``value`` (delete it, for
+    ``_MISSING``); the file must be refused, listed alone as corrupt and
+    leave run 1's rows as they are without it."""
+    _persist_all([make_record(run_index=1)], tmp_path / "alone")
+    aggregate_csv(tmp_path / "alone")
+    root = tmp_path / "tree"
+    _persist_all([make_record(run_index=1), make_record(run_index=2)], root)
+    victim = next(iter((root / "runs").glob("*/*/run2.json")))
+    payload = json.loads(victim.read_text())
+    *parents, key = field_path
+    target = payload
+    for parent in parents:
+        target = target[parent]
+    if value is _MISSING:
+        del target[key]
+    else:
+        target[key] = value
+    # canonical separators, so load_run cuts the vectors out; json.dumps writes NaN
+    victim.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(ValidationError, match=match):
+        load_run(victim)
+    with pytest.raises(ValidationError, match=match):
+        RunRecord.from_dict(json.loads(victim.read_text()))
+    result = aggregate_csv(root)
+    assert result.corrupt == [victim]
+    assert result.runs == 1
+    for name in CSV_NAMES:
+        assert (root / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+    capsys.readouterr()
+    assert cli_dispatch(["report", "--root", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert f"corrupt artifact skipped: {victim}" in err
+    assert "runtime failure" not in err
+    assert "unhandled failure" not in caplog.text
+
+
 @pytest.mark.parametrize("embedding", [5, [[0.0] * FACTORY_DIM], "0.5",
                                        [0.0] * (FACTORY_DIM - 1)],
                          ids=["scalar", "nested", "string", "truncated"])
-def test_malformed_embedding_is_corrupt(tmp_path, embedding):
-    _persist_all([make_record(run_index=1), make_record(run_index=2)], tmp_path)
-    victim = next(iter((tmp_path / "runs").glob("*/*/run2.json")))
-    payload = json.loads(victim.read_text())
-    payload["trajectories"]["Coder"]["output_embedding"] = embedding
-    victim.write_text(canonical_json(payload) + "\n")
-    with pytest.raises(ValidationError, match="embedding"):
-        load_run(victim)
-    with pytest.raises(ValidationError, match="embedding"):
-        RunRecord.from_dict(json.loads(victim.read_text()))
-    result = aggregate_csv(tmp_path)
-    assert result.corrupt == [victim]
-    assert result.runs == 1
-    assert cli_dispatch(["report", "--root", str(tmp_path)]) == 2
-    rows = {name: (tmp_path / name).read_text().splitlines()[1:] for name in CSV_NAMES}
-    assert [len(rows[name]) for name in CSV_NAMES] == [1, 1, 0, 1, 1]
+def test_malformed_embedding_is_corrupt(tmp_path, capsys, caplog, embedding):
+    _check_only_victim_corrupt(tmp_path, capsys, caplog,
+                               ("trajectories", "Coder", "output_embedding"), embedding,
+                               "embedding")
+
+
+_NAN = float("nan")
+_CODER = ("trajectories", "Coder")
+_BAD_FIELDS = {  # id: (field path, value, what the error names)
+    "penalty above 100": (("metrics", "penalty_score"), 150.0, r"penalty_score 150\.0 is outside"),
+    "penalty below 0": (("metrics", "penalty_score"), -0.5, "penalty_score"),
+    "consistency above 100": (("metrics", "consistency_score"), 100.5, "consistency_score"),
+    "consistency below 0": (("metrics", "consistency_score"), -1.0, "consistency_score"),
+    "conflict above 1": (("metrics", "conflict_rate"), 1.5, "conflict_rate"),
+    "conflict below 0": (("metrics", "conflict_rate"), -0.1, "conflict_rate"),
+    "overhead below 0": (("metrics", "coordination_overhead"), -1.0, "coordination_overhead"),
+    "penalty string": (("metrics", "penalty_score"), "50", "penalty_score '50' is not"),
+    "consistency string": (("metrics", "consistency_score"), "50", "consistency_score"),
+    "conflict string": (("metrics", "conflict_rate"), "0", "conflict_rate"),
+    "overhead string": (("metrics", "coordination_overhead"), "4", "coordination_overhead"),
+    "penalty NaN": (("metrics", "penalty_score"), _NAN, "penalty_score nan is outside"),
+    "consistency NaN": (("metrics", "consistency_score"), _NAN, "consistency_score"),
+    "conflict NaN": (("metrics", "conflict_rate"), _NAN, "conflict_rate"),
+    "overhead NaN": (("metrics", "coordination_overhead"), _NAN, "coordination_overhead"),
+    "cosine NaN": (("metrics", "alignment_cosine"), _NAN, "alignment_cosine"),
+    "flag string": (("metrics", "alignment_hard_ok"), "true", "alignment_hard_ok"),
+    "experiment_id number": (("experiment_id",), 5, "experiment_id 5 is not str"),
+    "question_id number": (("question_id",), 5, "question_id"),
+    "persona_set_id null": (("persona_set_id",), None, "persona_set_id"),
+    "question_text number": (("question_text",), 5, "question_text"),
+    "code_text list": (("code_text",), [], "code_text"),
+    "prompt number": (_CODER + ("prompt",), 5, "prompt 5 is not str"),
+    "output number": (_CODER + ("output",), 5, "output"),
+    "thought_summary null": (_CODER + ("thought_summary",), None, "thought_summary"),
+    "reason number": (_CODER + ("refinement_reasons",), [1], "refinement_reasons"),
+    "run_index true": (("run_index",), True, "run_index True is not int"),
+    "selected_path_id string": (("selected_path_id",), "x", "selected_path_id 'x'"),
+    "plan_text null": (("plan_text",), None, "plan_text None is not str"),
+    "no refinement_reasons": (_CODER + ("refinement_reasons",), _MISSING,
+                              "refinement_reasons is missing"),
+    "no refinement_events": (("refinement_events",), _MISSING, "refinement_events is missing"),
+    "no question_text": (("question_text",), _MISSING, "question_text is missing"),
+    "no context_centroid": (_CODER + ("context_centroid",), _MISSING, "context_centroid"),
+    # refused before the run-file checks moved into RunRecord.from_dict
+    "no Coder": (_CODER, _MISSING, r"trajectories lack \['Coder'\]"),
+    "unknown role": (("trajectories", "Tester"), {}, "Tester"),
+    "unknown status": (("status",), "done", "'done' is not a valid RunStatus"),
+    "metric missing": (("metrics", "conflict_rate"), _MISSING, "conflict_rate is missing"),
+    "metric extra": (("metrics", "bogus"), 1.0, "bogus"),
+    "metrics null": (("metrics",), None, "only a failed run may lack metrics"),
+    "run_index 0": (("run_index",), 0, "run_index is 1-based"),
+}
+
+
+@pytest.mark.parametrize("field_path, value, match", list(_BAD_FIELDS.values()),
+                         ids=list(_BAD_FIELDS))
+def test_payload_the_run_format_refuses_is_corrupt(tmp_path, capsys, caplog,
+                                                    field_path, value, match):
+    _check_only_victim_corrupt(tmp_path, capsys, caplog, field_path, value, match)
+
+
+def test_cell_whose_runs_disagree_on_dims_is_corrupt(tmp_path, capsys):
+    _persist_all([make_record(question_id="q2", run_index=run) for run in (1, 2)],
+                 tmp_path / "alone")
+    aggregate_csv(tmp_path / "alone")
+    root = tmp_path / "tree"
+    _persist_all([make_record(question_id=q, run_index=run)
+                  for q in ("q1", "q2") for run in (1, 2)], root)
+    cell = sorted((root / "runs").glob("*/q1/run?.json"))
+    payload = json.loads(cell[1].read_text())
+    for trajectory in payload["trajectories"].values():
+        for field in VECTOR_FIELDS:
+            if trajectory[field] is not None:
+                trajectory[field] = trajectory[field][:FACTORY_DIM - 1]
+    cell[1].write_text(canonical_json(payload) + "\n")
+    assert load_run(cell[1]).trajectory(AgentRole.CODER).output_embedding.dim == 7
+    result = aggregate_csv(root)
+    assert result.corrupt == cell
+    assert result.runs == 2
+    assert len(result.cells) == 1
+    for name in CSV_NAMES:
+        assert (root / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
+    capsys.readouterr()
+    assert cli_dispatch(["report", "--root", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"corrupt artifact skipped: {path}" in err for path in cell)
+    assert "runtime failure" not in err
 
 
 def test_cell_of_eleven_runs_is_read_in_run_order(tmp_path):
