@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -536,10 +536,25 @@ def run_static_checks(tree: CodeSyntaxTree, code: str,
                                 f"lines {start}-{end} not in the restricted grammar",
                                 (start, 1)))
 
+    findings.sort(key=_static_order)
+    return merge_external_lint(findings, code, external_linter_cmd)
+
+
+def _static_order(finding: Finding):
+    return finding.location or (0, 0), finding.rule_id
+
+
+def merge_external_lint(static: list[Finding] | tuple[Finding, ...], code: str,
+                        external_linter_cmd: str | None) -> list[Finding]:
+    """``static``, the sorted built-in static findings, with the external
+    linter's findings merged in by location and rule; the sort is stable, so
+    a linter finding follows the built-in ones it ties with. Without a
+    linter, a copy of ``static``."""
+    findings = list(static)
     if external_linter_cmd:
         findings.extend(run_external_hook(code, external_linter_cmd, Dimension.STATIC,
                                           "linter_unavailable"))
-    findings.sort(key=lambda f: (f.location or (0, 0), f.rule_id))
+        findings.sort(key=_static_order)
     return findings
 
 
@@ -776,6 +791,9 @@ class AnalyzerReport:
     def from_dict(cls, d: dict) -> "AnalyzerReport":
         findings = tuple(Finding.from_dict(f) for f in d["findings"])
         passes = {Dimension(k): v for k, v in d["passes"].items()}
+        missing = [dim.value for dim in Dimension if dim not in passes]
+        if missing:
+            raise ValidationError(f"analyzer_report passes lack {missing}")
         return cls(findings, passes, d["penalty_score"])
 
 

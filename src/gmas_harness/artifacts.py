@@ -39,7 +39,7 @@ import numpy as np
 
 from .embeddings import EmbeddingVector
 from .errors import ValidationError
-from .records import VECTOR_FIELDS, RunRecord, SCHEMA_VERSION, is_number_list
+from .records import VECTOR_FIELDS, RunRecord, SCHEMA_VERSION, number_vector
 
 
 def _fmt_float(value: float) -> str:
@@ -187,7 +187,7 @@ class VectorMemo:
 
     def get(self, text: str) -> EmbeddingVector | None:
         """The vector ``EmbeddingVector.from_list(json.loads(text))``, or None
-        when ``text`` is not a JSON array of one or more numbers."""
+        when ``text`` is not a JSON array of one or more finite numbers."""
         key = hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
         vector = self._vectors.get(key)
         if vector is not None:
@@ -197,9 +197,10 @@ class VectorMemo:
             values = json.loads(text)
         except (ValueError, RecursionError):
             return None
-        if type(values) is not list or not values or not is_number_list(values):
+        vector = number_vector(values) if type(values) is list and values else None
+        if vector is None:
             return None
-        vector = self._vectors[key] = EmbeddingVector.from_list(values)
+        self._vectors[key] = vector
         if len(self._vectors) > VECTOR_MEMO_SIZE:
             self._vectors.popitem(last=False)
         return vector

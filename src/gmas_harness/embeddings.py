@@ -9,7 +9,6 @@ harness has an offline oracle that is a pure function of its input text.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -69,13 +68,18 @@ class EmbeddingVector:
         return cls(values)
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _token_feature(token: str, dim: int) -> tuple[int, int]:
-    """(bucket, sign) of a token, from two independent keyed hashes."""
+# Tokens whose codes an embedder keeps; past this many it starts over, so a
+# live grid's open vocabulary cannot grow the table without bound.
+_CODE_TABLE_SIZE = 1 << 16
+
+
+def _token_code(token: str, dim: int) -> int:
+    """A token's bucket, plus ``dim`` when its sign is negative; the bucket
+    and the sign come from two independent keyed hashes."""
     data = token.encode("utf-8")
     bucket = hashlib.blake2b(data, digest_size=8, key=b"bucket").digest()
     sign = hashlib.blake2b(data, digest_size=1, key=b"sign").digest()
-    return int.from_bytes(bucket, "big") % dim, 1 if sign[0] % 2 == 0 else -1
+    return int.from_bytes(bucket, "big") % dim + (0 if sign[0] % 2 == 0 else dim)
 
 
 class DeterministicEmbedder:
@@ -85,14 +89,30 @@ class DeterministicEmbedder:
         if dim < 1:
             raise ValueError(f"embedding dimension must be positive, got {dim}")
         self.dim = dim
+        self._codes: dict[str, int] = {}  # token -> _token_code(token, dim)
+
+    def _token_codes(self, tokens: list[str]) -> list[int]:
+        codes = self._codes
+        try:
+            return [codes[token] for token in tokens]
+        except KeyError:
+            if len(codes) > _CODE_TABLE_SIZE:
+                codes.clear()
+            out = []
+            for token in tokens:  # reads each code once, so a clear by another thread is safe
+                code = codes.get(token)
+                if code is None:
+                    code = codes[token] = _token_code(token, self.dim)
+                out.append(code)
+            return out
 
     def embed(self, text: str) -> EmbeddingVector:
-        features = [_token_feature(token, self.dim) for token in tokenize(text)]
-        if not features:
+        tokens = tokenize(text)
+        if not tokens:
             return EmbeddingVector(np.zeros(self.dim, dtype=np.float64))
-        buckets, signs = zip(*features)
-        # sums of +-1 are exact in float64, so the summation order is irrelevant
-        vec = np.bincount(buckets, weights=signs, minlength=self.dim)
+        counts = np.bincount(self._token_codes(tokens), minlength=2 * self.dim)
+        # integer counts, so the float64 difference is exactly the sum of the signs
+        vec = np.subtract(counts[:self.dim], counts[self.dim:], dtype=np.float64)
         norm = np.linalg.norm(vec)
         if norm > 0.0:
             vec = vec / norm
@@ -100,7 +120,7 @@ class DeterministicEmbedder:
 
     def token_bucket(self, token: str) -> int:
         """Bucket index a single token hashes to (inspection aid for tests)."""
-        return _token_feature(token, self.dim)[0]
+        return _token_code(token, self.dim) % self.dim
 
 
 def deterministic_embed(text: str, dim: int = DEFAULT_DIM) -> EmbeddingVector:

@@ -12,6 +12,7 @@ holds the records of the cells in flight, not of the whole grid.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import re
 import threading
@@ -22,8 +23,8 @@ from typing import NamedTuple
 
 from .analyzer import (AnalyzerReport, DEFAULT_SEVERITY_WEIGHTS, Dimension, Finding,
                        PolicyRuleSet, SEVERITY_RANK, Severity, build_report,
-                       enforce_policy, formal_lite_check, parse_code,
-                       run_external_hook, run_static_checks)
+                       enforce_policy, formal_lite_check, merge_external_lint,
+                       parse_code, run_external_hook, run_static_checks)
 from .backends import Backend, GenerationRequest
 from .embeddings import EmbeddingVector, centroid
 from .errors import ConfigurationError, GmasError, PlanSyntaxError
@@ -406,7 +407,12 @@ def route_refinement(report: AnalyzerReport, alignment_ok: bool) -> AgentRole:
 
 @dataclass
 class ExperimentEnv:
-    """Constructed dependencies shared by every run of one experiment."""
+    """Constructed dependencies shared by every run of one experiment.
+
+    The fields are fixed once runs start: the Analyzer's verdict on a
+    (plan, code) pair is computed once for the life of the env, which is
+    one experiment. ``dataclasses.replace`` gives an env with no verdicts.
+    """
 
     config: RunConfig
     backend: Backend
@@ -416,6 +422,7 @@ class ExperimentEnv:
     policy_rules: PolicyRuleSet
     experiment_id: str = "exp-local"
     severity_weights: dict = field(default_factory=lambda: dict(DEFAULT_SEVERITY_WEIGHTS))
+    _verdicts: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
 
 
 def _stub_trajectory(role: AgentRole, backend: Backend, note: str) -> Trajectory:
@@ -442,32 +449,66 @@ def _failure_reason(report: AnalyzerReport, alignment_ok: bool, hard_ok: bool,
     return "; ".join(parts)
 
 
-def _analyze(plan: AllocationPlan, code: CodeArtifact,
-             env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None]:
-    """The Analyzer's report on a plan and its code, and the plan's KPI dict."""
-    cfg = env.config
-    tree = parse_code(code.code)
-    findings = list(run_static_checks(tree, code.code, cfg.external_linter_cmd))
-    findings.extend(enforce_policy(tree, env.policy_rules))
-    findings.extend(formal_lite_check(tree, code.code))
+@dataclass(frozen=True)
+class _Verdict:
+    """What the Analyzer finds from a plan text and a code text alone. One
+    verdict serves every run of the experiment that analyzes the same pair,
+    so neither it nor its ``kpi`` dict is ever mutated."""
+
+    static: tuple[Finding, ...]    # built-in static findings, sorted
+    findings: tuple[Finding, ...]  # policy, formal, then the plan's findings
+    kpi: dict | None
+
+
+_RUNTIME_SKIPPED = Finding(Dimension.RUNTIME, "runtime_skipped", Severity.INFO,
+                           "no external sandbox configured; generated code not executed")
+
+
+def _pair_key(plan_text: str, code_text: str) -> bytes:
+    """16-byte digest of a (plan, code) pair. The length prefix keeps the
+    split between the texts unambiguous; ``surrogatepass`` admits the lone
+    surrogates a live reply's JSON may decode to."""
+    text = f"{len(plan_text)}\0{plan_text}\0{code_text}"
+    return hashlib.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+
+
+def _verdict(plan_text: str, code_text: str, env: ExperimentEnv) -> _Verdict:
+    tree = parse_code(code_text)
+    findings = enforce_policy(tree, env.policy_rules)
+    findings.extend(formal_lite_check(tree, code_text))
     kpi_dict = None
     try:
-        parsed_plan = parse_plan(plan.pseudo_code)
+        parsed_plan = parse_plan(plan_text)
     except PlanSyntaxError as exc:
         findings.extend(plan_findings_for_syntax_error(exc))
     else:
         threshold_findings, kpi_report = check_thresholds(
-            execute_plan(parsed_plan, env.network), cfg.thresholds.kpi())
+            execute_plan(parsed_plan, env.network), env.config.thresholds.kpi())
         findings.extend(kpi_report.findings)
         findings.extend(threshold_findings)
         kpi_dict = kpi_report.to_dict()
+    return _Verdict(tuple(run_static_checks(tree, code_text)), tuple(findings), kpi_dict)
+
+
+def _analyze(plan: AllocationPlan, code: CodeArtifact,
+             env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None]:
+    """The Analyzer's report on a plan and its code, and the plan's KPI dict.
+
+    The built-in findings come from the experiment's verdict on the pair.
+    The external linter and sandbox hooks run on every call, so a transient
+    hook failure is never replayed into another run.
+    """
+    cfg = env.config
+    verdict = env._verdicts.get(_pair_key(plan.pseudo_code, code.code),
+                                lambda: _verdict(plan.pseudo_code, code.code, env))
+    findings = merge_external_lint(verdict.static, code.code, cfg.external_linter_cmd)
+    findings.extend(verdict.findings)
     if cfg.external_sandbox_cmd:
         findings.extend(run_external_hook(code.code, cfg.external_sandbox_cmd,
                                           Dimension.RUNTIME, "sandbox_unavailable"))
     else:
-        findings.append(Finding(Dimension.RUNTIME, "runtime_skipped", Severity.INFO,
-                                "no external sandbox configured; generated code not executed"))
-    return build_report(findings, env.severity_weights), kpi_dict
+        findings.append(_RUNTIME_SKIPPED)
+    return build_report(findings, env.severity_weights), verdict.kpi
 
 
 def execute_run(question: Question, persona_set: PersonaSet, run_index: int,

@@ -4,9 +4,12 @@ and the one definition of the run-file format: ``RunRecord.to_dict`` writes it,
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
+
+import numpy as np
 
 from .analyzer import AnalyzerReport
 from .embeddings import EmbeddingVector
@@ -61,9 +64,21 @@ class CodeArtifact:
             raise ValueError("code artifact must be non-empty")
 
 
-def is_number_list(values: list) -> bool:
-    """Whether every item is a JSON number (``bool`` is not one)."""
-    return set(map(type, values)) <= {int, float}
+def number_vector(values: list) -> EmbeddingVector | None:
+    """The vector of a decoded JSON list, or None unless every item is a JSON
+    number (``bool`` is not one) that is a finite float64, which the ``NaN``
+    and ``Infinity`` tokens ``json.loads`` accepts and an integer too large
+    for a float are not."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        vector = EmbeddingVector.from_list(values)
+    except OverflowError:
+        return None
+    # a finite norm proves every value finite; an infinite one may be overflow
+    if math.isfinite(vector.norm) or np.isfinite(vector.values).all():
+        return vector
+    return None
 
 
 def _field(d: dict, key: str, *kinds: type):
@@ -80,15 +95,16 @@ def _field(d: dict, key: str, *kinds: type):
 
 
 def _vector(d: dict, key: str) -> EmbeddingVector:
-    """The embedding field ``key`` of a payload: a flat list of numbers, or
+    """The embedding field ``key`` of a payload: a flat list of finite numbers, or
     the vector already built from one (``to_dict`` gives these, and
     ``artifacts.load_run`` builds each distinct one once)."""
     value = d[key]
     if isinstance(value, EmbeddingVector):
         return value
-    if type(value) is not list or not is_number_list(value):
-        raise ValidationError(f"{key} {value!r:.40} is not a flat list of numbers")
-    return EmbeddingVector.from_list(value)
+    vector = number_vector(value) if type(value) is list else None
+    if vector is None:
+        raise ValidationError(f"{key} {value!r:.40} is not a flat list of finite numbers")
+    return vector
 
 
 # The embedding fields of a trajectory; all of a record's vectors share one length.
@@ -309,6 +325,10 @@ class RunRecord:
             raise ValidationError(f"trajectories lack {missing}")
         trajectories = {AgentRole(k): Trajectory.from_dict(_field(raw, k, dict))
                         for k in raw}
+        for role, trajectory in trajectories.items():
+            if trajectory.role is not role:
+                raise ValidationError(f"trajectories.{role.value} holds the "
+                                      f"{trajectory.role.value} trajectory")
         dims = {vector.dim for t in trajectories.values()
                 for vector in (getattr(t, name) for name in VECTOR_FIELDS)
                 if vector is not None}

@@ -291,6 +291,18 @@ def test_loader_agrees_with_the_plain_decode_on_altered_text(sample_tree, tmp_pa
     assert _verdict(load_run, path) == plain
 
 
+@pytest.mark.parametrize("text, finite", [
+    ("[1e300,-1e300]", True),  # finite, though its norm overflows
+    ("[NaN,0]", False), ("[0,Infinity]", False), ("[-Infinity]", False),
+    ("[1" + "0" * 400 + "]", False)])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # that norm
+def test_vector_memo_decodes_finite_values_only(text, finite):
+    vector = VectorMemo().get(text)
+    assert (vector is not None) == finite
+    if finite:
+        assert vector.tolist() == json.loads(text)
+
+
 def test_nan_metric_rejected_with_validation_error(tmp_path):
     record = make_record(penalty=float("nan"))
     with pytest.raises(ValidationError):

@@ -3,17 +3,20 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+import json
 
 import pytest
 
 from gmas_harness import orchestrator
-from gmas_harness.analyzer import Dimension, Finding, Severity, build_report
+from gmas_harness.analyzer import (AnalyzerReport, Dimension, Finding, Severity,
+                                   build_report, enforce_policy, formal_lite_check,
+                                   parse_code, run_external_hook, run_static_checks)
 from gmas_harness.artifacts import (canonical_json, iter_run_files, load_run,
                                     persist_run, run_relpath)
 from gmas_harness.backends import (PROPOSE_MARKER, SELF_EVAL_MARKER, ScriptEntry,
                                    ScriptedBackend)
 from gmas_harness.embeddings import DeterministicEmbedder
-from gmas_harness.errors import TransportError
+from gmas_harness.errors import PlanSyntaxError, TransportError
 from gmas_harness.knowledge import SourceTag, build_graph, index_documents
 from gmas_harness.orchestrator import (MemoryEntry, MemoryStore, RunConfig, StoreSet,
                                        Thresholds,
@@ -22,6 +25,8 @@ from gmas_harness.orchestrator import (MemoryEntry, MemoryStore, RunConfig, Stor
                                        route_refinement, run_cell, run_grid,
                                        select_path)
 from gmas_harness.records import RunStatus, SolutionPath
+from gmas_harness.ricsim import (check_thresholds, execute_plan, parse_plan,
+                                 plan_findings_for_syntax_error)
 from gmas_harness.safety import overhead_from_events
 from gmas_harness.scenario import (AgentRole, PIPELINE_ORDER, enumerate_grid,
                                    generate_questions)
@@ -569,3 +574,102 @@ def test_grid_retrieves_once_per_question_and_role(make_env, registry, embedder,
     cached = _run_files(tmp_path / "cached")
     assert len(cached) == uncached
     assert cached == _run_files(tmp_path / "uncached")
+
+
+def _counting(calls, fn):
+    """``fn`` that first appends its arguments to ``calls``."""
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapper
+
+
+# an alignment threshold this high forces refinements, so runs revisit pairs
+REFINING = RunConfig(thresholds=Thresholds(alignment=0.55))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_grid_analyzes_once_per_distinct_plan_and_code(make_env, registry, monkeypatch,
+                                                       tmp_path, workers):
+    questions = generate_questions(2, seed=7)
+    sets = enumerate_grid(registry)[:3]
+    analyzed, parsed = [], []
+    monkeypatch.setattr(orchestrator, "_analyze", _counting(analyzed, orchestrator._analyze))
+    monkeypatch.setattr(orchestrator, "parse_code", _counting(parsed, orchestrator.parse_code))
+    env = make_env(config=REFINING)
+    run_grid(questions, sets, 2, env, workers=workers, out_root=tmp_path / "memo")
+
+    pairs = [(plan.pseudo_code, code.code) for plan, code, _ in analyzed]
+    assert len(parsed) == len(set(pairs)) < len(pairs)
+    assert sorted(code for code, in parsed) == sorted(code for _, code in set(pairs))
+
+    # the same grid with no verdict reused: a fresh env per run
+    for ps in sets:
+        for q in questions:
+            view = MemoryStore().view(ps.set_id)
+            for run_index in (1, 2):
+                record = execute_run(q, ps, run_index, dataclasses.replace(env), view)
+                view.record_run(record)
+                persist_run(record, tmp_path / "fresh")
+    memo = _run_files(tmp_path / "memo")
+    assert len(memo) == len(sets) * len(questions) * 2
+    assert memo == _run_files(tmp_path / "fresh")
+
+
+def _reference_report(plan_text: str, code_text: str, env) -> AnalyzerReport:
+    """The Analyzer's report with every rule pack and hook run afresh, its
+    findings in the order the Analyzer gives: static with the linter's,
+    policy, formal, the plan's, then the sandbox's."""
+    cfg = env.config
+    tree = parse_code(code_text)
+    findings = run_static_checks(tree, code_text)
+    findings += run_external_hook(code_text, cfg.external_linter_cmd, Dimension.STATIC,
+                                  "linter_unavailable")
+    findings.sort(key=lambda f: (f.location or (0, 0), f.rule_id))  # stable
+    findings += enforce_policy(tree, env.policy_rules)
+    findings += formal_lite_check(tree, code_text)
+    try:
+        plan = parse_plan(plan_text)
+    except PlanSyntaxError as exc:
+        findings += plan_findings_for_syntax_error(exc)
+    else:
+        threshold_findings, kpi = check_thresholds(execute_plan(plan, env.network),
+                                                   cfg.thresholds.kpi())
+        findings += kpi.findings
+        findings += threshold_findings
+    findings += run_external_hook(code_text, cfg.external_sandbox_cmd, Dimension.RUNTIME,
+                                  "sandbox_unavailable")
+    return build_report(findings, env.severity_weights)
+
+
+def test_hooks_run_every_analyzer_turn_and_keep_the_order_of_findings(
+        make_env, registry, monkeypatch, tmp_path):
+    log = tmp_path / "hooks.log"
+
+    def hook(name: str, findings: list[dict]) -> str:
+        script = tmp_path / f"{name}.sh"
+        script.write_text(f"echo {name} >> '{log}'\necho '{json.dumps(findings)}'\n")
+        return f"sh {script} {{file}}"
+
+    # a linter finding that ties a built-in one on location and rule follows it
+    linter = hook("linter", [{"rule_id": rule, "severity": "warning", "message": "probe",
+                              "line": line}
+                             for line in (1, 2, 3) for rule in ("unused_assignment", "a")])
+    sandbox = hook("sandbox", [{"rule_id": "sandbox_probe", "message": "observed"}])
+    analyzed = []
+    monkeypatch.setattr(orchestrator, "_analyze", _counting(analyzed, orchestrator._analyze))
+    env = make_env(config=dataclasses.replace(REFINING, external_linter_cmd=linter,
+                                              external_sandbox_cmd=sandbox))
+    questions = generate_questions(1, seed=7)
+    run_grid(questions, enumerate_grid(registry)[:2], 2, env, workers=2, out_root=tmp_path)
+
+    assert len(analyzed) > len({(p.pseudo_code, c.code) for p, c, _ in analyzed})
+    assert collections.Counter(log.read_text().split()) == \
+        {"linter": len(analyzed), "sandbox": len(analyzed)}
+    records = [load_run(path) for path in iter_run_files(tmp_path)]
+    assert len(records) == 4
+    for record in records:
+        report = record.analyzer_report
+        assert [f.rule_id for f in report.findings].count("a") == 3
+        assert report.findings[-1].rule_id == "sandbox_probe"
+        assert report == _reference_report(record.plan_text, record.code_text, env)

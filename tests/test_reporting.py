@@ -200,8 +200,13 @@ def _check_only_victim_corrupt(tmp_path, capsys, caplog, field_path, value, matc
 
 
 @pytest.mark.parametrize("embedding", [5, [[0.0] * FACTORY_DIM], "0.5",
-                                       [0.0] * (FACTORY_DIM - 1)],
-                         ids=["scalar", "nested", "string", "truncated"])
+                                       [0.0] * (FACTORY_DIM - 1),
+                                       [float("nan")] + [0.0] * (FACTORY_DIM - 1),
+                                       [0.0] * (FACTORY_DIM - 1) + [float("inf")],
+                                       [float("-inf")] + [0.0] * (FACTORY_DIM - 1),
+                                       [10 ** 400] + [0.0] * (FACTORY_DIM - 1)],
+                         ids=["scalar", "nested", "string", "truncated", "NaN",
+                              "Infinity", "-Infinity", "integer past float64"])
 def test_malformed_embedding_is_corrupt(tmp_path, capsys, caplog, embedding):
     _check_only_victim_corrupt(tmp_path, capsys, caplog,
                                ("trajectories", "Coder", "output_embedding"), embedding,
@@ -253,6 +258,12 @@ _BAD_FIELDS = {  # id: (field path, value, what the error names)
     "metric extra": (("metrics", "bogus"), 1.0, "bogus"),
     "metrics null": (("metrics",), None, "only a failed run may lack metrics"),
     "run_index 0": (("run_index",), 0, "run_index is 1-based"),
+    "role other than its key": (_CODER + ("role",), "Allocator",
+                                "trajectories.Coder holds the Allocator trajectory"),
+    "passes lack a dimension": (("analyzer_report",),
+                                {"findings": [], "penalty_score": 100.0,
+                                 "passes": {"static": True, "policy": True, "runtime": True}},
+                                r"passes lack \['formal'\]"),
 }
 
 
