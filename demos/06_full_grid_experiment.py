@@ -16,7 +16,7 @@ from pathlib import Path
 
 from gmas_harness import PersonaRegistry, enumerate_grid, summarize_cells
 from gmas_harness.config import build_env, load_experiment_config
-from gmas_harness.orchestrator import MemoryStore, run_grid
+from gmas_harness.orchestrator import run_grid
 from gmas_harness.reporting import aggregate_csv, emit_report
 from gmas_harness.scenario import load_questions
 
@@ -32,10 +32,9 @@ questions = load_questions(SAMPLE / "questions.json")[:2]
 persona_sets = enumerate_grid(PersonaRegistry.builtin())[:8]
 
 print(f"running {len(questions)} questions x {len(persona_sets)} sets x 3 runs...")
-memory = MemoryStore()
-# run_grid persists each record under OUT and returns one status entry per run
-entries = run_grid(questions, persona_sets, runs=3, env=env, workers=2,
-                   memory=memory, out_root=OUT)
+# run_grid persists each record and each cell's memory under OUT and returns
+# one status entry per run
+entries = run_grid(questions, persona_sets, runs=3, env=env, out_root=OUT, workers=2)
 print("statuses:", dict(Counter(entry.status.value for entry in entries)))
 
 # gmas report: read the tree one cell at a time, write the metric CSVs, keep

@@ -12,8 +12,8 @@ from .errors import (ConfigurationError, DimensionMismatchError, GmasError,
                      PlanSyntaxError, TransportError, ValidationError)
 from .knowledge import (ContextBundle, DocumentStore, KnowledgeGraph, build_graph,
                         index_documents, load_graph, retrieve_graph, retrieve_rag)
-from .orchestrator import (ExperimentEnv, MemoryStore, RunConfig, RunEntry, StoreSet,
-                           Thresholds, execute_run, memory_digest, propose_paths,
+from .orchestrator import (ExperimentEnv, RunConfig, RunEntry, StoreSet, Thresholds,
+                           execute_run, memory_digest, propose_paths,
                            route_refinement, run_grid, select_path)
 from .records import (AllocationPlan, CodeArtifact, RunMetrics, RunRecord,
                       RunStatus, SolutionPath, Trajectory)

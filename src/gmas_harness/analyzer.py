@@ -794,7 +794,14 @@ class AnalyzerReport:
         missing = [dim.value for dim in Dimension if dim not in passes]
         if missing:
             raise ValidationError(f"analyzer_report passes lack {missing}")
-        return cls(findings, passes, d["penalty_score"])
+        not_bool = [dim.value for dim, ok in passes.items() if type(ok) is not bool]
+        if not_bool:
+            raise ValidationError(f"analyzer_report passes {not_bool} are not booleans")
+        score = d["penalty_score"]
+        if type(score) not in (int, float) or not 0.0 <= score <= 100.0:
+            raise ValidationError(f"analyzer_report penalty_score {score!r:.40} "
+                                  "is not a number in [0, 100]")
+        return cls(findings, passes, score)
 
 
 def build_report(findings: list[Finding],

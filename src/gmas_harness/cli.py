@@ -13,12 +13,11 @@ import sys
 from pathlib import Path
 
 from .analyzer import PolicyRuleSet, build_report, enforce_policy, parse_code
-from .artifacts import (ExperimentManifest, FileRef, canonical_json,
-                        derive_experiment_id, run_relpath, write_atomic,
-                        write_manifest)
+from .artifacts import (ExperimentManifest, FileRef, derive_experiment_id,
+                        run_relpath, write_manifest)
 from .config import build_env, load_experiment_config, parse_thresholds
 from .errors import ConfigurationError, GmasError, PlanSyntaxError, ValidationError
-from .orchestrator import MemoryStore, run_cell, run_grid
+from .orchestrator import run_grid
 from .records import RunStatus
 from .reporting import aggregate_csv, emit_report
 from .ricsim import (KpiThresholds, SimulatedNetwork, check_thresholds, execute_plan,
@@ -154,6 +153,28 @@ def _write_grid_manifest(root: Path, experiment_id: str, config,
     write_manifest(manifest, root)
 
 
+def _run_experiment(args, config, registry, questions, persona_sets, grid_mode: str,
+                    workers: int):
+    """The grid of ``gmas grid`` and ``gmas run``: the manifest, then every
+    cell persisted under ``args.out``. Returns (experiment id, root, entries)."""
+    experiment_id = _experiment_id(config, Path(args.questions), args.personas,
+                                   args.runs, grid_mode)
+    env = build_env(config, experiment_id, registry)
+    try:
+        root = Path(args.out)
+        root.mkdir(parents=True, exist_ok=True)
+        _write_grid_manifest(root, experiment_id, config, Path(args.questions),
+                             args.personas, len(questions), len(persona_sets), args.runs)
+        entries = run_grid(questions, persona_sets, args.runs, env, root, workers=workers)
+    finally:
+        env.backend.close()
+    return experiment_id, root, entries
+
+
+def _failed(entries) -> int:
+    return sum(1 for entry in entries if entry.status is RunStatus.FAILED)
+
+
 def _cmd_grid(args) -> int:
     config = load_experiment_config(args.config)
     registry = load_registry_arg(args.personas)
@@ -162,24 +183,10 @@ def _cmd_grid(args) -> int:
     persona_sets = enumerate_grid(registry, mode=grid_mode)
     if args.max_sets:
         persona_sets = persona_sets[:args.max_sets]
-    runs = args.runs
     workers = args.workers if args.workers is not None else config.workers
-
-    experiment_id = _experiment_id(config, Path(args.questions), args.personas,
-                                   runs, grid_mode)
-    env = build_env(config, experiment_id, registry)
-    try:
-        root = Path(args.out)
-        root.mkdir(parents=True, exist_ok=True)
-        _write_grid_manifest(root, experiment_id, config, Path(args.questions),
-                             args.personas, len(questions), len(persona_sets), runs)
-        memory = MemoryStore()
-        entries = run_grid(questions, persona_sets, runs, env, workers=workers,
-                           memory=memory, out_root=root)
-    finally:
-        env.backend.close()
-    write_atomic(root / "memory.json", canonical_json(memory.to_dict()) + "\n")
-    failed = sum(1 for entry in entries if entry.status is RunStatus.FAILED)
+    experiment_id, root, entries = _run_experiment(args, config, registry, questions,
+                                                   persona_sets, grid_mode, workers)
+    failed = _failed(entries)
     print(f"{experiment_id}: {len(entries)} runs persisted under {root} "
           f"({failed} failed)")
     return EXIT_RUNTIME if failed else EXIT_OK
@@ -192,22 +199,13 @@ def _cmd_run(args) -> int:
     if args.question not in questions:
         raise ConfigurationError(f"question {args.question!r} not in {args.questions}")
     persona_set = PersonaSet.parse(args.set_id)
-    experiment_id = _experiment_id(config, Path(args.questions), args.personas,
-                                   args.runs, "single")
-    env = build_env(config, experiment_id, registry)
-    try:
-        root = Path(args.out)
-        root.mkdir(parents=True, exist_ok=True)
-        records = run_cell(questions[args.question], persona_set, args.runs, env,
-                           MemoryStore(), out_root=root)
-    finally:
-        env.backend.close()
-    for record in records:
-        path = root / run_relpath(record.persona_set_id, record.question_id,
-                                  record.run_index)
-        print(f"{record.status.value}: {path}")
-    failed = sum(1 for r in records if r.failed)
-    return EXIT_RUNTIME if failed else EXIT_OK
+    _, root, entries = _run_experiment(args, config, registry, [questions[args.question]],
+                                       [persona_set], "single", workers=1)
+    for entry in entries:
+        path = root / run_relpath(entry.persona_set_id, entry.question_id,
+                                  entry.run_index)
+        print(f"{entry.status.value}: {path}")
+    return EXIT_RUNTIME if _failed(entries) else EXIT_OK
 
 
 def _cmd_report(args) -> int:

@@ -3,11 +3,13 @@ Coder translates, Analyzer verdicts route targeted refinement.
 
 One run's stages are sequential. Within the Planner's turn the k
 self-evaluations depend only on its first reply, so they go to the backend
-as one batch, which a live backend sends at once. The grid runner may
-execute distinct (question, persona set) cells concurrently; runs within a
-cell are sequential so run r+1 can read the episodic memory of run r.
-``run_grid`` persists each record and returns only its status, so a grid
-holds the records of the cells in flight, not of the whole grid.
+as one batch, which a live backend sends at once. Each (question, persona
+set) cell owns its episodic memory: its runs are sequential, and run r+1
+reads the memory of runs 1..r of that cell and nothing else. Cells thus
+share no mutable state, and the grid runner may execute distinct cells
+concurrently. ``run_cell`` persists each record and returns only its
+status, so a grid holds the records of the cells in flight, not of the
+whole grid.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 from .analyzer import (AnalyzerReport, DEFAULT_SEVERITY_WEIGHTS, Dimension, Finding,
@@ -55,6 +57,7 @@ class Thresholds:
                      "max_latency_ms"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"threshold {name} must be non-negative")
+        self.kpi()  # refuses what every Analyzer turn would refuse
 
     def kpi(self) -> KpiThresholds:
         return KpiThresholds(min_throughput_ratio=self.min_throughput_ratio,
@@ -132,62 +135,8 @@ class MemoryEntry:
     refinement_reasons: tuple[str, ...] = ()
 
 
-class MemoryStore:
-    """Episodic memory for one experiment.
-
-    Entries are partitioned per persona set (views) and keyed by
-    (question, role), so concurrent cells never perturb each other's
-    digests and artifact bytes stay schedule-independent.
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple[str, str, str], list[MemoryEntry]] = {}
-        self._lock = threading.Lock()
-
-    def view(self, set_id: str) -> "MemoryView":
-        return MemoryView(self, set_id)
-
-    def record(self, set_id: str, question_id: str, role: AgentRole,
-               entry: MemoryEntry) -> None:
-        key = (set_id, question_id, role.value)
-        with self._lock:
-            self._entries.setdefault(key, []).append(entry)
-
-    def entries(self, set_id: str, question_id: str, role: AgentRole) -> list[MemoryEntry]:
-        with self._lock:
-            return list(self._entries.get((set_id, question_id, role.value), []))
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            out = {}
-            for (set_id, question_id, role), entries in sorted(self._entries.items()):
-                out.setdefault(set_id, {}).setdefault(question_id, {})[role] = [
-                    {"run_index": e.run_index, "thought_summary": e.thought_summary,
-                     "refinement_reasons": list(e.refinement_reasons)}
-                    for e in entries]
-            return out
-
-
-@dataclass(frozen=True)
-class MemoryView:
-    store: MemoryStore
-    set_id: str
-
-    def record_run(self, record: RunRecord) -> None:
-        for role in PIPELINE_ORDER:
-            traj = record.trajectory(role)
-            self.store.record(self.set_id, record.question_id, role,
-                              MemoryEntry(record.run_index, traj.thought_summary,
-                                          traj.refinement_reasons))
-
-    def entries(self, question_id: str, role: AgentRole) -> list[MemoryEntry]:
-        return self.store.entries(self.set_id, question_id, role)
-
-
-def memory_digest(memory: MemoryView, role: AgentRole, question_id: str,
-                  budget_chars: int = 1200) -> str:
+def memory_digest(entries: list[MemoryEntry], budget_chars: int = 1200) -> str:
     """Most recent trajectories first, truncated at a char boundary with '...'."""
-    entries = memory.entries(question_id, role)
     if not entries:
         return ""
     lines = []
@@ -512,8 +461,12 @@ def _analyze(plan: AllocationPlan, code: CodeArtifact,
 
 
 def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
-                env: ExperimentEnv, memory: MemoryView) -> RunRecord:
+                env: ExperimentEnv,
+                memory: dict[AgentRole, list[MemoryEntry]]) -> RunRecord:
     """One full pipeline pass with the targeted refinement loop.
+
+    ``memory`` holds each role's entries from the earlier runs of the cell;
+    a role without entries has an empty digest.
 
     A refinement re-runs the routed role and every later stage. Backend
     hard failures are recorded as status=failed, not raised past the run
@@ -527,7 +480,7 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
     bundles = {role: env.stores.retrieve(role, question.text, cfg.top_k,
                                          cfg.hop_expand, backend)
                for role in PIPELINE_ORDER}
-    digests = {role: memory_digest(memory, role, question.id, cfg.memory_budget_chars)
+    digests = {role: memory_digest(memory.get(role, ()), cfg.memory_budget_chars)
                for role in PIPELINE_ORDER}
     feedback: dict[AgentRole, list[str]] = {role: [] for role in PIPELINE_ORDER}
     trajectories: dict[AgentRole, Trajectory] = {}
@@ -664,30 +617,9 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
 
 # ── grid runner ──────────────────────────────────────────────────────────────
 
-def run_cell(question: Question, persona_set: PersonaSet, runs: int,
-             env: ExperimentEnv, memory: MemoryStore,
-             out_root=None) -> list[RunRecord]:
-    """Execute runs 1..R sequentially for one (question, persona set) cell.
-
-    With out_root set, each record is persisted as it completes, with the
-    wall-clock duration recorded in the sidecar (never in the artifact).
-    """
-    from .artifacts import persist_run  # local import: artifacts depends on records only
-    view = memory.view(persona_set.set_id)
-    records = []
-    for run_index in range(1, runs + 1):
-        started = time.monotonic()
-        record = execute_run(question, persona_set, run_index, env, view)
-        view.record_run(record)
-        if out_root is not None:
-            persist_run(record, out_root,
-                        duration_s=round(time.monotonic() - started, 6))
-        records.append(record)
-    return records
-
-
 class RunEntry(NamedTuple):
-    """What ``run_grid`` returns for one run; the record itself is persisted."""
+    """What ``run_cell`` and ``run_grid`` return for one run; the record
+    itself is persisted."""
 
     persona_set_id: str
     question_id: str
@@ -695,44 +627,65 @@ class RunEntry(NamedTuple):
     status: RunStatus
 
 
-def _run_cell_entries(question: Question, persona_set: PersonaSet, runs: int,
-                      env: ExperimentEnv, memory: MemoryStore,
-                      out_root) -> list[RunEntry]:
-    """One cell through ``run_cell``; its records die when this returns."""
-    return [RunEntry(r.persona_set_id, r.question_id, r.run_index, r.status)
-            for r in run_cell(question, persona_set, runs, env, memory, out_root)]
+def run_cell(question: Question, persona_set: PersonaSet, runs: int,
+             env: ExperimentEnv, out_root) -> tuple[list[RunEntry], dict]:
+    """Execute runs 1..R sequentially for one (question, persona set) cell.
+
+    Run r reads the memory of runs 1..r-1 of this cell and nothing else.
+    Each record is persisted under out_root as it completes, with the
+    wall-clock duration in the sidecar (never in the artifact), and is not
+    kept. Returns the cell's entries and its ``memory.json`` fragment, the
+    entries of each role by role name.
+    """
+    from .artifacts import persist_run  # local import: artifacts depends on records only
+    memory: dict[AgentRole, list[MemoryEntry]] = {role: [] for role in PIPELINE_ORDER}
+    entries = []
+    for run_index in range(1, runs + 1):
+        started = time.monotonic()
+        record = execute_run(question, persona_set, run_index, env, memory)
+        persist_run(record, out_root, duration_s=round(time.monotonic() - started, 6))
+        for role in PIPELINE_ORDER:
+            traj = record.trajectory(role)
+            memory[role].append(MemoryEntry(run_index, traj.thought_summary,
+                                            traj.refinement_reasons))
+        entries.append(RunEntry(record.persona_set_id, record.question_id, run_index,
+                                record.status))
+    fragment = {role.value: [{"run_index": e.run_index, "thought_summary": e.thought_summary,
+                              "refinement_reasons": list(e.refinement_reasons)}
+                             for e in role_entries]
+                for role, role_entries in memory.items()}
+    return entries, fragment
 
 
 def run_grid(questions: list[Question], persona_sets: list[PersonaSet], runs: int,
-             env: ExperimentEnv, workers: int = 1,
-             memory: MemoryStore | None = None,
-             out_root=None) -> list[RunEntry]:
+             env: ExperimentEnv, out_root, workers: int = 1) -> list[RunEntry]:
     """All cells of the (question x persona set) matrix, runs-per-cell sequential.
 
     Returns one ``RunEntry`` per run, sorted by (set, question, run). The
-    records are persisted under out_root when it is given and never
-    returned, so only the records of the cells in flight are alive, at most
-    ``workers`` x ``runs``. Callers that need records use ``run_cell`` or
-    load the persisted tree.
+    records are persisted under out_root and never returned, so only the
+    records of the cells in flight are alive. The cells' memory fragments
+    are written to ``out_root/memory.json``, keyed by set and question.
 
     Distinct cells may run on concurrent workers; artifacts are identical
-    regardless of scheduling because memory is cell-partitioned, cell
+    regardless of scheduling because each cell owns its memory, cell
     writers own disjoint paths, and every backend here is a pure function
     of its inputs.
     """
+    from .artifacts import canonical_json, write_atomic
     if runs < 1:
         raise ConfigurationError("runs must be >= 1")
-    memory = memory if memory is not None else MemoryStore()
     cells = [(ps, q) for ps in persona_sets for q in questions]
-    entries: list[RunEntry] = []
     if workers <= 1:
-        for ps, q in cells:
-            entries.extend(_run_cell_entries(q, ps, runs, env, memory, out_root))
+        results = [run_cell(q, ps, runs, env, out_root) for ps, q in cells]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell_entries, q, ps, runs, env, memory, out_root)
-                       for ps, q in cells]
-            for future in futures:
-                entries.extend(future.result())
+            futures = [pool.submit(run_cell, q, ps, runs, env, out_root) for ps, q in cells]
+            results = [future.result() for future in futures]
+    entries: list[RunEntry] = []
+    memory: dict[str, dict[str, dict]] = {}
+    for (ps, q), (cell_entries, fragment) in zip(cells, results):
+        entries.extend(cell_entries)
+        memory.setdefault(ps.set_id, {})[q.id] = fragment
+    write_atomic(Path(out_root) / "memory.json", canonical_json(memory) + "\n")
     entries.sort()
     return entries

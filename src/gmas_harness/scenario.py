@@ -151,10 +151,6 @@ class PersonaSet:
         if roles != PIPELINE_ORDER:
             raise ValueError("assignment must cover exactly the five roles in pipeline order")
 
-    @classmethod
-    def from_mapping(cls, mapping: dict[AgentRole, str]) -> "PersonaSet":
-        return cls(tuple((role, mapping[role]) for role in PIPELINE_ORDER))
-
     def persona_id(self, role: AgentRole) -> str:
         return dict(self.assignment)[role]
 

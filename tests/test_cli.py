@@ -229,6 +229,39 @@ def test_run_single_cell(workspace, capsys):
     assert len(produced) == 1
 
 
+def test_report_on_a_run_tree_uses_the_manifest_threshold(workspace, capsys):
+    config = json.loads((workspace / "experiment.json").read_text())
+    config["thresholds"] = {"drift": 0.0}
+    (workspace / "experiment.json").write_text(json.dumps(config))
+    out_dir = workspace / "single"
+    assert cli_dispatch([
+        "run", "--question", "q1", "--set", SET_ALL_DEFAULT, "--runs", "3",
+        "--questions", str(workspace / "questions.json"),
+        "--config", str(workspace / "experiment.json"),
+        "--out", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "experiment.json").read_text())
+    assert manifest["dimensions"] == {"questions": 1, "persona_sets": 1, "runs": 3}
+    memory = json.loads((out_dir / "memory.json").read_text())
+    assert [e["run_index"] for e in memory[SET_ALL_DEFAULT]["q1"]["Coder"]] == [1, 2, 3]
+    assert cli_dispatch(["report", "--root", str(out_dir)]) == 0
+    report = (out_dir / "report" / "report.md").read_text()
+    drift = (out_dir / "drift.csv").read_text().splitlines()[1:]
+    moved = sum(1 for row in drift if row.endswith(",Coder") and row.split(",")[5] != "0")
+    assert f"{moved} of 2 Coder transitions above tau_d 0\n" in report
+
+
+@pytest.mark.parametrize("threshold", ["min_throughput_ratio", "max_latency_ms"])
+def test_grid_with_a_zero_kpi_threshold_exits_1_before_any_run(workspace, capsys,
+                                                               threshold):
+    config = json.loads((workspace / "experiment.json").read_text())
+    config["thresholds"] = {threshold: 0}
+    (workspace / "experiment.json").write_text(json.dumps(config))
+    out_dir = workspace / "artifacts"
+    assert cli_dispatch(_grid_args(workspace, out_dir)) == 1
+    assert "KPI thresholds must be positive" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_unknown_question_exits_1(workspace, capsys):
     code = cli_dispatch([
         "run", "--question", "nope", "--set", SET_ALL_DEFAULT,

@@ -18,8 +18,7 @@ from gmas_harness.backends import (PROPOSE_MARKER, SELF_EVAL_MARKER, ScriptEntry
 from gmas_harness.embeddings import DeterministicEmbedder
 from gmas_harness.errors import PlanSyntaxError, TransportError
 from gmas_harness.knowledge import SourceTag, build_graph, index_documents
-from gmas_harness.orchestrator import (MemoryEntry, MemoryStore, RunConfig, StoreSet,
-                                       Thresholds,
+from gmas_harness.orchestrator import (MemoryEntry, RunConfig, StoreSet, Thresholds,
                                        execute_run, memory_digest, parse_path_blocks,
                                        parse_self_eval, propose_paths,
                                        route_refinement, run_cell, run_grid,
@@ -209,35 +208,41 @@ def test_routing_precedence_exhaustive_over_all_flag_combinations():
 # ── memory ───────────────────────────────────────────────────────────────────
 
 def test_empty_memory_digest_is_empty():
-    memory = MemoryStore().view("set-a")
-    assert memory_digest(memory, AgentRole.CODER, "q1", 1200) == ""
+    assert memory_digest([], 1200) == ""
 
 
 def test_digest_newest_first():
-    store = MemoryStore()
-    view = store.view("set-a")
-    store.record("set-a", "q1", AgentRole.CODER, MemoryEntry(1, "first summary"))
-    store.record("set-a", "q1", AgentRole.CODER, MemoryEntry(2, "second summary"))
-    digest = memory_digest(view, AgentRole.CODER, "q1", 1200)
+    digest = memory_digest([MemoryEntry(1, "first summary"), MemoryEntry(2, "second summary")],
+                           1200)
     assert digest.index("second summary") < digest.index("first summary")
     assert digest.startswith("[run 2]")
 
 
 def test_digest_truncates_with_ellipsis_marker():
-    store = MemoryStore()
-    view = store.view("set-a")
-    store.record("set-a", "q1", AgentRole.CODER, MemoryEntry(1, "x" * 500))
-    digest = memory_digest(view, AgentRole.CODER, "q1", budget_chars=50)
+    digest = memory_digest([MemoryEntry(1, "x" * 500)], budget_chars=50)
     assert len(digest) == 50
     assert digest.endswith("...")
 
 
-def test_memory_partitioned_by_set_and_question():
-    store = MemoryStore()
-    store.record("set-a", "q1", AgentRole.CODER, MemoryEntry(1, "alpha"))
-    assert memory_digest(store.view("set-b"), AgentRole.CODER, "q1", 100) == ""
-    assert memory_digest(store.view("set-a"), AgentRole.CODER, "q2", 100) == ""
-    assert "alpha" in memory_digest(store.view("set-a"), AgentRole.CODER, "q1", 100)
+def _memory_block(prompt: str) -> str:
+    """The memory digest a prompt carries, "(none)" when it carries none."""
+    return prompt.split("\nMemory:\n", 1)[1].split("\n\nTask:\n", 1)[0]
+
+
+def test_memory_partitioned_by_set_and_question(make_env, registry, tmp_path):
+    questions = generate_questions(2, seed=7)
+    run_grid(questions, enumerate_grid(registry)[:2], 2, make_env(), tmp_path)
+    records = {(r.persona_set_id, r.question_id, r.run_index): r
+               for r in map(load_run, iter_run_files(tmp_path))}
+    assert len(records) == 2 * 2 * 2
+    for (set_id, question_id, run_index), record in records.items():
+        memory = _memory_block(record.trajectory(AgentRole.PLANNER).prompt)
+        if run_index == 1:
+            assert memory == "(none)"
+            continue
+        first = records[(set_id, question_id, 1)].trajectory(AgentRole.PLANNER)
+        (line,) = memory.splitlines()
+        assert line.startswith(f"[run 1] {first.thought_summary}")
 
 
 # ── execute_run scenarios ────────────────────────────────────────────────────
@@ -248,8 +253,7 @@ def _first_set(registry):
 
 def test_happy_path_completes_without_refinement(make_env, registry, questions):
     env = make_env()
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert record.status is RunStatus.COMPLETED
     assert record.refinement_events == ()
     assert record.metrics.coordination_overhead == 4.0
@@ -268,8 +272,7 @@ def test_policy_violation_then_clean_yields_one_refinement(make_env, registry,
                                                            questions):
     backend = ScriptedBackend(script=_coder_script(), fallback_seed=42, dim=TEST_DIM)
     env = make_env(backend=backend)
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert record.status is RunStatus.COMPLETED
     assert len(record.refinement_events) == 1
     assert record.refinement_events[0].routed_role is AgentRole.CODER
@@ -286,8 +289,7 @@ def test_always_failing_code_exhausts_budget(make_env, registry, questions):
         fallback_seed=42, dim=TEST_DIM)
     env = make_env(backend=backend,
                    config=RunConfig(max_refinement_depth=3))
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert record.status is RunStatus.BUDGET_EXHAUSTED
     assert len(record.refinement_events) == 3
     assert record.analyzer_report is not None  # last report retained
@@ -319,8 +321,7 @@ def test_alignment_failure_reruns_from_the_planner(make_env, registry, questions
     # no cosine reaches 1.01, so every pass fails alignment
     env = make_env(backend=backend, config=RunConfig(
         max_refinement_depth=2, thresholds=Thresholds(alignment=1.01)))
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert record.status is RunStatus.BUDGET_EXHAUSTED
     assert [e.routed_role for e in record.refinement_events] == [AgentRole.PLANNER] * 2
     # three passes, each one propose and three self-evals, then a plan and code
@@ -346,8 +347,7 @@ def test_runtime_failure_reruns_from_the_allocator(make_env, registry, questions
         ScriptEntry(response=OVER_CAPACITY_PLAN, role="Allocator"),
     ])
     env = make_env(backend=backend, config=RunConfig(tot_path_count=1))
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert record.status is RunStatus.COMPLETED
     assert [e.routed_role for e in record.refinement_events] == [AgentRole.ALLOCATOR]
     assert "capacity_exceeded" in record.refinement_events[0].reason
@@ -361,15 +361,13 @@ def test_runtime_failure_reruns_from_the_allocator(make_env, registry, questions
 
 def test_selected_path_always_among_proposed(make_env, registry, questions):
     env = make_env()
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert record.selected_path_id in {p.path_id for p in record.proposed_paths}
 
 
 def test_trajectory_input_embedding_matches_prompt(make_env, registry, questions):
     env = make_env()
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     for role in PIPELINE_ORDER:
         traj = record.trajectory(role)
         assert traj.prompt_embedding == env.backend.embed(traj.prompt)
@@ -378,10 +376,8 @@ def test_trajectory_input_embedding_matches_prompt(make_env, registry, questions
 
 def test_execute_run_byte_identical_across_executions(make_env, registry, questions):
     env = make_env()
-    a = execute_run(questions[0], _first_set(registry), 1, env,
-                    MemoryStore().view("x"))
-    b = execute_run(questions[0], _first_set(registry), 1, env,
-                    MemoryStore().view("x"))
+    a = execute_run(questions[0], _first_set(registry), 1, env, {})
+    b = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
 
 
@@ -402,8 +398,7 @@ class _FailingBackend:
 
 def test_backend_hard_failure_is_recorded_not_raised(make_env, registry, questions):
     env = make_env(backend=_FailingBackend())
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert record.status is RunStatus.FAILED
     assert record.metrics is None
     assert set(record.trajectories) == set(PIPELINE_ORDER)
@@ -412,8 +407,7 @@ def test_backend_hard_failure_is_recorded_not_raised(make_env, registry, questio
 def test_absent_sandbox_hook_yields_runtime_skipped_info(make_env, registry,
                                                          questions):
     env = make_env()
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     skipped = [f for f in record.analyzer_report.findings
                if f.rule_id == "runtime_skipped"]
     assert len(skipped) == 1
@@ -430,8 +424,7 @@ def test_configured_sandbox_hook_merges_runtime_findings(make_env, registry,
         " 'message': 'observed', 'line': 1}]))\n")
     env = make_env(config=RunConfig(
         external_sandbox_cmd=f"python3 {hook} {{file}}"))
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     probes = [f for f in record.analyzer_report.findings
               if f.rule_id == "sandbox_probe"]
     assert len(probes) == 1
@@ -443,8 +436,7 @@ def test_configured_sandbox_hook_merges_runtime_findings(make_env, registry,
 def test_crashing_sandbox_hook_is_warning_not_failure(make_env, registry,
                                                       questions):
     env = make_env(config=RunConfig(external_sandbox_cmd="false {file}"))
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert record.status in (RunStatus.COMPLETED, RunStatus.BUDGET_EXHAUSTED)
     assert any(f.rule_id == "sandbox_unavailable"
                for f in record.analyzer_report.findings)
@@ -456,8 +448,7 @@ def test_stores_feed_role_bound_context(make_env, registry, questions, embedder)
     graph = build_graph([("n1", "prb allocation", "grants to slices")], [], embedder)
     stores = StoreSet(document_store=store, graph=graph)
     env = make_env(stores=stores)
-    record = execute_run(questions[0], _first_set(registry), 1, env,
-                         MemoryStore().view("x"))
+    record = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert record.trajectory(AgentRole.PLANNER).context_items  # graph-bound
     assert record.trajectory(AgentRole.CODER).context_items    # rag-bound
     assert any(prov.startswith("graph:") for _, _, prov
@@ -466,13 +457,28 @@ def test_stores_feed_role_bound_context(make_env, registry, questions, embedder)
 
 # ── cell and grid running ────────────────────────────────────────────────────
 
-def test_second_run_sees_memory_of_first(make_env, registry, questions):
+def test_second_run_sees_memory_of_first(make_env, registry, questions, tmp_path):
     env = make_env()
-    records = run_cell(questions[0], _first_set(registry), 2, env, MemoryStore())
-    assert len(records) == 2
+    entries, memory = run_cell(questions[0], _first_set(registry), 2, env, tmp_path)
+    assert [entry.run_index for entry in entries] == [1, 2]
+    records = [load_run(path) for path in iter_run_files(tmp_path)]
     planner_prompt = records[1].trajectory(AgentRole.PLANNER).prompt
     assert "[run 1]" in planner_prompt
     assert "[run 1]" not in records[0].trajectory(AgentRole.PLANNER).prompt
+    assert sorted(memory) == sorted(role.value for role in PIPELINE_ORDER)
+    assert memory["Planner"] == [
+        {"run_index": r.run_index,
+         "thought_summary": r.trajectory(AgentRole.PLANNER).thought_summary,
+         "refinement_reasons": list(r.trajectory(AgentRole.PLANNER).refinement_reasons)}
+        for r in records]
+
+
+def _remember(memory: dict, record) -> None:
+    """Append a run's entries to its cell's memory, as ``run_cell`` does."""
+    for role in PIPELINE_ORDER:
+        trajectory = record.trajectory(role)
+        memory.setdefault(role, []).append(MemoryEntry(
+            record.run_index, trajectory.thought_summary, trajectory.refinement_reasons))
 
 
 def _run_files(root) -> dict:
@@ -501,11 +507,10 @@ def test_grid_deterministic_across_worker_counts(make_env, registry, tmp_path):
     env = make_env()
     trees, memories, entries = {}, {}, {}
     for workers in (1, 2, 4):
-        memory = MemoryStore()
         entries[workers] = run_grid(questions, sets, 2, env, workers=workers,
-                                    memory=memory, out_root=tmp_path / str(workers))
+                                    out_root=tmp_path / str(workers))
         trees[workers] = _run_files(tmp_path / str(workers))
-        memories[workers] = canonical_json(memory.to_dict())
+        memories[workers] = (tmp_path / str(workers) / "memory.json").read_bytes()
     assert len(trees[1]) == 4 * 2 * 2
     assert trees[2] == trees[1] and trees[4] == trees[1]
     assert memories[2] == memories[1] and memories[4] == memories[1]
@@ -523,7 +528,7 @@ def test_grid_holds_the_records_of_the_cells_in_flight(make_env, registry, monke
     entries = run_grid(questions, sets, runs, make_env(), workers=workers,
                        out_root=tmp_path)
     assert len(entries) == live.calls == 3 * 2 * runs
-    assert runs <= live.peak <= workers * runs
+    assert live.peak <= 2 * workers
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -561,13 +566,13 @@ def test_grid_retrieves_once_per_question_and_role(make_env, registry, embedder,
     uncached = 0
     for ps in sets:
         for q in questions:
-            view = MemoryStore().view(ps.set_id)
+            memory = {}
             for run_index in (1, 2):
                 fresh = dataclasses.replace(
                     env, stores=StoreSet(document_store=store, graph=graph),
                     backend=ScriptedBackend(fallback_seed=42, dim=TEST_DIM))
-                record = execute_run(q, ps, run_index, fresh, view)
-                view.record_run(record)
+                record = execute_run(q, ps, run_index, fresh, memory)
+                _remember(memory, record)
                 persist_run(record, tmp_path / "uncached")
                 uncached += 1
     assert len(calls) == len(expected) + uncached * len(PIPELINE_ORDER)
@@ -606,10 +611,10 @@ def test_grid_analyzes_once_per_distinct_plan_and_code(make_env, registry, monke
     # the same grid with no verdict reused: a fresh env per run
     for ps in sets:
         for q in questions:
-            view = MemoryStore().view(ps.set_id)
+            memory = {}
             for run_index in (1, 2):
-                record = execute_run(q, ps, run_index, dataclasses.replace(env), view)
-                view.record_run(record)
+                record = execute_run(q, ps, run_index, dataclasses.replace(env), memory)
+                _remember(memory, record)
                 persist_run(record, tmp_path / "fresh")
     memo = _run_files(tmp_path / "memo")
     assert len(memo) == len(sets) * len(questions) * 2

@@ -14,7 +14,7 @@ from gmas_harness.backends import ScriptedBackend
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.embeddings import EmbeddingVector
 from gmas_harness.errors import TransportError, ValidationError
-from gmas_harness.orchestrator import MemoryStore, run_cell
+from gmas_harness.orchestrator import run_cell
 from gmas_harness.records import VECTOR_FIELDS, RunRecord, RunStatus
 from gmas_harness.reporting import (CSV_NAMES, aggregate_csv, bar_chart_svg,
                                     emit_report, line_chart_svg)
@@ -215,6 +215,14 @@ def test_malformed_embedding_is_corrupt(tmp_path, capsys, caplog, embedding):
 
 _NAN = float("nan")
 _CODER = ("trajectories", "Coder")
+def _report(passes=(), penalty_score=100.0) -> dict:
+    """An ``analyzer_report`` payload that passes every dimension but those
+    overridden by ``passes``."""
+    return {"findings": [], "penalty_score": penalty_score,
+            "passes": {"static": True, "policy": True, "runtime": True, "formal": True,
+                       **dict(passes)}}
+
+
 _BAD_FIELDS = {  # id: (field path, value, what the error names)
     "penalty above 100": (("metrics", "penalty_score"), 150.0, r"penalty_score 150\.0 is outside"),
     "penalty below 0": (("metrics", "penalty_score"), -0.5, "penalty_score"),
@@ -264,6 +272,16 @@ _BAD_FIELDS = {  # id: (field path, value, what the error names)
                                 {"findings": [], "penalty_score": 100.0,
                                  "passes": {"static": True, "policy": True, "runtime": True}},
                                 r"passes lack \['formal'\]"),
+    "pass flag string": (("analyzer_report",), _report(passes={"static": "yes"}),
+                         r"passes \['static'\] are not booleans"),
+    "pass flag null": (("analyzer_report",), _report(passes={"runtime": None}),
+                       r"passes \['runtime'\] are not booleans"),
+    "report penalty string": (("analyzer_report",), _report(penalty_score="x"),
+                              "penalty_score 'x' is not a number in"),
+    "report penalty above 100": (("analyzer_report",), _report(penalty_score=150.0),
+                                 "penalty_score 150.0 is not a number in"),
+    "report penalty NaN": (("analyzer_report",), _report(penalty_score=_NAN),
+                           "penalty_score nan is not a number in"),
 }
 
 
@@ -514,8 +532,9 @@ class _CoderFailsInRun2(ScriptedBackend):
 def coder_fails_in_run2(make_env, registry, questions, tmp_path):
     """One cell x 3 runs, run 2 failed, persisted and reported by `gmas report`."""
     env = make_env(backend=_CoderFailsInRun2(fallback_seed=42, dim=TEST_DIM))
-    records = run_cell(questions[0], enumerate_grid(registry)[0], 3, env,
-                       MemoryStore(), out_root=tmp_path)
+    entries, _ = run_cell(questions[0], enumerate_grid(registry)[0], 3, env, tmp_path)
+    records = [load_run(path) for path in iter_run_files(tmp_path)]
+    assert [r.status for r in records] == [e.status for e in entries]
     assert [r.status is RunStatus.FAILED for r in records] == [False, True, False]
     assert cli_dispatch(["report", "--root", str(tmp_path)]) == 0
     return tmp_path, records
