@@ -3,7 +3,8 @@
 Canonical form: sorted keys, ASCII escapes, floats at 17 significant
 digits, trailing newline. Identical records serialize to byte-identical
 files, so reproducibility checks are plain byte comparisons. Timestamps
-live only in sidecar ``*.meta.json`` files, never in canonical artifacts.
+and durations live only in each cell's ``cell.meta.json`` sidecar, never
+in canonical artifacts.
 
 The encoder takes the record tree of ``RunRecord.to_dict``, in which
 embeddings are ``EmbeddingVector`` objects. Each vector is encoded as a
@@ -31,7 +32,6 @@ import re
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -139,13 +139,16 @@ def content_sha256(data: bytes | str) -> str:
 
 # ── run record persistence ───────────────────────────────────────────────────
 
+def cell_relpath(persona_set_id: str, question_id: str) -> Path:
+    return Path("runs") / persona_set_id / question_id
+
+
 def run_relpath(persona_set_id: str, question_id: str, run_index: int) -> Path:
-    return Path("runs") / persona_set_id / question_id / f"run{run_index}.json"
+    return cell_relpath(persona_set_id, question_id) / f"run{run_index}.json"
 
 
-def persist_run(record: RunRecord, root: str | Path,
-                duration_s: float | None = None) -> Path:
-    """Write the canonical artifact plus its timestamp/duration sidecar."""
+def persist_run(record: RunRecord, root: str | Path) -> Path:
+    """Write the canonical artifact, and nothing else; returns its path."""
     root = Path(root)
     path = root / run_relpath(record.persona_set_id, record.question_id,
                               record.run_index)
@@ -155,11 +158,15 @@ def persist_run(record: RunRecord, root: str | Path,
         raise ValidationError(f"record {path.name} rejected: {exc}")
     path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, text)
-    sidecar = path.with_name(path.stem + ".meta.json")
-    meta = {"written_at": datetime.now(timezone.utc).isoformat()}
-    if duration_s is not None:
-        meta["duration_s"] = duration_s
-    write_atomic(sidecar, json.dumps(meta) + "\n")
+    return path
+
+
+def persist_cell_meta(runs: list[dict], root: str | Path, persona_set_id: str,
+                      question_id: str) -> Path:
+    """Write a cell's timing sidecar, ``cell.meta.json`` next to its run
+    files: ``{"runs": runs}``, one entry per run, not canonical JSON."""
+    path = Path(root) / cell_relpath(persona_set_id, question_id) / "cell.meta.json"
+    write_atomic(path, json.dumps({"runs": runs}) + "\n")
     return path
 
 

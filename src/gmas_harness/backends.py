@@ -4,7 +4,9 @@ Two backends share one surface: a live OpenAI-compatible HTTP backend and
 a fully deterministic scripted backend for offline runs. Scripted lookups
 key on (role, prompt fingerprint, run index) with optional wildcards; a
 seeded fallback generator answers anything the script does not cover, so
-whole grid experiments can run hermetically.
+whole grid experiments can run hermetically. A scripted reply is a pure
+function of (role, run index, full prompt), so the scripted backend works
+out each distinct request's reply once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING, Protocol
 
 from .embeddings import DEFAULT_DIM, DeterministicEmbedder, EmbeddingVector
 from .errors import ConfigurationError, DimensionMismatchError, TransportError
-from .memo import Memo
+from .memo import Memo, text_key
 
 if TYPE_CHECKING:
     import http.client
@@ -134,8 +136,11 @@ def load_script(path: str | Path) -> list[ScriptEntry]:
 class ScriptedBackend:
     """Deterministic test double: script replay plus a seeded fallback generator.
 
-    Read-only after construction; safe to call from concurrent runs. With
-    ``fallback_seed=None`` a script miss raises ConfigurationError.
+    Read-only after construction; safe to call from concurrent runs. Every
+    request enters ``generate``, which works out the reply to each distinct
+    (role, run index, full prompt) once for the life of the backend. With
+    ``fallback_seed=None`` a script miss raises ConfigurationError, on every
+    call, since failures are never cached.
     """
 
     def __init__(self, script: list[ScriptEntry] | None = None,
@@ -144,6 +149,7 @@ class ScriptedBackend:
         self.fallback_seed = fallback_seed
         self._embedder = DeterministicEmbedder(dim)
         self._embeddings = Memo()
+        self._replies = Memo()
 
     @property
     def dim(self) -> int:
@@ -152,6 +158,11 @@ class ScriptedBackend:
     def generate(self, request: GenerationRequest, *, role: str | None = None,
                  run_index: int = 0) -> str:
         full = request.full_prompt
+        # repr tells the role None from the role "None"
+        return self._replies.get(text_key(repr(role), str(run_index), full),
+                                 lambda: self._reply(role, run_index, full))
+
+    def _reply(self, role: str | None, run_index: int, full: str) -> str:
         fp = prompt_fingerprint(role, full)
         for entry in self.script:
             if entry.matches(role, run_index, fp, full):

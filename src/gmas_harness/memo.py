@@ -1,7 +1,9 @@
-"""Key-to-value memo that computes each missing value once, also under threads."""
+"""Key-to-value memo that computes each missing value once, also under threads,
+and the digest that keys a memo by texts without keeping them."""
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from typing import Callable, Hashable, TypeVar
 
@@ -38,3 +40,12 @@ class Memo:
         with self._lock:
             self._gates.pop(key, None)
         return value
+
+
+def text_key(*texts: str) -> bytes:
+    """16-byte blake2b digest of a sequence of texts. Each text but the last
+    is prefixed by its length, which keeps the split between them
+    unambiguous; ``surrogatepass`` admits the lone surrogates a live reply's
+    JSON may decode to."""
+    joined = "".join(f"{len(text)}\0{text}\0" for text in texts[:-1]) + texts[-1]
+    return hashlib.blake2b(joined.encode("utf-8", "surrogatepass"), digest_size=16).digest()

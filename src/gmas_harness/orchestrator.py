@@ -9,17 +9,17 @@ reads the memory of runs 1..r of that cell and nothing else. Cells thus
 share no mutable state, and the grid runner may execute distinct cells
 concurrently. ``run_cell`` persists each record and returns only its
 status, so a grid holds the records of the cells in flight, not of the
-whole grid.
+whole grid. Its runs' timings go to one sidecar per cell.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,7 +31,7 @@ from .backends import Backend, GenerationRequest
 from .embeddings import EmbeddingVector, centroid
 from .errors import ConfigurationError, GmasError, PlanSyntaxError
 from .knowledge import ContextBundle, DocumentStore, KnowledgeGraph, retrieve_graph, retrieve_rag
-from .memo import Memo
+from .memo import Memo, text_key
 from .records import (AllocationPlan, CodeArtifact, RefinementEvent, RunMetrics,
                       RunRecord, RunStatus, SolutionPath, Trajectory)
 from .ricsim import (KpiThresholds, SimulatedNetwork, check_thresholds, execute_plan,
@@ -359,8 +359,9 @@ class ExperimentEnv:
     """Constructed dependencies shared by every run of one experiment.
 
     The fields are fixed once runs start: the Analyzer's verdict on a
-    (plan, code) pair is computed once for the life of the env, which is
-    one experiment. ``dataclasses.replace`` gives an env with no verdicts.
+    (plan, code) pair, and a question's conflict rate, are computed once for
+    the life of the env, which is one experiment. ``dataclasses.replace``
+    gives an env with neither cached.
     """
 
     config: RunConfig
@@ -372,6 +373,8 @@ class ExperimentEnv:
     experiment_id: str = "exp-local"
     severity_weights: dict = field(default_factory=lambda: dict(DEFAULT_SEVERITY_WEIGHTS))
     _verdicts: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
+    _conflict_rates: Memo = field(default_factory=Memo, init=False, repr=False,
+                                  compare=False)
 
 
 def _stub_trajectory(role: AgentRole, backend: Backend, note: str) -> Trajectory:
@@ -413,14 +416,6 @@ _RUNTIME_SKIPPED = Finding(Dimension.RUNTIME, "runtime_skipped", Severity.INFO,
                            "no external sandbox configured; generated code not executed")
 
 
-def _pair_key(plan_text: str, code_text: str) -> bytes:
-    """16-byte digest of a (plan, code) pair. The length prefix keeps the
-    split between the texts unambiguous; ``surrogatepass`` admits the lone
-    surrogates a live reply's JSON may decode to."""
-    text = f"{len(plan_text)}\0{plan_text}\0{code_text}"
-    return hashlib.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=16).digest()
-
-
 def _verdict(plan_text: str, code_text: str, env: ExperimentEnv) -> _Verdict:
     tree = parse_code(code_text)
     findings = enforce_policy(tree, env.policy_rules)
@@ -448,7 +443,7 @@ def _analyze(plan: AllocationPlan, code: CodeArtifact,
     hook failure is never replayed into another run.
     """
     cfg = env.config
-    verdict = env._verdicts.get(_pair_key(plan.pseudo_code, code.code),
+    verdict = env._verdicts.get(text_key(plan.pseudo_code, code.code),
                                 lambda: _verdict(plan.pseudo_code, code.code, env))
     findings = merge_external_lint(verdict.static, code.code, cfg.external_linter_cmd)
     findings.extend(verdict.findings)
@@ -581,8 +576,9 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
 
     metrics = None
     if status is not RunStatus.FAILED:
-        rate = conflict_rate({role.value: bundles[role] for role in PIPELINE_ORDER},
-                             cfg.thresholds.conflict)
+        # the bundles and threshold are the experiment's for this question
+        rate = env._conflict_rates.get(question.text, lambda: conflict_rate(
+            {role.value: bundles[role] for role in PIPELINE_ORDER}, cfg.thresholds.conflict))
         metrics = RunMetrics(
             penalty_score=report.penalty_score,
             consistency_score=consistency_score(plan, code, cfg.consistency_alpha),
@@ -632,24 +628,30 @@ def run_cell(question: Question, persona_set: PersonaSet, runs: int,
     """Execute runs 1..R sequentially for one (question, persona set) cell.
 
     Run r reads the memory of runs 1..r-1 of this cell and nothing else.
-    Each record is persisted under out_root as it completes, with the
-    wall-clock duration in the sidecar (never in the artifact), and is not
-    kept. Returns the cell's entries and its ``memory.json`` fragment, the
-    entries of each role by role name.
+    Each record is persisted under out_root as it completes and is not
+    kept. After the last run, each run's wall-clock duration and write time
+    go to the cell's sidecar, never to an artifact; an interrupted cell
+    leaves none. Returns the cell's entries and its ``memory.json``
+    fragment, the entries of each role by role name.
     """
-    from .artifacts import persist_run  # local import: artifacts depends on records only
+    # local import: artifacts depends on records only
+    from .artifacts import persist_cell_meta, persist_run
     memory: dict[AgentRole, list[MemoryEntry]] = {role: [] for role in PIPELINE_ORDER}
-    entries = []
+    entries, timings = [], []
     for run_index in range(1, runs + 1):
         started = time.monotonic()
         record = execute_run(question, persona_set, run_index, env, memory)
-        persist_run(record, out_root, duration_s=round(time.monotonic() - started, 6))
+        persist_run(record, out_root)
+        timings.append({"run_index": run_index,
+                        "duration_s": round(time.monotonic() - started, 6),
+                        "written_at": datetime.now(timezone.utc).isoformat()})
         for role in PIPELINE_ORDER:
             traj = record.trajectory(role)
             memory[role].append(MemoryEntry(run_index, traj.thought_summary,
                                             traj.refinement_reasons))
         entries.append(RunEntry(record.persona_set_id, record.question_id, run_index,
                                 record.status))
+    persist_cell_meta(timings, out_root, persona_set.set_id, question.id)
     fragment = {role.value: [{"run_index": e.run_index, "thought_summary": e.thought_summary,
                               "refinement_reasons": list(e.refinement_reasons)}
                              for e in role_entries]

@@ -8,6 +8,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -41,7 +42,8 @@ class SolutionPath:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolutionPath":
-        return cls(d["path_id"], tuple(d["steps"]), d["self_eval"], d["rationale"])
+        return cls(_field(d, "path_id", int), _strings(d, "steps"),
+                   _field(d, "self_eval", float), _field(d, "rationale", str))
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,40 @@ def _field(d: dict, key: str, *kinds: type):
                           + " or ".join(kind.__name__ for kind in kinds))
 
 
+def _strings(d: dict, key: str) -> tuple[str, ...]:
+    """``d[key]`` of a payload, a list of strings, as a tuple."""
+    values = _field(d, key, list)
+    if set(map(type, values)) - {str}:
+        raise ValidationError(f"{key} {values!r:.40} holds a non-string")
+    return tuple(values)
+
+
+def _rows(d: dict, key: str, shapes: set[tuple[type, ...]]) -> tuple[tuple, ...]:
+    """``d[key]`` of a payload, a list of lists, each of which has the JSON
+    types of its items in one of ``shapes``, as a tuple of tuples."""
+    rows = _field(d, key, list)
+    if rows and (set(map(type, rows)) - {list}
+                 or set(map(tuple, map(map, repeat(type), rows))) - shapes):
+        raise ValidationError(f"{key} {rows!r:.40} holds a row of the wrong shape")
+    return tuple(map(tuple, rows))
+
+
+# JSON types of a context item (text, score, provenance) and of an aux exchange
+_CONTEXT_ITEM = {(str, float, str), (str, int, str)}
+_AUX_EXCHANGE = {(str, str)}
+
+_ROLES = {role.value: role for role in AgentRole}
+
+
+def _role(name: str) -> AgentRole:
+    """``AgentRole(name)`` by one dict lookup, a tenth of the enum call's
+    cost; a run file names a role about a dozen times."""
+    try:
+        return _ROLES[name]
+    except KeyError:
+        raise ValueError(f"{name!r} is not a valid AgentRole") from None
+
+
 def _vector(d: dict, key: str) -> EmbeddingVector:
     """The embedding field ``key`` of a payload: a flat list of finite numbers, or
     the vector already built from one (``to_dict`` gives these, and
@@ -142,21 +178,18 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trajectory":
-        reasons = _field(d, "refinement_reasons", list)
-        if set(map(type, reasons)) - {str}:
-            raise ValidationError(f"refinement_reasons {reasons!r:.40} holds a non-string")
         return cls(
-            role=AgentRole(_field(d, "role", str)),
+            role=_role(_field(d, "role", str)),
             prompt=_field(d, "prompt", str),
             prompt_embedding=_vector(d, "prompt_embedding"),
             output=_field(d, "output", str),
             output_embedding=_vector(d, "output_embedding"),
             thought_summary=_field(d, "thought_summary", str),
-            refinement_reasons=tuple(reasons),
-            context_items=tuple((t, s, p) for t, s, p in _field(d, "context_items", list)),
+            refinement_reasons=_strings(d, "refinement_reasons"),
+            context_items=_rows(d, "context_items", _CONTEXT_ITEM),
             context_centroid=None if d["context_centroid"] in (None, [])
                              else _vector(d, "context_centroid"),
-            aux_exchanges=tuple((p, o) for p, o in _field(d, "aux_exchanges", list)),
+            aux_exchanges=_rows(d, "aux_exchanges", _AUX_EXCHANGE),
         )
 
 
@@ -178,7 +211,8 @@ class RefinementEvent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RefinementEvent":
-        return cls(d["index"], AgentRole(d["routed_role"]), d["reason"])
+        return cls(_field(d, "index", int), _role(_field(d, "routed_role", str)),
+                   _field(d, "reason", str))
 
 
 # [lo, hi] of each float metric; lo <= value <= hi also refuses NaN and infinity.
@@ -323,7 +357,7 @@ class RunRecord:
         missing = [role.value for role in PIPELINE_ORDER if role.value not in raw]
         if missing:
             raise ValidationError(f"trajectories lack {missing}")
-        trajectories = {AgentRole(k): Trajectory.from_dict(_field(raw, k, dict))
+        trajectories = {_role(k): Trajectory.from_dict(_field(raw, k, dict))
                         for k in raw}
         for role, trajectory in trajectories.items():
             if trajectory.role is not role:

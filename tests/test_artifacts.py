@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gmas_harness import artifacts
+from gmas_harness import artifacts, orchestrator
 from gmas_harness.artifacts import (ExperimentManifest, VectorMemo, _fmt_float,
-                                    canonical_json, derive_experiment_id, iter_run_files,
-                                    load_run, persist_run, run_relpath, write_manifest)
+                                    canonical_json, cell_relpath, derive_experiment_id,
+                                    iter_run_files, load_run, persist_run, run_relpath,
+                                    write_manifest)
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.embeddings import EmbeddingVector
 from gmas_harness.errors import ValidationError
+from gmas_harness.orchestrator import run_cell
 from gmas_harness.records import RunRecord
+from gmas_harness.scenario import enumerate_grid
 from factories import make_record
 
 
@@ -309,13 +313,37 @@ def test_nan_metric_rejected_with_validation_error(tmp_path):
         persist_run(record, tmp_path)
 
 
-def test_sidecar_holds_timestamp_outside_canonical_artifact(tmp_path):
-    record = make_record()
-    path = persist_run(record, tmp_path)
-    sidecar = path.with_name(path.stem + ".meta.json")
-    assert sidecar.exists()
-    assert "written_at" in json.loads(sidecar.read_text())
-    assert "written_at" not in path.read_text()
+def test_cell_sidecar_holds_each_runs_timing_outside_canonical_artifacts(
+        make_env, registry, questions, monkeypatch, tmp_path):
+    persona_set = enumerate_grid(registry)[0]
+    question = questions[0]
+    run_cell(question, persona_set, 3, make_env(), tmp_path)
+    cell = tmp_path / cell_relpath(persona_set.set_id, question.id)
+    meta = json.loads((cell / "cell.meta.json").read_text())
+    assert [entry["run_index"] for entry in meta["runs"]] == [1, 2, 3]
+    for entry in meta["runs"]:
+        assert sorted(entry) == ["duration_s", "run_index", "written_at"]
+        assert entry["duration_s"] >= 0.0
+        assert datetime.fromisoformat(entry["written_at"]).tzinfo is not None
+    assert sorted(p.name for p in cell.iterdir()) == \
+        ["cell.meta.json", "run1.json", "run2.json", "run3.json"]
+    files = list(iter_run_files(tmp_path))
+    assert files == [cell / f"run{k}.json" for k in (1, 2, 3)]
+    assert all("written_at" not in path.read_text() for path in files)
+
+    # an interrupted cell leaves its finished runs and no sidecar
+    execute_run = orchestrator.execute_run
+
+    def failing_run_2(question, persona_set, run_index, env, memory):
+        if run_index == 2:
+            raise KeyboardInterrupt
+        return execute_run(question, persona_set, run_index, env, memory)
+
+    monkeypatch.setattr(orchestrator, "execute_run", failing_run_2)
+    with pytest.raises(KeyboardInterrupt):
+        run_cell(question, persona_set, 3, make_env(), tmp_path / "cut")
+    cut = tmp_path / "cut" / cell_relpath(persona_set.set_id, question.id)
+    assert sorted(p.name for p in cut.iterdir()) == ["run1.json"]
 
 
 def test_failed_replace_keeps_old_artifact_and_leaves_no_temp(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmas_harness import backends
 from gmas_harness.backends import (GenerationRequest, LiveBackend, PLAN_MARKER,
                                    PROPOSE_MARKER, SELF_EVAL_MARKER, ScriptEntry,
                                    ScriptedBackend, TokenBucket, load_script,
@@ -20,6 +21,9 @@ from gmas_harness.embeddings import DeterministicEmbedder
 from gmas_harness.errors import (ConfigurationError, DimensionMismatchError,
                                  TransportError)
 from gmas_harness.memo import Memo
+from gmas_harness.orchestrator import RunConfig, Thresholds, run_grid
+from gmas_harness.scenario import enumerate_grid, generate_questions
+from conftest import TEST_DIM
 from stub_server import StubOpenAIServer
 
 
@@ -70,6 +74,67 @@ def test_script_miss_without_fallback_is_configuration_error():
     backend = ScriptedBackend(script=[], fallback_seed=None, dim=16)
     with pytest.raises(ConfigurationError):
         backend.generate(_request(), role="Coder", run_index=1)
+
+
+def test_script_miss_without_fallback_raises_on_every_call():
+    backend = ScriptedBackend(script=[ScriptEntry(response="blank role", role="")],
+                              fallback_seed=None, dim=16)
+    for _ in range(3):
+        with pytest.raises(ConfigurationError):
+            backend.generate(_request(), role="Coder", run_index=1)
+    # the role None and the empty role are distinct requests
+    assert backend.generate(_request(), role="", run_index=1) == "blank role"
+    for _ in range(3):
+        with pytest.raises(ConfigurationError):
+            backend.generate(_request(), role=None, run_index=1)
+
+
+def _grid_requests(make_env, registry, monkeypatch, tmp_path, script=None):
+    """Every (request, role, run index, reply) of a small refining grid."""
+    seen = []
+    generate = ScriptedBackend.generate
+
+    def logging_generate(self, request, *, role=None, run_index=0):
+        reply = generate(self, request, role=role, run_index=run_index)
+        seen.append((request, role, run_index, reply))
+        return reply
+
+    monkeypatch.setattr(ScriptedBackend, "generate", logging_generate)
+    backend = ScriptedBackend(script=script, fallback_seed=42, dim=TEST_DIM)
+    config = RunConfig(thresholds=Thresholds(alignment=0.55))
+    run_grid(generate_questions(2, seed=7), enumerate_grid(registry)[:3], 2,
+             make_env(backend=backend, config=config), tmp_path)
+    monkeypatch.setattr(ScriptedBackend, "generate", generate)
+    return seen
+
+
+def test_scripted_replies_equal_a_fresh_backends(make_env, registry, monkeypatch,
+                                                 tmp_path):
+    script = [ScriptEntry(response="PATH 1:\n- survey load\nRATIONALE: r",
+                          role="Planner", run_index=2, prompt_contains=PROPOSE_MARKER)]
+    seen = _grid_requests(make_env, registry, monkeypatch, tmp_path, script)
+    distinct = {(role, run_index, request.full_prompt) for request, role, run_index, _ in seen}
+    assert len(distinct) < len(seen)
+    assert any(reply == script[0].response for *_, reply in seen)
+    for request, role, run_index, reply in seen:
+        fresh = ScriptedBackend(script=script, fallback_seed=42, dim=TEST_DIM)
+        assert fresh.generate(request, role=role, run_index=run_index) == reply
+
+
+def test_fallback_runs_once_per_distinct_request(make_env, registry, monkeypatch,
+                                                 tmp_path):
+    calls = []
+    fallback = backends._fallback_response
+
+    def counting(seed, role, fp, run_index, full_prompt):
+        calls.append((role, run_index, full_prompt))
+        return fallback(seed, role, fp, run_index, full_prompt)
+
+    monkeypatch.setattr(backends, "_fallback_response", counting)
+    seen = _grid_requests(make_env, registry, monkeypatch, tmp_path)
+    distinct = {(role, run_index, request.full_prompt) for request, role, run_index, _ in seen}
+    assert len(distinct) < len(seen)
+    assert sorted(calls) == sorted(distinct)
 
 
 def test_script_entries_match_in_order_first_wins():

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmas_harness import embeddings
 from gmas_harness.embeddings import (DEFAULT_DIM, DeterministicEmbedder,
                                      EmbeddingVector, centroid, cosine,
                                      deterministic_embed, tokenize)
@@ -88,6 +91,69 @@ def _loop_embed(text: str, dim: int) -> np.ndarray:
 def test_embed_equals_per_token_loop_reference(text, dim):
     assert deterministic_embed(text, dim).values.tobytes() == \
         _loop_embed(text, dim).tobytes()
+
+
+_PARAGRAPH_TEXTS = [
+    "allocate prb\n\nadmit s1",
+    "allocate prb\n\n\nadmit s1\n\n\n\nadmit s1",
+    "\n\nleading blank lines",
+    "trailing blank lines\n\n\n",
+    "\n\n\n\n",
+    "  \n\n\t\n\n \n\nslice s2 demand 4\n\n  ",
+    "prb prb\n\nprb\n\nprb prb",
+    "İstanbul İ\n\nİ cell\n\nİİ",
+    "ΣΑΣ slice Σ\n\nΣ\n\nσς s1Σ Σs2",
+    "",
+]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 48, 384])
+def test_paragraph_codes_give_the_per_token_reference(dim):
+    embedder = DeterministicEmbedder(dim)
+    for _ in range(2):  # the second pass reads every paragraph from the table
+        for text in _PARAGRAPH_TEXTS:
+            assert embedder.embed(text).values.tobytes() == _loop_embed(text, dim).tobytes()
+
+
+def test_paragraph_table_cleared_mid_stream_gives_the_reference(monkeypatch):
+    monkeypatch.setattr(embeddings, "_PARAGRAPH_TABLE_SIZE", 3)
+    monkeypatch.setattr(embeddings, "_CODE_TABLE_SIZE", 5)
+    embedder = DeterministicEmbedder(48)
+    sizes = []
+    texts = _PARAGRAPH_TEXTS + [f"slice s{i} in cell c{i}\n\nadmit s{i}" for i in range(20)]
+    for text in texts + texts[::-1]:
+        assert embedder.embed(text).values.tobytes() == _loop_embed(text, 48).tobytes()
+        sizes.append(len(embedder._paragraphs))
+    assert max(sizes) <= 3 + 1  # emptied on the miss after it grows past the bound
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
+def test_shared_embedder_under_threads_gives_the_reference(monkeypatch):
+    monkeypatch.setattr(embeddings, "_PARAGRAPH_TABLE_SIZE", 4)
+    monkeypatch.setattr(embeddings, "_CODE_TABLE_SIZE", 8)
+    texts = [f"slice s{i % 7} in cell c{i % 5}\n\nadmit s{i % 3}\n\nprb {i}"
+             for i in range(40)]
+    expected = {text: _loop_embed(text, 48).tobytes() for text in texts}
+    embedder = DeterministicEmbedder(48)
+    wrong = []
+
+    def worker(offset):
+        for text in texts[offset:] + texts[:offset]:
+            if embedder.embed(text).values.tobytes() != expected[text]:
+                wrong.append(text)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k * 5,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_vector_values_are_read_only_and_owned():

@@ -621,6 +621,37 @@ def test_grid_analyzes_once_per_distinct_plan_and_code(make_env, registry, monke
     assert memo == _run_files(tmp_path / "fresh")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_computes_one_conflict_rate_per_question(make_env, registry, embedder,
+                                                     monkeypatch, tmp_path, workers):
+    store = index_documents([("doc", "allocate prb budget across slices\n"
+                                      "admit urllc slices", SourceTag.CODEBASE)], embedder)
+    graph = build_graph([("n1", "prb allocation", "grants to slices"),
+                         ("n2", "handover", "threshold tuning")],
+                        [("n1", "n2", "related")], embedder)
+    questions = generate_questions(2, seed=7)
+    sets = enumerate_grid(registry)[:2]
+    rates = []
+    monkeypatch.setattr(orchestrator, "conflict_rate",
+                        _counting(rates, orchestrator.conflict_rate))
+    env = make_env(stores=StoreSet(document_store=store, graph=graph))
+    run_grid(questions, sets, 2, env, workers=workers, out_root=tmp_path / "memo")
+    assert len(rates) == len(questions)
+
+    # the same grid with no rate reused: a fresh env per run
+    for ps in sets:
+        for q in questions:
+            memory = {}
+            for run_index in (1, 2):
+                record = execute_run(q, ps, run_index, dataclasses.replace(env), memory)
+                _remember(memory, record)
+                persist_run(record, tmp_path / "fresh")
+    assert len(rates) == len(questions) + len(sets) * len(questions) * 2
+    memo = _run_files(tmp_path / "memo")
+    assert len(memo) == len(sets) * len(questions) * 2
+    assert memo == _run_files(tmp_path / "fresh")
+
+
 def _reference_report(plan_text: str, code_text: str, env) -> AnalyzerReport:
     """The Analyzer's report with every rule pack and hook run afresh, its
     findings in the order the Analyzer gives: static with the linter's,

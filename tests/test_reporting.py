@@ -215,6 +215,17 @@ def test_malformed_embedding_is_corrupt(tmp_path, capsys, caplog, embedding):
 
 _NAN = float("nan")
 _CODER = ("trajectories", "Coder")
+
+
+def _path(**fields) -> dict:
+    """A ``proposed_paths`` entry, with ``fields`` overridden."""
+    return {"path_id": 1, "steps": ["survey"], "self_eval": 0.5, "rationale": "r",
+            **fields}
+
+
+def _event(**fields) -> dict:
+    """A ``refinement_events`` entry, with ``fields`` overridden."""
+    return {"index": 1, "routed_role": "Coder", "reason": "static: x", **fields}
 def _report(passes=(), penalty_score=100.0) -> dict:
     """An ``analyzer_report`` payload that passes every dimension but those
     overridden by ``passes``."""
@@ -282,6 +293,24 @@ _BAD_FIELDS = {  # id: (field path, value, what the error names)
                                  "penalty_score 150.0 is not a number in"),
     "report penalty NaN": (("analyzer_report",), _report(penalty_score=_NAN),
                            "penalty_score nan is not a number in"),
+    "path_id string": (("proposed_paths",), [_path(path_id="x")], "path_id 'x' is not int"),
+    "path_id true": (("proposed_paths",), [_path(path_id=True)], "path_id True is not int"),
+    "step number": (("proposed_paths",), [_path(steps=["survey", 1])],
+                    "steps .* holds a non-string"),
+    "rationale null": (("proposed_paths",), [_path(rationale=None)],
+                       "rationale None is not str"),
+    "self_eval true": (("proposed_paths",), [_path(self_eval=True)],
+                       "self_eval True is not float"),
+    "event index string": (("refinement_events",), [_event(index="1")],
+                           "index '1' is not int"),
+    "event reason number": (("refinement_events",), [_event(reason=5)],
+                            "reason 5 is not str"),
+    "context score true": (_CODER + ("context_items",), [["a", True, "b"]],
+                           "context_items .* holds a row of the wrong shape"),
+    "context text number": (_CODER + ("context_items",), [[1, 0.5, None]],
+                            "context_items .* holds a row of the wrong shape"),
+    "aux exchange numbers": (_CODER + ("aux_exchanges",), [[1, 2]],
+                             "aux_exchanges .* holds a row of the wrong shape"),
 }
 
 
