@@ -2,7 +2,9 @@
 
 Findings carry a dimension (static / policy / runtime / formal) and a
 severity weight; the penalty is 100 minus the weighted sum, clamped to
-[0, 100], so lower scores mean more severe issues.
+[0, 100], so lower scores mean more severe issues. An external linter's
+findings would join the static ones through
+``gmas_harness.analyzer.merge_external_lint``.
 """
 
 from pathlib import Path
@@ -29,11 +31,10 @@ ric.log(seed)
 
 
 def analyze(code: str, rules: PolicyRuleSet):
-    tree = parse_code(code)
-    findings = []
-    findings += run_static_checks(tree, code)
+    tree = parse_code(code)  # one flat statement list; each rule pack reads only it
+    findings = run_static_checks(tree)
     findings += enforce_policy(tree, rules)
-    findings += formal_lite_check(tree, code)
+    findings += formal_lite_check(tree)
     return build_report(findings)
 
 

@@ -1,10 +1,19 @@
 """Multi-dimension validation of generated code.
 
 parse_code recognizes a restricted imperative grammar (imports, dotted
-calls, single-target assignments, if/for blocks by indentation) and never
-fails: unrecognized lines are collected as unparsed regions. Static,
-policy, and formal-lite rule packs walk the tree; findings aggregate into
-a 0-100 penalty score where lower means more severe issues.
+calls, single-target assignments, if/elif/else/for blocks by indentation)
+in one pass over the lines and never fails. It gives the statements as one
+flat list in source order, plus the unparsed regions. Coverage rule: blank
+and comment lines are covered; only the first non-blank line after an
+opener (if/elif/else/for) may start a deeper block, and its indent becomes
+that block's; a line deeper than its block, a line at an indent between an
+inner block and its parent, and a line outside the grammar are unparsed.
+Unparsed regions become ``unparsed_region`` warnings, so the rule moves
+penalties.
+
+The static, policy, and formal-lite rule packs each take only the parse;
+findings aggregate into a 0-100 penalty score where lower means more
+severe issues.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import json
 import logging
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -107,28 +116,26 @@ class StatementKind(str, Enum):
     ASSIGN = "assign"
     CONDITIONAL = "conditional"
     LOOP = "loop"
-    OTHER = "other"
 
 
-@dataclass
+_OPENERS = (StatementKind.CONDITIONAL, StatementKind.LOOP)
+
+
+@dataclass(frozen=True)
 class Statement:
     kind: StatementKind
     line: int
-    raw: str
     dotted_name: str | None = None   # import path / call path / assign target
-    args: tuple | None = None        # call argument expressions
-    expr: object | None = None       # RHS / condition / iterable expression
+    expr: object | None = None       # RHS / condition / iterable / the call itself
     loop_var: str | None = None
     bindings: tuple[tuple[str, str], ...] = ()  # (local name, dotted path) from imports
-    children: list["Statement"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeSyntaxTree:
-    statements: list[Statement]
+    statements: list[Statement]                 # every statement, source order
     unparsed_regions: list[tuple[int, int]]     # inclusive 1-based line ranges
     source_lines: list[str]
-    flat: list[Statement] = field(default_factory=list)  # all statements, source order
 
 
 # ── expression parsing ───────────────────────────────────────────────────────
@@ -278,177 +285,94 @@ def _indent_of(line: str) -> int:
     return len(expanded) - len(expanded.lstrip(" "))
 
 
-def _calls_in(expr) -> list[Call]:
-    return [node for node in _walk_expr(expr) if isinstance(node, Call)]
+def _statement(text: str, line: int) -> Statement | None:
+    """The statement of one stripped, comment-free line, or None when the
+    line is outside the grammar."""
+    m = _IMPORT_RE.match(text)
+    if m:
+        dotted, alias = m.groups()
+        bound = alias if alias else dotted.split(".", 1)[0]
+        return Statement(StatementKind.IMPORT, line, dotted, bindings=((bound, dotted),))
 
+    m = _FROM_RE.match(text)
+    if m:
+        base, names = m.groups()
+        bindings = []
+        for part in names.split(","):
+            nm = _FROM_NAME_RE.match(part.strip())
+            if not nm:
+                return None
+            name, alias = nm.groups()
+            bindings.append((alias or name, f"{base}.{name}"))
+        return Statement(StatementKind.IMPORT, line, base, bindings=tuple(bindings))
 
-def _call_children(calls: list[Call], line: int, raw: str) -> list[Statement]:
-    """Materialize embedded Call expressions as child call statements."""
-    return [Statement(kind=StatementKind.CALL, line=line, raw=raw,
-                      dotted_name=c.dotted, args=c.args) for c in calls]
-
-
-class _Parser:
-    def __init__(self, code: str):
-        self.lines = code.split("\n")
-        self.covered = [False] * len(self.lines)
-        self.flat: list[Statement] = []
-
-    def parse(self) -> CodeSyntaxTree:
-        statements, _ = self._block(0, 0)
-        regions = self._regions()
-        return CodeSyntaxTree(statements=statements, unparsed_regions=regions,
-                              source_lines=self.lines, flat=self.flat)
-
-    def _skippable(self, i: int) -> bool:
-        stripped = self.lines[i].strip()
-        return not stripped or stripped.startswith("#")
-
-    def _block(self, start: int, indent: int) -> tuple[list[Statement], int]:
-        stmts: list[Statement] = []
-        i = start
-        while i < len(self.lines):
-            if self._skippable(i):
-                self.covered[i] = True
-                i += 1
-                continue
-            cur = _indent_of(self.lines[i])
-            if cur < indent:
-                break
-            if cur > indent:
-                i += 1  # stray deep indent: leave uncovered -> unparsed region
-                continue
-            node, i = self._statement(i, indent)
-            if node is not None:
-                stmts.append(node)
-        return stmts, i
-
-    def _statement(self, i: int, indent: int) -> tuple[Statement | None, int]:
-        raw = _strip_trailing_comment(self.lines[i].strip())
-        line_no = i + 1
-
-        m = _IMPORT_RE.match(raw)
+    if _ELSE_RE.match(text):
+        return Statement(StatementKind.CONDITIONAL, line)
+    try:
+        m = _FOR_RE.match(text)
         if m:
-            dotted, alias = m.group(1), m.group(2)
-            bound = alias if alias else dotted.split(".", 1)[0]
-            stmt = Statement(kind=StatementKind.IMPORT, line=line_no, raw=raw,
-                             dotted_name=dotted, bindings=((bound, dotted),))
-            return self._accept(stmt, i)
-
-        m = _FROM_RE.match(raw)
+            return Statement(StatementKind.LOOP, line, loop_var=m.group(1),
+                             expr=_parse_expr(m.group(2)))
+        m = _IF_RE.match(text)
         if m:
-            base, names = m.group(1), m.group(2)
-            bindings = []
-            for part in names.split(","):
-                nm = _FROM_NAME_RE.match(part.strip())
-                if not nm:
-                    return None, i + 1
-                name, alias = nm.group(1), nm.group(2)
-                bindings.append((alias or name, f"{base}.{name}"))
-            stmt = Statement(kind=StatementKind.IMPORT, line=line_no, raw=raw,
-                             dotted_name=base, bindings=tuple(bindings))
-            return self._accept(stmt, i)
-
-        m = _FOR_RE.match(raw)
-        if m:
-            try:
-                iterable = _parse_expr(m.group(2))
-            except _ExprError:
-                return None, i + 1
-            stmt = Statement(kind=StatementKind.LOOP, line=line_no, raw=raw,
-                             loop_var=m.group(1), expr=iterable)
-            return self._accept_block(stmt, i, indent)
-
-        m = _IF_RE.match(raw)
-        if m:
-            try:
-                cond = _parse_expr(m.group(1))
-            except _ExprError:
-                return None, i + 1
-            stmt = Statement(kind=StatementKind.CONDITIONAL, line=line_no, raw=raw,
-                             expr=cond)
-            return self._accept_block(stmt, i, indent)
-
-        if _ELSE_RE.match(raw):
-            stmt = Statement(kind=StatementKind.CONDITIONAL, line=line_no, raw=raw)
-            return self._accept_block(stmt, i, indent)
-
-        m = _ASSIGN_RE.match(raw)
-        if m and not raw.startswith(("if ", "for ", "elif ")):
-            try:
-                rhs = _parse_expr(m.group(2))
-            except _ExprError:
-                return None, i + 1
-            stmt = Statement(kind=StatementKind.ASSIGN, line=line_no, raw=raw,
-                             dotted_name=m.group(1), expr=rhs)
-            stmt.children = _call_children(_calls_in(rhs), line_no, raw)
-            return self._accept(stmt, i)
-
-        try:
-            expr = _parse_expr(raw)
-        except _ExprError:
-            return None, i + 1
-        if isinstance(expr, Call):
-            nested = [c for arg in expr.args for c in _calls_in(arg)]
-            stmt = Statement(kind=StatementKind.CALL, line=line_no, raw=raw,
-                             dotted_name=expr.dotted, args=expr.args, expr=expr)
-            stmt.children = _call_children(nested, line_no, raw)
-            return self._accept(stmt, i)
-        return None, i + 1
-
-    def _accept(self, stmt: Statement, i: int) -> tuple[Statement, int]:
-        self.covered[i] = True
-        self.flat.append(stmt)
-        return stmt, i + 1
-
-    def _accept_block(self, stmt: Statement, i: int, indent: int) -> tuple[Statement, int]:
-        self.covered[i] = True
-        self.flat.append(stmt)
-        j = i + 1
-        while j < len(self.lines) and self._skippable(j):
-            j += 1
-        if j < len(self.lines):
-            child_indent = _indent_of(self.lines[j])
-            if child_indent > indent:
-                children, end = self._block(i + 1, child_indent)
-                stmt.children = children
-                return stmt, end
-        return stmt, i + 1
-
-    def _regions(self) -> list[tuple[int, int]]:
-        regions = []
-        start = None
-        for idx, done in enumerate(self.covered):
-            if not done and start is None:
-                start = idx + 1
-            elif done and start is not None:
-                regions.append((start, idx))
-                start = None
-        if start is not None:
-            regions.append((start, len(self.covered)))
-        return regions
+            return Statement(StatementKind.CONDITIONAL, line, expr=_parse_expr(m.group(1)))
+        m = _ASSIGN_RE.match(text)
+        if m and not text.startswith(("if ", "for ", "elif ")):
+            return Statement(StatementKind.ASSIGN, line, m.group(1),
+                             expr=_parse_expr(m.group(2)))
+        expr = _parse_expr(text)
+    except _ExprError:
+        return None
+    if isinstance(expr, Call):
+        return Statement(StatementKind.CALL, line, expr.dotted, expr=expr)
+    return None
 
 
 def parse_code(code: str) -> CodeSyntaxTree:
-    """Total parse of the restricted grammar; never raises."""
-    return _Parser(code).parse()
+    """Total parse of the restricted grammar in one pass over the lines;
+    never raises. Blank and comment lines are covered. Only the first
+    non-blank line after an opener (if/elif/else/for) may open a block, at
+    its own indent, if it is deeper than the opener; every line closes the
+    blocks deeper than itself. A line deeper than its block (a stray line, or
+    one between an inner block and its parent) or outside the grammar is
+    unparsed, and adjacent unparsed lines form one region.
+    """
+    lines = code.split("\n")
+    statements: list[Statement] = []
+    regions: list[tuple[int, int]] = []
+    blocks = [0]    # indents of the open blocks, innermost last
+    opened = False  # the last statement is an opener
+    for line_no, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        indent = _indent_of(line)
+        if opened and indent > blocks[-1]:
+            blocks.append(indent)
+        while indent < blocks[-1]:
+            blocks.pop()
+        stmt = (_statement(_strip_trailing_comment(text), line_no)
+                if indent == blocks[-1] else None)
+        opened = stmt is not None and stmt.kind in _OPENERS
+        if stmt is not None:
+            statements.append(stmt)
+        elif regions and regions[-1][1] == line_no - 1:
+            regions[-1] = (regions[-1][0], line_no)
+        else:
+            regions.append((line_no, line_no))
+    return CodeSyntaxTree(statements, regions, lines)
 
 
 def iter_calls(tree: CodeSyntaxTree):
     """Yield (Call expr, line) for every call anywhere in the tree."""
-    for stmt in tree.flat:
-        if stmt.expr is not None:
-            for node in _walk_expr(stmt.expr):
-                if isinstance(node, Call):
-                    yield node, stmt.line
+    for stmt in tree.statements:
+        for node in _walk_expr(stmt.expr):
+            if isinstance(node, Call):
+                yield node, stmt.line
 
 
 def _import_bindings(tree: CodeSyntaxTree) -> dict[str, str]:
-    bindings: dict[str, str] = {}
-    for stmt in tree.flat:
-        for local, dotted in stmt.bindings:
-            bindings[local] = dotted
-    return bindings
+    return {local: dotted for stmt in tree.statements for local, dotted in stmt.bindings}
 
 
 def _expand_dotted(dotted: str, bindings: dict[str, str]) -> str:
@@ -471,30 +395,27 @@ def _uses_and_defs(tree: CodeSyntaxTree):
     """(name, line) pairs for value uses and for definitions, in source order."""
     uses: list[tuple[str, int]] = []
     defs: list[tuple[str, int]] = []
-    for stmt in tree.flat:
+    for stmt in tree.statements:
         for local, _ in stmt.bindings:
             defs.append((local, stmt.line))
-        if stmt.kind == StatementKind.ASSIGN and stmt.dotted_name:
+        if stmt.kind == StatementKind.ASSIGN:
             defs.append((stmt.dotted_name, stmt.line))
         if stmt.loop_var:
             defs.append((stmt.loop_var, stmt.line))
-        if stmt.expr is not None:
-            for node in _walk_expr(stmt.expr):
-                if isinstance(node, Name):
-                    uses.append((node.root, stmt.line))
-                elif isinstance(node, Call) and "." in node.dotted:
-                    uses.append((node.root, stmt.line))
+        for node in _walk_expr(stmt.expr):
+            if isinstance(node, Name) or (isinstance(node, Call) and "." in node.dotted):
+                uses.append((node.root, stmt.line))
     return uses, defs
 
 
-def run_static_checks(tree: CodeSyntaxTree, code: str,
-                      external_linter_cmd: str | None = None) -> list[Finding]:
-    """Built-in lint rules plus the optional external linter hook."""
+def run_static_checks(tree: CodeSyntaxTree) -> list[Finding]:
+    """The built-in lint findings, sorted by location and rule;
+    ``merge_external_lint`` adds the external linter's."""
     findings: list[Finding] = []
     uses, defs = _uses_and_defs(tree)
 
     defined_by_line: dict[str, int] = {}
-    for name, line in sorted(defs, key=lambda d: d[1]):
+    for name, line in defs:  # source order
         defined_by_line.setdefault(name, line)
     for name, line in uses:
         if name in _BUILTIN_NAMES:
@@ -509,11 +430,11 @@ def run_static_checks(tree: CodeSyntaxTree, code: str,
     for name, line in uses:
         use_lines.setdefault(name, []).append(line)
     assign_lines: dict[str, list[int]] = {}
-    for stmt in tree.flat:
-        if stmt.kind == StatementKind.ASSIGN and stmt.dotted_name:
+    for stmt in tree.statements:
+        if stmt.kind == StatementKind.ASSIGN:
             assign_lines.setdefault(stmt.dotted_name, []).append(stmt.line)
-    for stmt in tree.flat:
-        if stmt.kind == StatementKind.ASSIGN and stmt.dotted_name:
+    for stmt in tree.statements:
+        if stmt.kind == StatementKind.ASSIGN:
             name = stmt.dotted_name
             later_assigns = [ln for ln in assign_lines[name] if ln > stmt.line]
             # a read on the re-assignment line itself still reads the old value
@@ -537,7 +458,7 @@ def run_static_checks(tree: CodeSyntaxTree, code: str,
                                 (start, 1)))
 
     findings.sort(key=_static_order)
-    return merge_external_lint(findings, code, external_linter_cmd)
+    return findings
 
 
 def _static_order(finding: Finding):
@@ -646,11 +567,10 @@ def enforce_policy(tree: CodeSyntaxTree, rules: PolicyRuleSet) -> list[Finding]:
     findings: list[Finding] = []
     bindings = _import_bindings(tree)
 
-    for stmt in tree.flat:
+    for stmt in tree.statements:
         if stmt.kind != StatementKind.IMPORT:
             continue
-        targets = [dotted for _, dotted in stmt.bindings] or [stmt.dotted_name or ""]
-        for target in targets:
+        for _, target in stmt.bindings:
             for forbidden in rules.forbidden_imports:
                 if _path_matches(target, forbidden):
                     findings.append(Finding(
@@ -658,7 +578,7 @@ def enforce_policy(tree: CodeSyntaxTree, rules: PolicyRuleSet) -> list[Finding]:
                         f"import of '{target}' is forbidden ({forbidden})",
                         (stmt.line, 1)))
 
-    calls = [(call, line) for call, line in iter_calls(tree)]
+    calls = list(iter_calls(tree))
     for call, line in calls:
         expanded = _expand_dotted(call.dotted, bindings)
         for forbidden in rules.forbidden_calls:
@@ -672,7 +592,7 @@ def enforce_policy(tree: CodeSyntaxTree, rules: PolicyRuleSet) -> list[Finding]:
         seen_a: dict[str, int] = {}
         seen_b: dict[str, int] = {}
         for call, line in calls:
-            entity = _first_entity(call.args or ())
+            entity = _first_entity(call.args)
             if entity is None:
                 continue
             if call.last in (action_a, f"{action_a}_{scope}"):
@@ -691,7 +611,7 @@ def enforce_policy(tree: CodeSyntaxTree, rules: PolicyRuleSet) -> list[Finding]:
         last_line = None
         for call, line in calls:
             if call.last == f"allocate_{resource}":
-                value = _first_int(call.args or ())
+                value = _first_int(call.args)
                 if value is not None:
                     total += value
                     last_line = line
@@ -735,10 +655,10 @@ def _def_fully_annotated(params: str, has_return: bool) -> bool:
     return all(":" in p for p in parts if p.strip())
 
 
-def formal_lite_check(tree: CodeSyntaxTree, code: str) -> list[Finding]:
+def formal_lite_check(tree: CodeSyntaxTree) -> list[Finding]:
     """Annotation coverage, bare exception handlers, nondeterminism sources."""
     findings: list[Finding] = []
-    for idx, line in enumerate(code.split("\n")):
+    for idx, line in enumerate(tree.source_lines):
         m = _DEF_RE.match(line)
         if m and not _def_fully_annotated(m.group(2), m.group(3) is not None):
             findings.append(Finding(Dimension.FORMAL, "missing_annotations",

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .analyzer import DEFAULT_SEVERITY_WEIGHTS, PolicyRuleSet
+from .analyzer import DEFAULT_SEVERITY_WEIGHTS, PolicyRuleSet, Severity
 from .backends import LiveBackend, ScriptedBackend, load_script
 from .embeddings import DEFAULT_DIM
 from .errors import ConfigurationError
@@ -42,6 +42,21 @@ class ExperimentConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
+# The keys experiment.json ("") and each of its sections may hold; any other
+# key is refused, so a misspelt knob cannot silently keep its default.
+_KEYS = {
+    "": {f.name for f in fields(RunConfig)} | {
+        "severity_weights", "backend", "stores", "embedding_dim", "network_path",
+        "policy_rules_path", "workers", "grid_mode"},
+    "thresholds": {f.name for f in fields(Thresholds)},
+    "severity_weights": {sev.value for sev in Severity},
+    "backend": {"mode", "script_path", "fallback_seed", "api_base", "api_key",
+                "chat_model", "embedding_model", "retries", "backoff_s",
+                "rate_limit_per_s", "timeout_s"},
+    "stores": {"corpus_dir", "graph_path", "chunk_size", "bindings"},
+}
+
+
 def _present(raw: dict, cls) -> dict:
     """The entries of ``raw`` that name fields of the dataclass ``cls``."""
     return {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
@@ -61,10 +76,18 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
 
+    for section, keys in _KEYS.items():
+        unknown = sorted(set(raw.get(section, {}) if section else raw) - keys)
+        if unknown:
+            name = f"{section}.{unknown[0]}" if section else unknown[0]
+            raise ConfigurationError(f"unknown config key {name!r}")
     run = RunConfig(**{**_present(raw, RunConfig), "thresholds": parse_thresholds(raw)})
     weights_raw = raw.get("severity_weights", {})
     weights = {sev: float(weights_raw.get(sev.value, default))
                for sev, default in DEFAULT_SEVERITY_WEIGHTS.items()}
+    for sev, weight in weights.items():
+        if not weight > 0:
+            raise ConfigurationError(f"severity_weights.{sev.value} must be positive")
     backend_mode = raw.get("backend", {}).get("mode", "scripted")
     if backend_mode not in ("scripted", "live"):
         raise ConfigurationError(f"unknown backend mode {backend_mode!r}")

@@ -15,6 +15,7 @@ whole grid. Its runs' timings go to one sidecar per cell.
 from __future__ import annotations
 
 import logging
+import math
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -64,6 +65,13 @@ class Thresholds:
                              max_latency_ms=self.max_latency_ms)
 
 
+# [lo, hi] of each numeric run knob but hop_expand, which is 0 or 1
+_KNOB_RANGES = (("tot_path_count", 1, math.inf), ("max_refinement_depth", 0, math.inf),
+                ("top_k", 1, math.inf), ("memory_budget_chars", 0, math.inf),
+                ("consistency_alpha", 0, 1), ("temperature", 0, 2),
+                ("max_tokens", 1, math.inf))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     tot_path_count: int = 3
@@ -80,10 +88,13 @@ class RunConfig:
     external_sandbox_cmd: str | None = None
 
     def __post_init__(self):
-        if self.tot_path_count < 1:
-            raise ConfigurationError("tot_path_count must be >= 1")
-        if self.max_refinement_depth < 0:
-            raise ConfigurationError("max_refinement_depth must be non-negative")
+        # Refused here rather than by the first run of a grid; a negative
+        # memory budget would cut every memory digest to "...".
+        for name, lo, hi in _KNOB_RANGES:
+            if not lo <= getattr(self, name) <= hi:
+                raise ConfigurationError(f"{name} must be in [{lo:g}, {hi:g}]")
+        if self.hop_expand not in (0, 1):
+            raise ConfigurationError("hop_expand must be 0 or 1")
 
 
 DEFAULT_BINDINGS = {
@@ -419,7 +430,7 @@ _RUNTIME_SKIPPED = Finding(Dimension.RUNTIME, "runtime_skipped", Severity.INFO,
 def _verdict(plan_text: str, code_text: str, env: ExperimentEnv) -> _Verdict:
     tree = parse_code(code_text)
     findings = enforce_policy(tree, env.policy_rules)
-    findings.extend(formal_lite_check(tree, code_text))
+    findings.extend(formal_lite_check(tree))
     kpi_dict = None
     try:
         parsed_plan = parse_plan(plan_text)
@@ -431,7 +442,7 @@ def _verdict(plan_text: str, code_text: str, env: ExperimentEnv) -> _Verdict:
         findings.extend(kpi_report.findings)
         findings.extend(threshold_findings)
         kpi_dict = kpi_report.to_dict()
-    return _Verdict(tuple(run_static_checks(tree, code_text)), tuple(findings), kpi_dict)
+    return _Verdict(tuple(run_static_checks(tree)), tuple(findings), kpi_dict)
 
 
 def _analyze(plan: AllocationPlan, code: CodeArtifact,

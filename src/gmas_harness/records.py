@@ -114,6 +114,24 @@ def _rows(d: dict, key: str, shapes: set[tuple[type, ...]]) -> tuple[tuple, ...]
     return tuple(map(tuple, rows))
 
 
+def _all_finite(key: str, value: dict | list | None):
+    """``value``, a checked field named by ``key``, unless a float anywhere
+    in it is not finite: the ``NaN`` and ``Infinity`` tokens and a literal
+    past float64 (``1e400``), which ``json.loads`` accepts and
+    ``canonical_json`` refuses. A loop rather than a recursion, which would
+    cost a call per leaf."""
+    stack = [] if value is None else [value]
+    while stack:
+        container = stack.pop()
+        for item in container.values() if type(container) is dict else container:
+            kind = type(item)
+            if kind is float and not math.isfinite(item):
+                raise ValidationError(f"{key} {value!r:.40} holds a non-finite number")
+            if kind is dict or kind is list:
+                stack.append(item)
+    return value
+
+
 # JSON types of a context item (text, score, provenance) and of an aux exchange
 _CONTEXT_ITEM = {(str, float, str), (str, int, str)}
 _AUX_EXCHANGE = {(str, str)}
@@ -178,6 +196,10 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Trajectory":
+        items = _rows(d, "context_items", _CONTEXT_ITEM)
+        for _, score, _ in items:
+            if not -math.inf < score < math.inf:  # NaN fails too; any int passes
+                raise ValidationError(f"context_items {items!r:.40} holds a non-finite number")
         return cls(
             role=_role(_field(d, "role", str)),
             prompt=_field(d, "prompt", str),
@@ -186,7 +208,7 @@ class Trajectory:
             output_embedding=_vector(d, "output_embedding"),
             thought_summary=_field(d, "thought_summary", str),
             refinement_reasons=_strings(d, "refinement_reasons"),
-            context_items=_rows(d, "context_items", _CONTEXT_ITEM),
+            context_items=items,
             context_centroid=None if d["context_centroid"] in (None, [])
                              else _vector(d, "context_centroid"),
             aux_exchanges=_rows(d, "aux_exchanges", _AUX_EXCHANGE),
@@ -383,7 +405,7 @@ class RunRecord:
             selected_path_id=_field(d, "selected_path_id", int, type(None)),
             plan_text=_field(d, "plan_text", str),
             code_text=_field(d, "code_text", str),
-            kpi=_field(d, "kpi", dict, type(None)),
+            kpi=_all_finite("kpi", _field(d, "kpi", dict, type(None))),
             analyzer_report=None if report is None else AnalyzerReport.from_dict(report),
             metrics=None if metrics is None else RunMetrics.from_dict(metrics),
             refinement_events=tuple(RefinementEvent.from_dict(e)

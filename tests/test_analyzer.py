@@ -12,8 +12,11 @@ from gmas_harness.analyzer import (Call, DEFAULT_SEVERITY_WEIGHTS,
                                    Dimension, Finding, Literal, Name, OpChain,
                                    PolicyRuleSet, Severity, Statement,
                                    StatementKind, aggregate_penalty, build_report,
-                                   enforce_policy, formal_lite_check, parse_code,
+                                   enforce_policy, formal_lite_check,
+                                   merge_external_lint, parse_code,
                                    run_external_hook, run_static_checks)
+
+from make_parse_golden import GOLDEN, describe
 
 DATA = Path(__file__).parent / "data"
 
@@ -31,14 +34,11 @@ def test_plain_import():
 
 def test_assignment_contains_call_node():
     tree = parse_code("x = allocate_prb(5)")
+    assert len(tree.statements) == 1
     stmt = tree.statements[0]
     assert stmt.kind is StatementKind.ASSIGN
     assert stmt.dotted_name == "x"
-    assert len(stmt.children) == 1
-    child = stmt.children[0]
-    assert child.kind is StatementKind.CALL
-    assert child.dotted_name == "allocate_prb"
-    assert child.args == (Literal(5),)
+    assert stmt.expr == Call("allocate_prb", (Literal(5),))
 
 
 GOLDEN_SOURCE = """import ric
@@ -55,51 +55,29 @@ launch missiles!!!
 ric.report(sqrt(total))"""
 
 
-def _stmt(kind, line, raw, **kw):
-    return Statement(kind=kind, line=line, raw=raw, **kw)
-
-
 def test_twelve_line_fixture_matches_hand_built_golden_tree():
     tree = parse_code(GOLDEN_SOURCE)
 
-    alloc_call = Call("ric.allocate_prb", (Literal("s1"), Literal(6)))
     sqrt_call = Call("sqrt", (Name("total"),))
     expected = [
-        _stmt(StatementKind.IMPORT, 1, "import ric", dotted_name="ric",
-              bindings=(("ric", "ric"),)),
-        _stmt(StatementKind.IMPORT, 2, "from math import sqrt", dotted_name="math",
-              bindings=(("sqrt", "math.sqrt"),)),
-        _stmt(StatementKind.ASSIGN, 3, "budget = 24", dotted_name="budget",
-              expr=Literal(24)),
-        _stmt(StatementKind.ASSIGN, 4, 'grant = ric.allocate_prb("s1", 6)',
-              dotted_name="grant", expr=alloc_call,
-              children=[_stmt(StatementKind.CALL, 4,
-                              'grant = ric.allocate_prb("s1", 6)',
-                              dotted_name="ric.allocate_prb",
-                              args=(Literal("s1"), Literal(6)))]),
-        _stmt(StatementKind.CONDITIONAL, 5, "if budget > 10:",
-              expr=OpChain((Name("budget"), Literal(10)), (">",)),
-              children=[_stmt(StatementKind.CALL, 6, 'ric.admit("s1")',
-                              dotted_name="ric.admit", args=(Literal("s1"),),
-                              expr=Call("ric.admit", (Literal("s1"),)))]),
-        _stmt(StatementKind.LOOP, 7, "for sid in slice_list:",
-              loop_var="sid", expr=Name("slice_list"),
-              children=[_stmt(StatementKind.CALL, 8, "ric.set_priority(sid, 2)",
-                              dotted_name="ric.set_priority",
-                              args=(Name("sid"), Literal(2)),
-                              expr=Call("ric.set_priority",
-                                        (Name("sid"), Literal(2))))]),
-        _stmt(StatementKind.ASSIGN, 9, "total = budget - grant",
-              dotted_name="total",
-              expr=OpChain((Name("budget"), Name("grant")), ("-",))),
-        _stmt(StatementKind.CALL, 10, "ric.log_total(total)",
-              dotted_name="ric.log_total", args=(Name("total"),),
-              expr=Call("ric.log_total", (Name("total"),))),
-        _stmt(StatementKind.CALL, 12, "ric.report(sqrt(total))",
-              dotted_name="ric.report", args=(sqrt_call,),
-              expr=Call("ric.report", (sqrt_call,)),
-              children=[_stmt(StatementKind.CALL, 12, "ric.report(sqrt(total))",
-                              dotted_name="sqrt", args=(Name("total"),))]),
+        Statement(StatementKind.IMPORT, 1, "ric", bindings=(("ric", "ric"),)),
+        Statement(StatementKind.IMPORT, 2, "math", bindings=(("sqrt", "math.sqrt"),)),
+        Statement(StatementKind.ASSIGN, 3, "budget", expr=Literal(24)),
+        Statement(StatementKind.ASSIGN, 4, "grant",
+                  expr=Call("ric.allocate_prb", (Literal("s1"), Literal(6)))),
+        Statement(StatementKind.CONDITIONAL, 5,
+                  expr=OpChain((Name("budget"), Literal(10)), (">",))),
+        Statement(StatementKind.CALL, 6, "ric.admit",
+                  expr=Call("ric.admit", (Literal("s1"),))),
+        Statement(StatementKind.LOOP, 7, loop_var="sid", expr=Name("slice_list")),
+        Statement(StatementKind.CALL, 8, "ric.set_priority",
+                  expr=Call("ric.set_priority", (Name("sid"), Literal(2)))),
+        Statement(StatementKind.ASSIGN, 9, "total",
+                  expr=OpChain((Name("budget"), Name("grant")), ("-",))),
+        Statement(StatementKind.CALL, 10, "ric.log_total",
+                  expr=Call("ric.log_total", (Name("total"),))),
+        Statement(StatementKind.CALL, 12, "ric.report",
+                  expr=Call("ric.report", (sqrt_call,))),
     ]
     assert tree.statements == expected
     assert tree.unparsed_regions == [(11, 11)]
@@ -129,8 +107,18 @@ def test_parse_code_never_raises_and_partitions_lines(source):
         assert start > last_end  # ordered, disjoint, merged
         last_end = end
         unparsed.update(range(start, end + 1))
-    for stmt in tree.flat:
-        assert stmt.line not in unparsed
+    lines = [stmt.line for stmt in tree.statements]
+    assert lines == sorted(set(lines))  # source order, one statement per line
+    for line in lines:
+        assert line not in unparsed
+
+
+def test_parse_code_reproduces_the_parse_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden) == 500
+    mismatches = [entry["source"] for entry in golden
+                  if describe(entry["source"]) != entry]
+    assert not mismatches, mismatches[:5]
 
 
 def test_parse_deterministic():
@@ -149,12 +137,12 @@ def _ids(findings):
 def test_clean_snippet_has_no_findings():
     code = 'import ric\ng = ric.allocate_prb("s1", 4)\nric.record(g)'
     tree = parse_code(code)
-    assert run_static_checks(tree, code) == []
+    assert run_static_checks(tree) == []
 
 
 def test_unused_assignment_warning():
     code = "x = 1"
-    findings = run_static_checks(parse_code(code), code)
+    findings = run_static_checks(parse_code(code))
     assert _ids(findings) == [("unused_assignment", 1)]
     assert findings[0].severity is Severity.WARNING
 
@@ -165,38 +153,38 @@ def test_fixture_with_two_planted_issues_yields_exactly_those():
             'grant = ric.allocate_prb("s1", 4)\n'
             "ric.log(grant)\n"
             "ric.notify(missing_name)")
-    findings = run_static_checks(parse_code(code), code)
+    findings = run_static_checks(parse_code(code))
     assert _ids(findings) == [("unused_assignment", 2), ("undefined_name", 5)]
 
 
 def test_reassignment_before_read_flags_first_assignment():
     code = "import ric\nx = 1\nx = 2\nric.log(x)"
-    findings = run_static_checks(parse_code(code), code)
+    findings = run_static_checks(parse_code(code))
     assert _ids(findings) == [("unused_assignment", 2)]
 
 
 def test_dotted_call_root_must_be_defined():
     code = 'ric.admit("s1")'
-    findings = run_static_checks(parse_code(code), code)
+    findings = run_static_checks(parse_code(code))
     assert _ids(findings) == [("undefined_name", 1)]
 
 
 def test_bare_call_targets_are_exempt_from_undefined_check():
     code = 'g = allocate_prb(4)\nreport(g)'
-    findings = run_static_checks(parse_code(code), code)
+    findings = run_static_checks(parse_code(code))
     assert findings == []
 
 
 def test_long_line_info():
     code = "import ric\nric.log(1)  #" + "x" * 120
-    findings = run_static_checks(parse_code(code), code)
+    findings = run_static_checks(parse_code(code))
     assert _ids(findings) == [("line_too_long", 2)]
     assert findings[0].severity is Severity.INFO
 
 
 def test_unparsed_region_warning():
     code = "import ric\n!!!\n???\nric.ping()"
-    findings = run_static_checks(parse_code(code), code)
+    findings = run_static_checks(parse_code(code))
     assert _ids(findings) == [("unparsed_region", 2)]
 
 
@@ -204,7 +192,7 @@ def test_loop_variable_and_import_bindings_count_as_definitions():
     code = ("from ric import admit, slice_ids\n"
             "for sid in slice_ids:\n"
             "    admit(sid)")
-    findings = run_static_checks(parse_code(code), code)
+    findings = run_static_checks(parse_code(code))
     assert findings == []
 
 
@@ -215,8 +203,8 @@ def test_external_linter_hook_merges_findings(tmp_path):
         "print(json.dumps([{'rule_id': 'ext_rule', 'severity': 'error',"
         " 'message': 'boom', 'line': 1}]))\n")
     code = "import ric\nx = 1\nric.log(x)"
-    findings = run_static_checks(parse_code(code), code,
-                                 external_linter_cmd=f"python3 {script} {{file}}")
+    findings = merge_external_lint(run_static_checks(parse_code(code)), code,
+                                   f"python3 {script} {{file}}")
     assert ("ext_rule", 1) in _ids(findings)
     ext = [f for f in findings if f.rule_id == "ext_rule"][0]
     assert ext.dimension is Dimension.STATIC
@@ -225,8 +213,8 @@ def test_external_linter_hook_merges_findings(tmp_path):
 
 def test_external_linter_crash_is_single_warning_not_failure():
     code = "import ric\nx = 1\nric.log(x)"
-    findings = run_static_checks(parse_code(code), code,
-                                 external_linter_cmd="false {file}")
+    findings = merge_external_lint(run_static_checks(parse_code(code)), code,
+                                   "false {file}")
     assert [f.rule_id for f in findings] == ["linter_unavailable"]
     assert findings[0].severity is Severity.WARNING
     assert findings[0].message == "external static hook failed: exited with status 1"
@@ -323,7 +311,7 @@ def test_policy_rules_from_json(tmp_path):
 
 def test_nondeterminism_warning_for_random_call():
     code = "r = random.random()\nric.log(r)"
-    findings = formal_lite_check(parse_code(code), code)
+    findings = formal_lite_check(parse_code(code))
     assert _ids(findings) == [("nondeterministic_call", 1)]
     assert findings[0].severity is Severity.WARNING
 
@@ -333,7 +321,7 @@ def test_fully_annotated_clean_code_has_no_formal_findings():
             "    return x\n"
             "g = ric.allocate_prb('s1', 2)\n"
             "ric.log(g)")
-    assert formal_lite_check(parse_code(code), code) == []
+    assert formal_lite_check(parse_code(code)) == []
 
 
 def test_fixture_with_all_three_formal_violations():
@@ -345,7 +333,7 @@ def test_fixture_with_all_three_formal_violations():
             "    ric.ping()\n"
             "except:\n"
             "    pass")
-    findings = formal_lite_check(parse_code(code), code)
+    findings = formal_lite_check(parse_code(code))
     assert _ids(findings) == [("missing_annotations", 1),
                               ("nondeterministic_call", 3),
                               ("bare_except", 7)]
@@ -353,15 +341,15 @@ def test_fixture_with_all_three_formal_violations():
 
 def test_annotation_check_requires_return_and_params():
     code = "def f(x: int):\n    pass"
-    assert _ids(formal_lite_check(parse_code(code), code)) == \
+    assert _ids(formal_lite_check(parse_code(code))) == \
         [("missing_annotations", 1)]
     code = "def g() -> None:\n    pass"
-    assert formal_lite_check(parse_code(code), code) == []
+    assert formal_lite_check(parse_code(code)) == []
 
 
 def test_time_and_uuid_roots_flagged_through_aliases():
     code = "import time as t\nnow = t.monotonic()\nric.log(now)"
-    findings = formal_lite_check(parse_code(code), code)
+    findings = formal_lite_check(parse_code(code))
     assert _ids(findings) == [("nondeterministic_call", 2)]
 
 

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from gmas_harness.analyzer import DEFAULT_SEVERITY_WEIGHTS, Severity
 from gmas_harness.config import load_experiment_config, parse_thresholds
+from gmas_harness.errors import ConfigurationError
 from gmas_harness.orchestrator import RunConfig, Thresholds
+
+REPO = Path(__file__).parent.parent
 
 
 def _write(tmp_path, raw: dict):
@@ -28,3 +35,44 @@ def test_present_keys_override_only_themselves(tmp_path):
     assert config.run == RunConfig(top_k=2, thresholds=Thresholds(alignment=0.5))
     assert config.severity_weights == {**DEFAULT_SEVERITY_WEIGHTS, Severity.ERROR: 20.0}
     assert isinstance(config.severity_weights[Severity.ERROR], float)
+
+
+# Each of these loaded and then failed the first run of a grid (a negative
+# memory budget ran, but cut every memory digest to "...").
+@pytest.mark.parametrize("override, key", [
+    ({"consistency_alpha": 1.5}, "consistency_alpha"),
+    ({"consistency_alpha": -0.1}, "consistency_alpha"),
+    ({"top_k": 0}, "top_k"),
+    ({"hop_expand": 2}, "hop_expand"),
+    ({"temperature": 3.0}, "temperature"),
+    ({"temperature": -0.5}, "temperature"),
+    ({"max_tokens": 0}, "max_tokens"),
+    ({"memory_budget_chars": -1}, "memory_budget_chars"),
+    ({"severity_weights": {"warning": 0}}, "severity_weights.warning"),
+    ({"severity_weights": {"critical": -30}}, "severity_weights.critical"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_setting_a_run_cannot_use_is_refused_naming_its_key(tmp_path, override, key):
+    path = _write(tmp_path, {"network_path": "network.json", **override})
+    with pytest.raises(ConfigurationError, match=re.escape(key)):
+        load_experiment_config(path)
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"max_refinement_dept": 9}, "'max_refinement_dept'"),
+    ({"thresholds": {"alignmnt": 0.5}}, "'thresholds.alignmnt'"),
+    ({"backend": {"mode": "scripted", "retry": 2}}, "'backend.retry'"),
+    ({"stores": {"chunksize": 200}}, "'stores.chunksize'"),
+    ({"severity_weights": {"fatal": 50}}, "'severity_weights.fatal'"),
+], ids=["top level", "thresholds", "backend", "stores", "severity_weights"])
+def test_unknown_key_is_refused_naming_it(tmp_path, override, key):
+    path = _write(tmp_path, {"network_path": "network.json", **override})
+    with pytest.raises(ConfigurationError, match=re.escape(f"unknown config key {key}")):
+        load_experiment_config(path)
+
+
+@pytest.mark.parametrize("config", sorted(
+    str(p.relative_to(REPO)) for p in [REPO / "sample_data" / "experiment.json",
+                                       *(REPO / "perfbench" / "data").glob("*/experiment.json")]))
+def test_committed_configs_load(config):
+    loaded = load_experiment_config(REPO / config)
+    assert loaded.raw == json.loads((REPO / config).read_text(encoding="utf-8"))

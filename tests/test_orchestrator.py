@@ -658,12 +658,12 @@ def _reference_report(plan_text: str, code_text: str, env) -> AnalyzerReport:
     policy, formal, the plan's, then the sandbox's."""
     cfg = env.config
     tree = parse_code(code_text)
-    findings = run_static_checks(tree, code_text)
+    findings = run_static_checks(tree)
     findings += run_external_hook(code_text, cfg.external_linter_cmd, Dimension.STATIC,
                                   "linter_unavailable")
     findings.sort(key=lambda f: (f.location or (0, 0), f.rule_id))  # stable
     findings += enforce_policy(tree, env.policy_rules)
-    findings += formal_lite_check(tree, code_text)
+    findings += formal_lite_check(tree)
     try:
         plan = parse_plan(plan_text)
     except PlanSyntaxError as exc:

@@ -162,6 +162,11 @@ def test_unknown_schema_version_is_corrupt(tmp_path, version):
 _MISSING = object()
 
 
+class _Raw(str):
+    """A value written into the run file's text as it stands, for JSON that
+    ``json.dumps`` cannot write, such as the literal ``1e400``."""
+
+
 def _check_only_victim_corrupt(tmp_path, capsys, caplog, field_path, value, match):
     """Set ``field_path`` of run 2's payload to ``value`` (delete it, for
     ``_MISSING``); the file must be refused, listed alone as corrupt and
@@ -181,7 +186,10 @@ def _check_only_victim_corrupt(tmp_path, capsys, caplog, field_path, value, matc
     else:
         target[key] = value
     # canonical separators, so load_run cuts the vectors out; json.dumps writes NaN
-    victim.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if isinstance(value, _Raw):
+        text = text.replace(json.dumps(value), value)
+    victim.write_text(text + "\n")
     with pytest.raises(ValidationError, match=match):
         load_run(victim)
     with pytest.raises(ValidationError, match=match):
@@ -311,6 +319,15 @@ _BAD_FIELDS = {  # id: (field path, value, what the error names)
                             "context_items .* holds a row of the wrong shape"),
     "aux exchange numbers": (_CODER + ("aux_exchanges",), [[1, 2]],
                              "aux_exchanges .* holds a row of the wrong shape"),
+    # each decodes, and canonical_json refuses to write it back
+    "kpi NaN": (("kpi",), {"totals": {"throughput_mbps": _NAN}},
+                "kpi .* holds a non-finite number"),
+    "kpi -Infinity": (("kpi",), {"per_slice": [{"latency_ms": float("-inf")}]},
+                      "kpi .* holds a non-finite number"),
+    "kpi literal 1e400": (("kpi",), _Raw('{"totals":{"throughput_mbps":1e400}}'),
+                          "kpi .* holds a non-finite number"),
+    "context score Infinity": (_CODER + ("context_items",), [["a", float("inf"), "b"]],
+                               "context_items .* holds a non-finite number"),
 }
 
 
