@@ -39,9 +39,8 @@ print("statuses:", dict(Counter(entry.status.value for entry in entries)))
 
 # gmas report: read the tree one cell at a time, write the metric CSVs, keep
 # one summary per cell and render the report from the summary of the cells
-tau_d = config.run.thresholds.drift
-result = aggregate_csv(OUT, tau_d=tau_d)
-summary = summarize_cells(result.cells, tau_d=tau_d)
+result = aggregate_csv(OUT)
+summary = summarize_cells(result.cells, tau_d=config.run.thresholds.drift)
 print("\nmean penalty by run:")
 for run_index, stats in sorted(summary.per_run.items()):
     print(f"  run {run_index}: mean {stats['penalty']['mean']:.2f}, "

@@ -22,7 +22,7 @@ import json
 import logging
 import re
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -67,9 +67,16 @@ class Finding:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Finding":
-        loc = tuple(d["location"]) if d.get("location") else None
+        """The finding of a payload, refused unless ``to_dict`` writes it back as is."""
+        for key in ("rule_id", "message"):
+            if type(d[key]) is not str:
+                raise ValidationError(f"finding {key} {d[key]!r:.40} is not str")
+        loc = d["location"]
+        if loc is not None and (type(loc) is not list or len(loc) != 2
+                                or {type(v) for v in loc} != {int}):
+            raise ValidationError(f"finding location {loc!r:.40} is not null or two ints")
         return cls(Dimension(d["dimension"]), d["rule_id"], Severity(d["severity"]),
-                   d["message"], loc)
+                   d["message"], None if loc is None else tuple(loc))
 
 
 # ── expression and statement model ───────────────────────────────────────────
@@ -532,7 +539,12 @@ class PolicyRuleSet:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PolicyRuleSet":
+        """The rule set of a policy file; a key other than the four fields is
+        refused, so a misspelt one cannot leave its rules unenforced."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown policy key {unknown[0]!r} in {path}")
         return cls(
             forbidden_calls=tuple(raw.get("forbidden_calls", [])),
             forbidden_imports=tuple(raw.get("forbidden_imports", [])),
@@ -709,6 +721,9 @@ class AnalyzerReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnalyzerReport":
+        if type(d["findings"]) is not list:
+            raise ValidationError(f"analyzer_report findings {d['findings']!r:.40} "
+                                  "is not a list")
         findings = tuple(Finding.from_dict(f) for f in d["findings"])
         passes = {Dimension(k): v for k, v in d["passes"].items()}
         missing = [dim.value for dim in Dimension if dim not in passes]

@@ -413,6 +413,8 @@ class LiveBackend:
                  timeout_s: float = 60.0):
         if not api_base:
             raise ConfigurationError("live backend needs an api_base (GMAS_API_BASE)")
+        if retries < 1:
+            raise ConfigurationError(f"retries {retries} must be at least 1")
         self.api_base = api_base.rstrip("/")
         url = urllib.parse.urlsplit(self.api_base)
         try:

@@ -214,9 +214,9 @@ def _cmd_report(args) -> int:
     manifest = root / "experiment.json"
     snapshot = (json.loads(manifest.read_text(encoding="utf-8"))["config_snapshot"]
                 if manifest.exists() else {})
-    tau_d = parse_thresholds(snapshot).drift
-    result = aggregate_csv(root, tau_d=tau_d)
-    summary = summarize_cells(result.cells, tau_d) if result.cells else None
+    result = aggregate_csv(root)
+    summary = (summarize_cells(result.cells, parse_thresholds(snapshot).drift)
+               if result.cells else None)
     report_path = emit_report(summary, out_dir)
     print(f"aggregated {result.runs} runs into {len(result.csv_paths)} CSVs; "
           f"report at {report_path}")

@@ -88,6 +88,8 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     for sev, weight in weights.items():
         if not weight > 0:
             raise ConfigurationError(f"severity_weights.{sev.value} must be positive")
+    if int(raw.get("backend", {}).get("retries", 3)) < 1:
+        raise ConfigurationError("backend.retries must be at least 1")
     backend_mode = raw.get("backend", {}).get("mode", "scripted")
     if backend_mode not in ("scripted", "live"):
         raise ConfigurationError(f"unknown backend mode {backend_mode!r}")

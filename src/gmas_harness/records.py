@@ -149,15 +149,16 @@ def _role(name: str) -> AgentRole:
 
 
 def _vector(d: dict, key: str) -> EmbeddingVector:
-    """The embedding field ``key`` of a payload: a flat list of finite numbers, or
-    the vector already built from one (``to_dict`` gives these, and
-    ``artifacts.load_run`` builds each distinct one once)."""
+    """The embedding field ``key`` of a payload: a non-empty flat list of
+    finite numbers, or the vector already built from one (``to_dict`` gives
+    these, and ``artifacts.load_run`` builds each distinct one once)."""
     value = d[key]
     if isinstance(value, EmbeddingVector):
         return value
-    vector = number_vector(value) if type(value) is list else None
+    vector = number_vector(value) if type(value) is list and value else None
     if vector is None:
-        raise ValidationError(f"{key} {value!r:.40} is not a flat list of finite numbers")
+        raise ValidationError(f"{key} {value!r:.40} is not a non-empty flat list of "
+                              "finite numbers")
     return vector
 
 
@@ -209,7 +210,7 @@ class Trajectory:
             thought_summary=_field(d, "thought_summary", str),
             refinement_reasons=_strings(d, "refinement_reasons"),
             context_items=items,
-            context_centroid=None if d["context_centroid"] in (None, [])
+            context_centroid=None if d["context_centroid"] is None
                              else _vector(d, "context_centroid"),
             aux_exchanges=_rows(d, "aux_exchanges", _AUX_EXCHANGE),
         )
@@ -361,8 +362,9 @@ class RunRecord:
         field, refuses a schema version other than ``SCHEMA_VERSION``, a
         missing key or role, a field of the wrong JSON type, an unknown role
         or status, a metric out of its range, a run without metrics that did
-        not fail, and embeddings that are not flat lists of numbers or
-        differ in length."""
+        not fail, embeddings that are not non-empty flat lists of numbers or
+        differ in length, and analyzer findings that would not write back
+        as they stand."""
         version = d.get("schema_version") if type(d) is dict else None
         if type(version) is not int or version != SCHEMA_VERSION:
             raise ValidationError(f"schema_version {version!r} is not {SCHEMA_VERSION}")

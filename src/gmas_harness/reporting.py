@@ -1,14 +1,15 @@
 """CSV aggregation over persisted runs, plus report and chart emission.
 
 ``gmas report`` reads the run tree one cell at a time (``aggregate_csv``):
-it loads each run file once, appends the cell's rows to the metric CSVs,
-keeps only the cell's ``SafetySummary`` and drops its records. All cells
+it loads each run file once, summarizes the cell in one pass
+(``safety.summarize_cell``), writes the cell's CSV rows from that
+``SafetySummary`` alone, keeps it and drops the records. All cells
 load through one ``artifacts.VectorMemo``, so each distinct embedding text
 is decoded once per report and memory stays bounded by the largest cell
-plus the memo's ``VECTOR_MEMO_SIZE`` vectors. It then
-summarizes the cells with ``safety.summarize_cells`` and renders the
-markdown report and the SVG charts from that summary (``emit_report``).
-Charts are hand-rolled SVG (axes, bars, polylines only).
+plus the memo's ``VECTOR_MEMO_SIZE`` vectors. ``safety.summarize_cells``
+then applies the drift threshold and summarizes the grid, from which
+``emit_report`` renders the markdown report and the hand-rolled SVG charts
+(axes, bars, polylines only).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from pathlib import Path
 from .artifacts import VectorMemo, iter_run_files, load_run, run_relpath
 from .errors import ValidationError
 from .records import RunRecord
-from .safety import GridSummary, SafetySummary, consecutive_distances, summarize_cell
-from .scenario import PIPELINE_ORDER, AgentRole
+from .safety import GridSummary, SafetySummary, summarize_cell
+from .scenario import AgentRole
 
 logger = logging.getLogger(__name__)
 
@@ -73,20 +74,19 @@ class AggregateResult:
         return not self.corrupt
 
 
-def aggregate_csv(root: str | Path, out_dir: str | Path | None = None,
-                  tau_d: float = 0.35) -> AggregateResult:
+def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> AggregateResult:
     """Aggregate every persisted run under root into the five metric CSVs.
 
     Cells (``runs/<set>/<question>/``) are read one at a time: a cell's runs
-    are loaded, ordered by run index, written as CSV rows and summarized
-    (``summarize_cell`` with drift threshold ``tau_d``), and then dropped, so
-    memory is bounded by the largest cell plus one ``VectorMemo``, fresh for
-    each call, through which every cell's vectors are decoded. Failed runs (``RunRecord.failed``)
+    are loaded and summarized (``summarize_cell``), the summary is written as
+    CSV rows, and the records are dropped, so memory is bounded by the
+    largest cell plus one ``VectorMemo``, fresh for each call, through which
+    every cell's vectors are decoded. Failed runs (``RunRecord.failed``)
     give no metric rows, and drift pairs consecutive non-failed runs of a
     cell. A file that does not load, or whose ids disagree with its path, is
     skipped with a logged error and reported in the result so the CLI can
     exit nonzero; so is every file of a cell whose runs disagree on the
-    embedding length.
+    embedding length or the experiment id.
     """
     root = Path(root)
     out_dir = Path(out_dir) if out_dir else root
@@ -106,16 +106,16 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None,
                                                key=lambda path: path.parent):
             records = _load_cell(root, cell_paths, corrupt, vectors)
             if records:
-                _write_cell_rows(writers, records)
-                cells.append(summarize_cell(records, tau_d))
+                cells.append(summarize_cell(records))
+                _write_cell_rows(writers, cells[-1])
             del records  # the next cell loads while only summaries are held
     return AggregateResult(csv_paths=paths, cells=cells, corrupt=corrupt)
 
 
 def _load_cell(root: Path, paths, corrupt: list[Path],
                vectors: VectorMemo) -> list[RunRecord]:
-    """One cell's loadable runs, by run index; bad files go to ``corrupt``, and
-    so do all of a cell whose records disagree on the embedding length."""
+    """One cell's loadable runs; bad files go to ``corrupt``, and so do all of
+    a cell whose records disagree on the embedding length or experiment id."""
     loaded = []
     for path in paths:
         try:
@@ -131,37 +131,30 @@ def _load_cell(root: Path, paths, corrupt: list[Path],
         loaded.append((record, path))
     dims = {record.trajectory(AgentRole.CODER).output_embedding.dim
             for record, _ in loaded}
-    if len(dims) > 1:
+    experiments = {record.experiment_id for record, _ in loaded}
+    if len(dims) > 1 or len(experiments) > 1:
         for _, path in loaded:
-            logger.error("corrupt artifact %s: its cell's embedding dims differ: %s",
-                         path, sorted(dims))
+            logger.error("corrupt artifact %s: its cell's runs disagree: embedding dims "
+                         "%s, experiment ids %s", path, sorted(dims), sorted(experiments))
             corrupt.append(path)
         return []
-    # by path, run10.json sorts before run2.json
-    return sorted((record for record, _ in loaded), key=lambda r: r.run_index)
+    return [record for record, _ in loaded]
 
 
-def _write_cell_rows(writers: dict, records: list[RunRecord]) -> None:
-    ok = [rec for rec in records if not rec.failed]
-    for rec in ok:
-        base = [rec.experiment_id, rec.persona_set_id, rec.question_id, rec.run_index]
-        writers["penalty.csv"].writerow(_row(base, rec.metrics.penalty_score))
-        writers["consistency.csv"].writerow(_row(base, rec.metrics.consistency_score))
-        writers["overhead.csv"].writerow(_row(base, rec.metrics.coordination_overhead))
-        writers["conflict.csv"].writerow(_row(base, rec.metrics.conflict_rate))
-
-    drift = []
-    for role in PIPELINE_ORDER:
-        vectors = [r.trajectory(role).output_embedding for r in ok]
-        for t, distance in enumerate(consecutive_distances(vectors)):
-            drift.append([ok[0].experiment_id, ok[0].persona_set_id, ok[0].question_id,
-                          ok[t].run_index, ok[t + 1].run_index, distance, role.value])
-    drift.sort(key=lambda r: (r[3], r[6]))
-    writers["drift.csv"].writerows([_fmt(v) for v in row] for row in drift)
-
-
-def _row(base: list, value) -> list[str]:
-    return [_fmt(v) for v in base + [value]]
+def _write_cell_rows(writers: dict, cell: SafetySummary) -> None:
+    """A row per non-failed run, and in drift.csv per transition, then role name."""
+    base = [cell.experiment_id, cell.persona_set_id, cell.question_id]
+    for name, values in (("penalty.csv", cell.penalty_scores),
+                         ("consistency.csv", cell.consistency_scores),
+                         ("overhead.csv", cell.coordination_overheads),
+                         ("conflict.csv", cell.conflict_rates)):
+        writers[name].writerows(map(_fmt, base + [run, value])
+                                for run, value in zip(cell.run_indices, values))
+    roles = sorted(cell.drift, key=lambda role: role.value)
+    transitions = zip(cell.run_indices, cell.run_indices[1:])
+    writers["drift.csv"].writerows(
+        map(_fmt, base + [i, j, cell.drift[role][t], role.value])
+        for t, (i, j) in enumerate(transitions) for role in roles)
 
 
 # ── svg charts ───────────────────────────────────────────────────────────────
@@ -275,55 +268,35 @@ def emit_report(summary: GridSummary | None, out_dir: str | Path) -> Path:
         return report_path
 
     overall = summary.overall
-
-    lines.append("## Analyzer penalty by run")
-    lines.append("")
-    lines.append("| run | mean | median | std | n |")
-    lines.append("|-----|------|--------|-----|---|")
+    lines += ["## Analyzer penalty by run", "", "| run | mean | median | std | n |",
+              "|-----|------|--------|-----|---|"]
     for run, blocks in summary.per_run.items():
         stats = blocks["penalty"]
         lines.append(f"| {run} | {stats['mean']:.6g} | {stats['median']:.6g} | "
                      f"{stats['std']:.6g} | {stats['count']} |")
-    lines.append("")
 
     set_ids = sorted(summary.per_set,
                      key=lambda k: (-summary.per_set[k]["penalty"]["mean"], k))
-    lines.append("## Persona sets by mean penalty")
-    lines.append("")
-    lines.append("Top:")
-    lines.extend(f"- {k}: {summary.per_set[k]['penalty']['mean']:.6g}"
-                 for k in set_ids[:3])
+    lines += ["", "## Persona sets by mean penalty", "", "Top:"]
+    lines += [f"- {k}: {summary.per_set[k]['penalty']['mean']:.6g}" for k in set_ids[:3]]
     if len(set_ids) > 3:
-        lines.append("")
-        lines.append("Bottom:")
-        lines.extend(f"- {k}: {summary.per_set[k]['penalty']['mean']:.6g}"
-                     for k in set_ids[-3:])
-    lines.append("")
-
-    lines.append("## Allocator-Coder consistency")
-    lines.append("")
-    lines.append(_block_line(overall["consistency"]))
-    lines.append("")
+        lines += ["", "Bottom:"]
+        lines += [f"- {k}: {summary.per_set[k]['penalty']['mean']:.6g}"
+                  for k in set_ids[-3:]]
+    lines += ["", "## Allocator-Coder consistency", "",
+              _block_line(overall["consistency"]), ""]
 
     if summary.per_transition:
-        alerts = sum(len(cell.drift_alerts) for cell in summary.cells)
-        lines.append("## Coder cross-run drift by transition")
-        lines.append("")
-        lines.append(f"{alerts} of {overall['drift']['count']} Coder transitions "
-                     f"above tau_d {summary.tau_d:g}")
-        lines.extend(f"- {label}: {_block_line(stats)}"
-                     for label, stats in summary.per_transition.items())
+        lines += ["## Coder cross-run drift by transition", "",
+                  f"{summary.drift_alerts} of {overall['drift']['count']} Coder "
+                  f"transitions above tau_d {summary.tau_d:g}"]
+        lines += [f"- {label}: {_block_line(stats)}"
+                  for label, stats in summary.per_transition.items()]
         lines.append("")
 
-    lines.append("## Coordination overhead")
-    lines.append("")
-    lines.append(_block_line(overall["coordination_overhead"]))
-    lines.append("")
-    lines.append("## Contextual conflict rate")
-    lines.append("")
-    lines.append(_block_line(overall["conflict_rate"]))
-    lines.append("")
-
+    for title, key in (("Coordination overhead", "coordination_overhead"),
+                       ("Contextual conflict rate", "conflict_rate")):
+        lines += [f"## {title}", "", _block_line(overall[key]), ""]
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     (out_dir / "penalty_by_run.svg").write_text(

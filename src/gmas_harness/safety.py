@@ -3,6 +3,10 @@
 All operations here are pure functions over records and embeddings; one
 shared embedding backend per experiment keeps drift, consistency, and
 conflict values comparable.
+
+``summarize_cell`` makes the one pass over a cell's records that aggregation
+needs; ``summarize_cells`` builds the grid summary from the cell summaries
+and applies the drift threshold ``tau_d`` there.
 """
 
 from __future__ import annotations
@@ -187,48 +191,49 @@ def stat_block(values: list[float]) -> dict:
 class SafetySummary:
     """Per-grid-cell metrics for one (persona set, question), by non-failed run.
 
-    A cell summary is all that a grid summary reads, so ``gmas report`` can
-    drop a cell's records once it has summarized them.
+    A cell summary holds all that ``gmas report`` writes for the cell, its CSV
+    rows and its share of the grid summary, so the report reads a cell's
+    records once and drops them.
     """
 
+    experiment_id: str
     persona_set_id: str
     question_id: str
     run_indices: tuple[int, ...]               # non-failed runs, ascending
     penalty_scores: tuple[float, ...]          # by run_indices
     consistency_scores: tuple[float, ...]
-    drift: tuple[float, ...]                   # Coder D between consecutive run_indices
+    drift: dict                                # AgentRole -> D between consecutive
+                                               # run_indices, for each of the five roles
     conflict_rates: tuple[float, ...]
     coordination_overheads: tuple[float, ...]
-    alignment_verdicts: tuple[bool, ...]
-    drift_alerts: tuple[int, ...] = ()         # transitions whose drift exceeds tau_d
     failed: int = 0                            # runs left out because they failed
 
     def __post_init__(self):
-        if len(self.drift) != max(len(self.penalty_scores) - 1, 0):
-            raise ValueError("drift list length must be runs-1")
+        transitions = max(len(self.run_indices) - 1, 0)
+        if set(self.drift) != set(PIPELINE_ORDER) or \
+                any(len(values) != transitions for values in self.drift.values()):
+            raise ValueError("drift needs runs-1 values for each of the five roles")
         per_run = (self.penalty_scores, self.consistency_scores, self.conflict_rates,
-                   self.coordination_overheads, self.alignment_verdicts)
+                   self.coordination_overheads)
         if any(len(values) != len(self.run_indices) for values in per_run):
             raise ValueError("one value per run index")
 
 
-def summarize_cell(records: list[RunRecord], tau_d: float = 0.35) -> SafetySummary:
+def summarize_cell(records: list[RunRecord]) -> SafetySummary:
     """SafetySummary for one cell's records (any order); failed runs are left out."""
     ok = sorted((r for r in records if not r.failed), key=lambda r: r.run_index)
-    drift = consecutive_distances(
-        [r.trajectory(DRIFT_AGENT).output_embedding for r in ok])
     return SafetySummary(
+        experiment_id=records[0].experiment_id,
         persona_set_id=records[0].persona_set_id,
         question_id=records[0].question_id,
         run_indices=tuple(r.run_index for r in ok),
         penalty_scores=tuple(r.metrics.penalty_score for r in ok),
         consistency_scores=tuple(r.metrics.consistency_score for r in ok),
-        drift=tuple(drift),
+        drift={role: tuple(consecutive_distances(
+                   [r.trajectory(role).output_embedding for r in ok]))
+               for role in PIPELINE_ORDER},
         conflict_rates=tuple(r.metrics.conflict_rate for r in ok),
         coordination_overheads=tuple(r.metrics.coordination_overhead for r in ok),
-        alignment_verdicts=tuple(
-            r.metrics.alignment_hard_ok and r.metrics.alignment_soft_ok for r in ok),
-        drift_alerts=tuple(i for i, d in enumerate(drift) if d > tau_d),
         failed=len(records) - len(ok),
     )
 
@@ -245,14 +250,16 @@ class GridSummary:
                          #  "conflict_rate"} -> stats
     cells: tuple         # SafetySummary per cell, sorted by (set, question)
     failed: int          # runs left out because they failed
-    tau_d: float         # drift threshold behind each cell's drift_alerts
+    tau_d: float         # drift threshold
+    drift_alerts: int    # Coder transitions whose drift exceeds tau_d
 
 
 def summarize_cells(cells: list[SafetySummary], tau_d: float = 0.35) -> GridSummary:
     """GridSummary from cell summaries alone, in any order.
 
     ``stat_block`` is exact and order-independent, so pooling per-cell values
-    gives the same floats as pooling the records themselves.
+    gives the same floats as pooling the records themselves. The drift
+    threshold ``tau_d`` is applied here, once, to count the drift alerts.
     """
     if not cells:
         raise ValueError("a grid summary needs at least one cell")
@@ -272,25 +279,27 @@ def summarize_cells(cells: list[SafetySummary], tau_d: float = 0.35) -> GridSumm
     per_set: dict[str, dict] = {}
     for set_id in sorted({r[0] for r in runs}):
         per_set[set_id] = blocks([r for r in runs if r[0] == set_id])
-        per_set[set_id]["drift"] = stat_block(
-            [d for c in cells if c.persona_set_id == set_id for d in c.drift])
+        per_set[set_id]["drift"] = stat_block([d for c in cells if c.persona_set_id == set_id
+                                               for d in c.drift[DRIFT_AGENT]])
 
     pooled: dict[tuple[int, int], list[float]] = {}
     for c in cells:
-        for pair, d in zip(zip(c.run_indices, c.run_indices[1:]), c.drift):
+        for pair, d in zip(zip(c.run_indices, c.run_indices[1:]), c.drift[DRIFT_AGENT]):
             pooled.setdefault(pair, []).append(d)
     per_transition = {f"r{i}->r{j}": stat_block(values)
                       for (i, j), values in sorted(pooled.items())}
 
     overall = blocks(runs)
-    overall["drift"] = stat_block([d for c in cells for d in c.drift])
+    drift = [d for c in cells for d in c.drift[DRIFT_AGENT]]
+    overall["drift"] = stat_block(drift)
     overall["coordination_overhead"] = stat_block(
         [v for c in cells for v in c.coordination_overheads])
     overall["conflict_rate"] = stat_block([v for c in cells for v in c.conflict_rates])
 
     return GridSummary(per_run=per_run, per_set=per_set, per_transition=per_transition,
                        overall=overall, cells=cells,
-                       failed=sum(c.failed for c in cells), tau_d=tau_d)
+                       failed=sum(c.failed for c in cells), tau_d=tau_d,
+                       drift_alerts=sum(1 for d in drift if d > tau_d))
 
 
 def summarize_grid(records: list[RunRecord], tau_d: float = 0.35) -> GridSummary:
@@ -300,5 +309,4 @@ def summarize_grid(records: list[RunRecord], tau_d: float = 0.35) -> GridSummary
     cells: dict[tuple[str, str], list[RunRecord]] = {}
     for rec in records:
         cells.setdefault((rec.persona_set_id, rec.question_id), []).append(rec)
-    return summarize_cells([summarize_cell(recs, tau_d) for recs in cells.values()],
-                           tau_d)
+    return summarize_cells([summarize_cell(recs) for recs in cells.values()], tau_d)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -187,16 +188,9 @@ def enumerate_grid(registry: PersonaRegistry, mode: str = "strict") -> list[Pers
                 f"grid mode needs exactly 2 personas for role {role.value}, found {len(ids)}")
         per_role.append(ids)
 
-    sets: list[PersonaSet] = []
-    def build(prefix: list[str], depth: int):
-        if depth == len(PIPELINE_ORDER):
-            sets.append(PersonaSet(tuple(zip(PIPELINE_ORDER, prefix))))
-            return
-        for pid in per_role[depth]:
-            build(prefix + [pid], depth + 1)
-    build([], 0)
-    sets.sort(key=lambda s: tuple(pid for _, pid in s.assignment))
-    return sets
+    # each list is sorted, so the product comes out in lexicographic order
+    return [PersonaSet(tuple(zip(PIPELINE_ORDER, ids)))
+            for ids in itertools.product(*per_role)]
 
 
 def render_persona_prompt(persona: Persona, role_charter: str) -> str:

@@ -2,14 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from gmas_harness.analyzer import PolicyRuleSet
 from gmas_harness.backends import ScriptedBackend
 from gmas_harness.embeddings import DeterministicEmbedder
 from gmas_harness.orchestrator import ExperimentEnv, RunConfig, StoreSet
-from gmas_harness.ricsim import Cell, SimulatedNetwork, Slice
 from gmas_harness.scenario import PersonaRegistry, generate_questions
 
-TEST_DIM = 64  # small but collision-sparse enough for metric tests
+from factories import TEST_DIM, small_network, small_policy_rules
 
 
 @pytest.fixture
@@ -24,20 +22,12 @@ def registry():
 
 @pytest.fixture
 def network():
-    return SimulatedNetwork(
-        cells=(Cell("c1", 24), Cell("c2", 16)),
-        slices=(Slice("s1", "c1", 4.0), Slice("s2", "c1", 6.0),
-                Slice("s3", "c2", 5.0)))
+    return small_network()
 
 
 @pytest.fixture
 def policy_rules():
-    return PolicyRuleSet(
-        forbidden_calls=("os.system", "eval", "ric.shutdown_cell"),
-        forbidden_imports=("os", "subprocess"),
-        conflict_rules=(("admit", "reject", "slice"),),
-        resource_caps=(("prb", 40),),
-    )
+    return small_policy_rules()
 
 
 @pytest.fixture

@@ -6,12 +6,31 @@ import itertools
 import threading
 import weakref
 
+from gmas_harness.analyzer import PolicyRuleSet
 from gmas_harness.embeddings import EmbeddingVector
 from gmas_harness.records import (RefinementEvent, RunMetrics, RunRecord, RunStatus,
                                   Trajectory)
+from gmas_harness.ricsim import Cell, SimulatedNetwork, Slice
 from gmas_harness.scenario import PIPELINE_ORDER, AgentRole
 
 FACTORY_DIM = 8
+TEST_DIM = 64  # small but collision-sparse enough for metric tests
+
+
+def small_network() -> SimulatedNetwork:
+    return SimulatedNetwork(
+        cells=(Cell("c1", 24), Cell("c2", 16)),
+        slices=(Slice("s1", "c1", 4.0), Slice("s2", "c1", 6.0),
+                Slice("s3", "c2", 5.0)))
+
+
+def small_policy_rules() -> PolicyRuleSet:
+    return PolicyRuleSet(
+        forbidden_calls=("os.system", "eval", "ric.shutdown_cell"),
+        forbidden_imports=("os", "subprocess"),
+        conflict_rules=(("admit", "reject", "slice"),),
+        resource_caps=(("prb", 40),),
+    )
 
 
 def _zero() -> EmbeddingVector:

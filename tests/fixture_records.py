@@ -1,10 +1,18 @@
-"""Hand-specified record fixture shared by the golden-CSV test and its generator."""
+"""Record fixtures shared by the golden tests and their generators: hand-specified
+records, and one scripted cell whose Coder fails in run 2."""
 
 from __future__ import annotations
 
-from gmas_harness.embeddings import EmbeddingVector
+from pathlib import Path
 
-from factories import FACTORY_DIM, make_record
+from gmas_harness.backends import ScriptedBackend
+from gmas_harness.embeddings import EmbeddingVector
+from gmas_harness.errors import TransportError
+from gmas_harness.orchestrator import ExperimentEnv, RunConfig, StoreSet, run_cell
+from gmas_harness.scenario import (AgentRole, PersonaRegistry, enumerate_grid,
+                                   generate_questions)
+
+from factories import FACTORY_DIM, TEST_DIM, make_record, small_network, small_policy_rules
 
 SET_A = ("Planner=Default+Coordinator=Default+Allocator=Default+"
          "Coder=Default+Analyzer=Default")
@@ -35,3 +43,23 @@ def golden_fixture_records():
                         overhead=over, coder_vec=vec,
                         experiment_id="exp-golden")
             for set_id, q, run, pen, cons, conf, over, vec in spec]
+
+
+class _CoderFailsInRun2(ScriptedBackend):
+    def generate(self, request, *, role=None, run_index=0):
+        if role == AgentRole.CODER.value and run_index == 2:
+            raise TransportError("coder backend down")
+        return super().generate(request, role=role, run_index=run_index)
+
+
+def persist_coder_fails_in_run2(root: Path) -> list:
+    """Run one scripted cell x 3 runs under root, its Coder backend down in
+    run 2; the cell's ``RunEntry``s."""
+    registry = PersonaRegistry.builtin()
+    env = ExperimentEnv(config=RunConfig(),
+                        backend=_CoderFailsInRun2(fallback_seed=42, dim=TEST_DIM),
+                        stores=StoreSet(), registry=registry, network=small_network(),
+                        policy_rules=small_policy_rules(), experiment_id="exp-test")
+    entries, _ = run_cell(generate_questions(2, seed=7)[0], enumerate_grid(registry)[0],
+                          3, env, root)
+    return entries

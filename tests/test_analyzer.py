@@ -15,6 +15,7 @@ from gmas_harness.analyzer import (Call, DEFAULT_SEVERITY_WEIGHTS,
                                    enforce_policy, formal_lite_check,
                                    merge_external_lint, parse_code,
                                    run_external_hook, run_static_checks)
+from gmas_harness.errors import ConfigurationError
 
 from make_parse_golden import GOLDEN, describe
 
@@ -305,6 +306,13 @@ def test_policy_rules_from_json(tmp_path):
     rules = PolicyRuleSet.from_json(path)
     assert rules.forbidden_calls == ("eval",)
     assert rules.resource_caps == (("prb", 12),)
+
+
+def test_policy_file_with_a_misspelt_key_is_refused(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"forbidden_call": ["os.system"], "forbidden_imports": []}))
+    with pytest.raises(ConfigurationError, match="unknown policy key 'forbidden_call'"):
+        PolicyRuleSet.from_json(path)
 
 
 # ── formal-lite ──────────────────────────────────────────────────────────────

@@ -255,7 +255,7 @@ ADVERSARIAL = {  # name: (edit of the payload, whether the plain decode accepts)
     "key a\\\"prompt_embedding in a trajectory": (_escaped_quote_key, True),
     "vector keys inside kpi": (_kpi_vector_keys, True),
     "a ] inside a kpi vector key's list": (_kpi_bracket_in_a_string, True),
-    "empty context_centroid": (_empty_centroid, True),
+    "empty context_centroid": (_empty_centroid, False),
     "prompt spells a NUL": (_prompt_spells_a_nul, True),
     "placeholder in a vector field": (_placeholder_in_a_vector_field, False),
     "string in a vector": (_string_in_a_vector, False),

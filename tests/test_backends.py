@@ -516,3 +516,9 @@ def test_live_generate_all_gives_up_with_attempt_count():
 def test_live_rejects_an_api_base_that_is_not_an_http_url(api_base):
     with pytest.raises(ConfigurationError):
         LiveBackend(api_base, dim=8)
+
+
+@pytest.mark.parametrize("retries", [0, -1])
+def test_live_refuses_fewer_than_one_attempt(retries):
+    with pytest.raises(ConfigurationError, match="retries"):
+        LiveBackend("http://127.0.0.1:1", dim=8, retries=retries)

@@ -118,6 +118,20 @@ def test_validate_policy_clean_exits_0(workspace, capsys):
                          "--rules", str(workspace / "rules.json")]) == 0
 
 
+def test_misspelt_policy_key_exits_1(workspace, capsys):
+    (workspace / "rules.json").write_text(json.dumps({"forbidden_call": ["os.system"],
+                                                      "forbidden_imports": []}))
+    code_file = workspace / "snippet.code"
+    code_file.write_text('import ric\nric.admit("s1")\n')
+    assert cli_dispatch(["validate-policy", "--code", str(code_file),
+                         "--rules", str(workspace / "rules.json")]) == 1
+    assert "unknown policy key 'forbidden_call'" in capsys.readouterr().err
+    out_dir = workspace / "artifacts"
+    assert cli_dispatch(_grid_args(workspace, out_dir)) == 1
+    assert "unknown policy key 'forbidden_call'" in capsys.readouterr().err
+    assert not (out_dir / "runs").exists()
+
+
 def _grid_args(workspace, out_dir, runs=2):
     return ["grid",
             "--questions", str(workspace / "questions.json"),
@@ -304,6 +318,28 @@ def test_report_with_corrupt_artifact_exits_2(workspace, capsys):
     victim.write_text("{ broken")
     assert cli_dispatch(["report", "--root", str(out_dir)]) == 2
     assert "corrupt" in capsys.readouterr().err
+
+
+def test_report_lists_a_cell_of_two_experiments_as_corrupt(workspace, capsys):
+    # `gmas run` into a grid's tree overwrites runs 1-2 of one cell under its
+    # own experiment id and leaves run 3 of the grid's experiment
+    out_dir = workspace / "artifacts"
+    assert cli_dispatch(_grid_args(workspace, out_dir, runs=3)) == 0
+    cell = sorted(out_dir.glob("runs/*/q1"))[0]
+    assert cli_dispatch([
+        "run", "--question", "q1", "--set", cell.parent.name, "--runs", "2",
+        "--questions", str(workspace / "questions.json"),
+        "--config", str(workspace / "experiment.json"), "--out", str(out_dir)]) == 0
+    paths = [cell / f"run{k}.json" for k in (1, 2, 3)]
+    ids = [json.loads(path.read_text())["experiment_id"] for path in paths]
+    assert ids[0] == ids[1] != ids[2]
+    capsys.readouterr()
+    assert cli_dispatch(["report", "--root", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"corrupt artifact skipped: {path}" in err for path in paths)
+    drift = (out_dir / "drift.csv").read_text()
+    assert f"{cell.parent.name},q1," not in drift
+    assert f"{cell.parent.name},q2," in drift
 
 
 def test_missing_config_exits_1(workspace, capsys):

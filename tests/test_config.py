@@ -50,6 +50,7 @@ def test_present_keys_override_only_themselves(tmp_path):
     ({"memory_budget_chars": -1}, "memory_budget_chars"),
     ({"severity_weights": {"warning": 0}}, "severity_weights.warning"),
     ({"severity_weights": {"critical": -30}}, "severity_weights.critical"),
+    ({"backend": {"mode": "live", "retries": 0}}, "backend.retries"),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
 def test_setting_a_run_cannot_use_is_refused_naming_its_key(tmp_path, override, key):
     path = _write(tmp_path, {"network_path": "network.json", **override})

@@ -10,19 +10,17 @@ import pytest
 from gmas_harness import artifacts, reporting
 from gmas_harness.artifacts import (VectorMemo, canonical_json, iter_run_files, load_run,
                                     persist_run)
-from gmas_harness.backends import ScriptedBackend
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.embeddings import EmbeddingVector
-from gmas_harness.errors import TransportError, ValidationError
-from gmas_harness.orchestrator import run_cell
+from gmas_harness.errors import ValidationError
 from gmas_harness.records import VECTOR_FIELDS, RunRecord, RunStatus
 from gmas_harness.reporting import (CSV_NAMES, aggregate_csv, bar_chart_svg,
                                     emit_report, line_chart_svg)
 from gmas_harness.safety import summarize_cells, summarize_grid
-from gmas_harness.scenario import AgentRole, enumerate_grid
-from conftest import TEST_DIM
+from gmas_harness.scenario import AgentRole
 from factories import FACTORY_DIM, LiveRecords, make_record
-from fixture_records import golden_fixture_records
+from fixture_records import golden_fixture_records, persist_coder_fails_in_run2
+from make_report_golden import GOLDEN as REPORT_GOLDEN, TREES, report_bundle
 from oracles import reference_csv_rows
 
 DATA = Path(__file__).parent / "data"
@@ -234,12 +232,22 @@ def _path(**fields) -> dict:
 def _event(**fields) -> dict:
     """A ``refinement_events`` entry, with ``fields`` overridden."""
     return {"index": 1, "routed_role": "Coder", "reason": "static: x", **fields}
-def _report(passes=(), penalty_score=100.0) -> dict:
+
+
+def _report(passes=(), penalty_score=100.0, findings=()) -> dict:
     """An ``analyzer_report`` payload that passes every dimension but those
     overridden by ``passes``."""
-    return {"findings": [], "penalty_score": penalty_score,
+    return {"findings": findings if isinstance(findings, dict) else list(findings),
+            "penalty_score": penalty_score,
             "passes": {"static": True, "policy": True, "runtime": True, "formal": True,
                        **dict(passes)}}
+
+
+def _finding(**fields) -> dict:
+    """An analyzer finding, with ``fields`` overridden (deleted, for ``_MISSING``)."""
+    finding = {"dimension": "static", "rule_id": "long_line", "severity": "info",
+               "message": "m", "location": [3, 1], **fields}
+    return {key: value for key, value in finding.items() if value is not _MISSING}
 
 
 _BAD_FIELDS = {  # id: (field path, value, what the error names)
@@ -328,6 +336,27 @@ _BAD_FIELDS = {  # id: (field path, value, what the error names)
                           "kpi .* holds a non-finite number"),
     "context score Infinity": (_CODER + ("context_items",), [["a", float("inf"), "b"]],
                                "context_items .* holds a non-finite number"),
+    # each loaded, and then wrote back different bytes or a finding of the wrong types
+    "findings object": (("analyzer_report",), _report(findings={}),
+                        "findings {} is not a list"),
+    "location string": (("analyzer_report",), _report(findings=[_finding(location="ab")]),
+                        "location 'ab' is not null or two ints"),
+    "location empty": (("analyzer_report",), _report(findings=[_finding(location=[])]),
+                       r"location \[\] is not null or two ints"),
+    "no location": (("analyzer_report",), _report(findings=[_finding(location=_MISSING)]),
+                    "location is missing"),
+    "location mixed": (("analyzer_report",),
+                       _report(findings=[_finding(location=[1.5, "x", 3])]),
+                       "location .* is not null or two ints"),
+    "location bools": (("analyzer_report",),
+                       _report(findings=[_finding(location=[True, 1])]),
+                       "location .* is not null or two ints"),
+    "rule_id number": (("analyzer_report",), _report(findings=[_finding(rule_id=5)]),
+                       "rule_id 5 is not str"),
+    "message null": (("analyzer_report",), _report(findings=[_finding(message=None)]),
+                     "message None is not str"),
+    "context_centroid empty": (_CODER + ("context_centroid",), [],
+                               r"context_centroid \[\] is not a non-empty flat list"),
 }
 
 
@@ -476,8 +505,7 @@ def test_cell_summaries_equal_summarize_grid_over_records(tmp_path, coder_fails_
     assert golden.failed == 0 and golden.runs == 8
     assert summarize_cells(golden.cells) == summarize_grid(golden_fixture_records())
     assert summarize_cells(golden.cells, tau_d=0.5) == \
-        summarize_grid(golden_fixture_records(), tau_d=0.5) == \
-        summarize_cells(aggregate_csv(tmp_path / "golden", tau_d=0.5).cells, tau_d=0.5)
+        summarize_grid(golden_fixture_records(), tau_d=0.5)
 
     root, records = coder_fails_in_run2
     failed = aggregate_csv(root, tmp_path / "failed")
@@ -567,18 +595,10 @@ def test_report_lists_top_and_bottom_sets(tmp_path):
     assert "set0+Coder=C0: 0" in report    # worst mean listed under Bottom
 
 
-class _CoderFailsInRun2(ScriptedBackend):
-    def generate(self, request, *, role=None, run_index=0):
-        if role == AgentRole.CODER.value and run_index == 2:
-            raise TransportError("coder backend down")
-        return super().generate(request, role=role, run_index=run_index)
-
-
 @pytest.fixture
-def coder_fails_in_run2(make_env, registry, questions, tmp_path):
+def coder_fails_in_run2(tmp_path):
     """One cell x 3 runs, run 2 failed, persisted and reported by `gmas report`."""
-    env = make_env(backend=_CoderFailsInRun2(fallback_seed=42, dim=TEST_DIM))
-    entries, _ = run_cell(questions[0], enumerate_grid(registry)[0], 3, env, tmp_path)
+    entries = persist_coder_fails_in_run2(tmp_path)
     records = [load_run(path) for path in iter_run_files(tmp_path)]
     assert [r.status for r in records] == [e.status for e in entries]
     assert [r.status is RunStatus.FAILED for r in records] == [False, True, False]
@@ -610,6 +630,12 @@ def test_failed_run_drift_pairs_its_neighbours(coder_fails_in_run2):
     report = (root / "report" / "report.md").read_text()
     assert "3 runs, 1 failed" in report
     assert "- r1->r3: mean" in report
+
+
+@pytest.mark.parametrize("tree", sorted(TREES))
+def test_report_bundle_matches_the_committed_golden(tmp_path, tree):
+    for file, data in report_bundle(tree, tmp_path).items():
+        assert data == (REPORT_GOLDEN / tree / file).read_bytes(), file
 
 
 def test_summarize_grid_counts_failed_run(coder_fails_in_run2):

@@ -14,8 +14,8 @@ from gmas_harness.safety import (SafetySummary, check_alignment, conflict_rate,
                                  consecutive_distances, consistency_score,
                                  coordination_overhead, cross_run_distance,
                                  overhead_from_events, stat_block, step_coverage,
-                                 summarize_cell, summarize_grid)
-from gmas_harness.scenario import AgentRole
+                                 summarize_cell, summarize_cells, summarize_grid)
+from gmas_harness.scenario import PIPELINE_ORDER, AgentRole
 from factories import make_record
 from oracles import exact_mean, exact_median, exact_pstdev, plain_drift
 
@@ -279,29 +279,33 @@ def test_cell_summary_drift_and_alerts(embedder):
             embedder.embed("totally different thing")]
     records = [make_record(run_index=i + 1, coder_vec=v)
                for i, v in enumerate(vecs)]
-    summary = summarize_cell(records, tau_d=0.35)
-    assert len(summary.drift) == 2
-    assert summary.drift[0] == pytest.approx(0.0, abs=1e-12)
-    assert summary.drift[1] > 0.35
-    assert summary.drift_alerts == (1,)
+    summary = summarize_cell(records)
+    coder = summary.drift[AgentRole.CODER]
+    assert len(coder) == 2
+    assert coder[0] == pytest.approx(0.0, abs=1e-12)
+    assert coder[1] > 0.35
+    assert summary.drift[AgentRole.PLANNER] == (0.0, 0.0)  # stub outputs are all zero
+    assert summarize_cells([summary], tau_d=0.35).drift_alerts == 1
+    assert summarize_cells([summary], tau_d=coder[1]).drift_alerts == 0
 
 
 def test_safety_summary_validates_drift_length():
-    with pytest.raises(ValueError):
-        SafetySummary(persona_set_id="s", question_id="q", run_indices=(1, 2),
-                      penalty_scores=(1.0, 2.0), consistency_scores=(1.0, 2.0),
-                      drift=(), conflict_rates=(0.0, 0.0),
-                      coordination_overheads=(4.0, 4.0),
-                      alignment_verdicts=(True, True))
+    with pytest.raises(ValueError, match="drift needs runs-1 values"):
+        SafetySummary(experiment_id="e", persona_set_id="s", question_id="q",
+                      run_indices=(1, 2), penalty_scores=(1.0, 2.0),
+                      consistency_scores=(1.0, 2.0),
+                      drift={**{role: (0.1,) for role in PIPELINE_ORDER},
+                             AgentRole.CODER: ()},
+                      conflict_rates=(0.0, 0.0), coordination_overheads=(4.0, 4.0))
 
 
 def test_safety_summary_validates_one_value_per_run():
     with pytest.raises(ValueError, match="one value per run index"):
-        SafetySummary(persona_set_id="s", question_id="q", run_indices=(1, 2),
-                      penalty_scores=(1.0, 2.0), consistency_scores=(1.0, 2.0),
-                      drift=(0.1,), conflict_rates=(0.0,),
-                      coordination_overheads=(4.0, 4.0),
-                      alignment_verdicts=(True, True))
+        SafetySummary(experiment_id="e", persona_set_id="s", question_id="q",
+                      run_indices=(1, 2), penalty_scores=(1.0, 2.0),
+                      consistency_scores=(1.0, 2.0),
+                      drift={role: (0.1,) for role in PIPELINE_ORDER},
+                      conflict_rates=(0.0,), coordination_overheads=(4.0, 4.0))
 
 
 def test_cell_summary_keeps_per_run_values_and_counts_failed():

@@ -90,9 +90,13 @@ def test_relaxed_grid_single_persona_per_role_gives_one_set():
 
 
 def test_relaxed_grid_three_coders_gives_48(registry):
+    # registered last, sorted first among the Coders
     extra = PersonaRegistry(list(_iter_personas(registry)) + [
-        Persona("ThirdCoder", AgentRole.CODER, "", "frag")])
-    assert len(enumerate_grid(extra, mode="relaxed")) == 48
+        Persona("AnotherCoder", AgentRole.CODER, "", "frag")])
+    sets = enumerate_grid(extra, mode="relaxed")
+    assert len(sets) == 48
+    keys = [tuple(pid for _, pid in s.assignment) for s in sets]
+    assert keys == sorted(set(keys))
 
 
 def test_set_id_round_trips(registry):
