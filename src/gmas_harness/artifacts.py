@@ -8,9 +8,13 @@ in canonical artifacts.
 
 The encoder takes the record tree of ``RunRecord.to_dict``, in which
 embeddings are ``EmbeddingVector`` objects. Each vector is encoded as a
-JSON array of floats, and its text is computed once and reused for as long
-as the vector lives, so a vector shared by many runs is formatted once.
-Every file is written atomically (``write_atomic``).
+JSON array of floats. Its text is formatted the first time the vector is
+encoded and kept on the vector itself (``EmbeddingVector.json_text``), so a
+vector shared by many runs is formatted once. The encoder dispatches on the
+exact type of each node; an instance of a subclass of a JSON type (a
+``str``-valued ``Enum`` member, an ``OrderedDict``, a namedtuple, a
+``float`` subclass) falls back to ``isinstance`` tests and is encoded as
+its parent type is. Every file is written atomically (``write_atomic``).
 
 The loader mirrors this: ``load_run`` cuts each vector field's array out of
 the file text, parses the rest with ``json.loads``, and decodes each array
@@ -29,10 +33,9 @@ import json
 import math
 import os
 import re
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 import numpy as np
@@ -50,68 +53,104 @@ def _fmt_float(value: float) -> str:
     return format(value, ".17g")
 
 
-# Canonical text of each embedding vector, computed once and kept for as long
-# as the vector lives. Equal vectors share one entry, which is sound because
-# equal vectors have the same text (-0.0 and 0.0 both print as "0").
-_VECTOR_TEXT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _vector_text(vector: EmbeddingVector) -> str:
-    text = _VECTOR_TEXT.get(vector)
+    """The vector's canonical text, formatted on the first call and then kept
+    on the vector: its values are a read-only copy, so the text cannot go
+    stale. A vector with a non-finite value is refused on every call."""
+    text = vector.json_text
     if text is None:
         values = vector.values
         finite = np.isfinite(values)
         if not finite.all():
             _fmt_float(float(values[~finite][0]))  # raises ValidationError naming it
-        # the same text as _fmt_float per item, in one pass
-        text = "[" + ",".join(["0" if v == 0.0 else "%.17g" % v
-                               for v in values.tolist()]) + "]"
-        _VECTOR_TEXT[vector] = text
+        # the same text as _fmt_float per item (0.0 and -0.0 are falsy), in one pass
+        text = "[" + ",".join(["%.17g" % v if v else "0" for v in values.tolist()]) + "]"
+        object.__setattr__(vector, "json_text", text)
     return text
 
 
-def _encode(obj, out: list[str]) -> None:
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
+def _encode(obj, out) -> None:
+    """Append the canonical text of ``obj`` through ``out``: one test of its
+    exact type, then ``_encode_subclass`` for any other type."""
+    t = type(obj)
+    if t is str:
+        out(_escape(obj))
+    elif t is dict:
+        _encode_dict(obj, out)
+    elif t is EmbeddingVector:
+        out(obj.json_text or _vector_text(obj))
+    elif t is float:
+        out(_fmt_float(obj))
     elif obj is None:
-        out.append("null")
+        out("null")
     elif obj is True:
-        out.append("true")
+        out("true")
     elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise ValidationError(f"non-string key {key!r} in canonical JSON")
-            if i:
-                out.append(",")
-            out.append(encode_basestring_ascii(key))
-            out.append(":")
-            _encode(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, EmbeddingVector):
-        out.append(_vector_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
+        out("false")
+    elif t is int:
+        out(str(obj))
+    elif t is list or t is tuple:
+        _encode_items(obj, out)
+    else:
+        _encode_subclass(obj, out)
+
+
+def _encode_dict(obj: dict, out) -> None:
+    try:
+        keys = sorted(obj)
+    except TypeError:
+        raise ValidationError(f"non-string key among {list(obj)!r:.60} in canonical JSON")
+    sep = "{"
+    for key in keys:
+        if type(key) is not str and not isinstance(key, str):
+            raise ValidationError(f"non-string key {key!r} in canonical JSON")
+        out(sep + _escape(key) + ":")
+        sep = ","
+        value = obj[key]
+        if type(value) is str:
+            out(_escape(value))
+        else:
+            _encode(value, out)
+    out("}" if keys else "{}")
+
+
+def _encode_items(obj, out) -> None:
+    sep = "["
+    for item in obj:
+        out(sep)
+        sep = ","
+        if type(item) is str:
+            out(_escape(item))
+        else:
             _encode(item, out)
-        out.append("]")
+    out("]" if sep == "," else "[]")
+
+
+def _encode_subclass(obj, out) -> None:
+    """An instance of a subclass of a JSON type gets its parent type's text.
+    The types are tested in a fixed order, so a class that derives from two
+    of them always gets the first one's text."""
+    if isinstance(obj, str):
+        out(_escape(obj))
+    elif isinstance(obj, int):  # bool cannot be subclassed, so not a bool
+        out(str(obj))
+    elif isinstance(obj, float):
+        out(_fmt_float(obj))
+    elif isinstance(obj, dict):
+        _encode_dict(obj, out)
+    elif isinstance(obj, EmbeddingVector):
+        out(_vector_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        _encode_items(obj, out)
     else:
         raise ValidationError(f"type {type(obj).__name__} not representable in canonical JSON")
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text for the object tree, without trailing newline."""
-    out: list[str] = []
-    _encode(obj, out)
-    return "".join(out)
+    parts: list[str] = []
+    _encode(obj, parts.append)
+    return "".join(parts)
 
 
 def write_atomic(path: Path, text: str) -> None:

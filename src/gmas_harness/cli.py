@@ -153,15 +153,34 @@ def _write_grid_manifest(root: Path, experiment_id: str, config,
     write_manifest(manifest, root)
 
 
+def _check_out_tree(root: Path, experiment_id: str) -> None:
+    """Refuse an artifact root whose ``experiment.json`` names another
+    experiment or is not a manifest, so no run lands in another experiment's
+    tree. An absent manifest, or one of the same experiment, passes."""
+    path = root / "experiment.json"
+    if not path.exists():
+        return
+    try:
+        found = json.loads(path.read_text(encoding="utf-8"))["experiment_id"]
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigurationError(f"{path} cannot be read as an experiment manifest "
+                                 f"({type(exc).__name__}: {exc}); choose another --out")
+    if found != experiment_id:
+        raise ConfigurationError(f"{root} holds experiment {found!r}, not "
+                                 f"{experiment_id}; choose another --out")
+
+
 def _run_experiment(args, config, registry, questions, persona_sets, grid_mode: str,
                     workers: int):
     """The grid of ``gmas grid`` and ``gmas run``: the manifest, then every
-    cell persisted under ``args.out``. Returns (experiment id, root, entries)."""
+    cell persisted under ``args.out``, which must not hold another
+    experiment. Returns (experiment id, root, entries)."""
     experiment_id = _experiment_id(config, Path(args.questions), args.personas,
                                    args.runs, grid_mode)
+    root = Path(args.out)
+    _check_out_tree(root, experiment_id)
     env = build_env(config, experiment_id, registry)
     try:
-        root = Path(args.out)
         root.mkdir(parents=True, exist_ok=True)
         _write_grid_manifest(root, experiment_id, config, Path(args.questions),
                              args.personas, len(questions), len(persona_sets), args.runs)
@@ -184,6 +203,8 @@ def _cmd_grid(args) -> int:
     if args.max_sets:
         persona_sets = persona_sets[:args.max_sets]
     workers = args.workers if args.workers is not None else config.workers
+    if workers < 1:
+        raise ConfigurationError(f"--workers must be at least 1, got {workers}")
     experiment_id, root, entries = _run_experiment(args, config, registry, questions,
                                                    persona_sets, grid_mode, workers)
     failed = _failed(entries)

@@ -90,12 +90,15 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             raise ConfigurationError(f"severity_weights.{sev.value} must be positive")
     if int(raw.get("backend", {}).get("retries", 3)) < 1:
         raise ConfigurationError("backend.retries must be at least 1")
+    workers = raw.get("workers", 1)
+    if type(workers) is not int or workers < 1:
+        raise ConfigurationError(f"workers must be an integer of at least 1, got {workers!r}")
     backend_mode = raw.get("backend", {}).get("mode", "scripted")
     if backend_mode not in ("scripted", "live"):
         raise ConfigurationError(f"unknown backend mode {backend_mode!r}")
     return ExperimentConfig(
         raw=raw, base_dir=path.parent, run=run, backend_mode=backend_mode,
-        workers=int(raw.get("workers", 1)), grid_mode=raw.get("grid_mode", "strict"),
+        workers=workers, grid_mode=raw.get("grid_mode", "strict"),
         severity_weights=weights,
     )
 

@@ -40,6 +40,8 @@ class EmbeddingVector:
 
     values: np.ndarray
     norm: float = field(init=False)
+    # canonical JSON text of ``values``, set by ``artifacts`` on first encode
+    json_text: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64)

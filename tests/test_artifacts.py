@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import enum
 import json
 import math
 import sys
@@ -152,6 +154,57 @@ def test_mixed_lists_encode_item_by_item(obj, text):
     assert canonical_json(obj) == text
 
 
+_KEYS = st.text(st.characters(), max_size=6)
+_TEXTS = st.text(st.characters() | st.sampled_from('\x00\x1f\x7f"\\/\u2028\u00e9\U0001f600'),
+                 max_size=12)
+
+
+@settings(max_examples=300)
+@given(st.recursive(st.none() | st.booleans() | st.integers() | _TEXTS,
+                    lambda children: st.lists(children, max_size=4)
+                    | st.lists(children, max_size=4).map(tuple)
+                    | st.dictionaries(_KEYS, children, max_size=4),
+                    max_leaves=24))
+def test_float_free_trees_encode_like_the_stdlib(tree):
+    assert canonical_json(tree) == json.dumps(tree, sort_keys=True, ensure_ascii=True,
+                                              separators=(",", ":"))
+
+
+class _Colour(str, enum.Enum):
+    RED = "r\u00e9d"
+
+
+class _Float(float):
+    pass
+
+
+_Point = collections.namedtuple("_Point", "x y")
+
+
+@pytest.mark.parametrize("obj, plain", [
+    (_Colour.RED, "r\u00e9d"),
+    ({_Colour.RED: [_Colour.RED]}, {"r\u00e9d": ["r\u00e9d"]}),
+    (collections.OrderedDict([("b", 1), ("a", [2])]), {"a": [2], "b": 1}),
+    (_Point(1, "y"), [1, "y"]),
+    ({"p": _Point(_Float(0.1), None)}, {"p": [0.1, None]}),
+    (_Float(1 / 3), 1 / 3),
+    (_Float(-0.0), 0.0),
+    (np.float64(0.1), 0.1),
+], ids=["str enum", "str enum key", "OrderedDict", "namedtuple", "nested", "float subclass",
+        "negative zero subclass", "numpy float64"])
+def test_subclasses_of_json_types_encode_like_their_plain_values(obj, plain):
+    assert canonical_json(obj) == canonical_json(plain)
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "a"}, {"a": 1, 2: "b"}, {(1,): 2}, {1, 2}, b"x", np.int64(1), np.bool_(True),
+    1j, object(), [np.float32(0.5)], {"a": [float("nan")]}, _Float("inf"),
+], ids=repr)
+def test_what_json_cannot_hold_is_refused(obj):
+    with pytest.raises(ValidationError):
+        canonical_json(obj)
+
+
 def test_persist_and_load_round_trip(tmp_path):
     record = make_record(penalty=42.5)
     path = persist_run(record, tmp_path)
@@ -188,6 +241,20 @@ def sample_tree(tmp_path_factory):
                          "--runs", "2", "--config", str(SAMPLE_DATA / "experiment.json"),
                          "--out", str(root), "--max-sets", "2"]) == 0
     return list(iter_run_files(root))
+
+
+def test_vectors_encode_without_hashing_or_comparing_them(sample_tree, monkeypatch):
+    record = load_run(sample_tree[0])
+    vector = EmbeddingVector([0.5, -0.0, 1e-7])
+
+    def refuse(*_args):
+        raise AssertionError("an embedding vector was hashed or compared")
+
+    monkeypatch.setattr(EmbeddingVector, "__hash__", refuse)
+    monkeypatch.setattr(EmbeddingVector, "__eq__", refuse)
+    assert canonical_json({"a": vector, "b": [vector]}) == \
+        '{"a":[0.5,0,9.9999999999999995e-08],"b":[[0.5,0,9.9999999999999995e-08]]}'
+    assert canonical_json(record.to_dict()) + "\n" == sample_tree[0].read_text(encoding="utf-8")
 
 
 def _plain_decode(path):

@@ -320,16 +320,23 @@ def test_report_with_corrupt_artifact_exits_2(workspace, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
+def _run_args(workspace, out_dir, set_id):
+    return ["run", "--question", "q1", "--set", set_id, "--runs", "2",
+            "--questions", str(workspace / "questions.json"),
+            "--config", str(workspace / "experiment.json"), "--out", str(out_dir)]
+
+
 def test_report_lists_a_cell_of_two_experiments_as_corrupt(workspace, capsys):
-    # `gmas run` into a grid's tree overwrites runs 1-2 of one cell under its
-    # own experiment id and leaves run 3 of the grid's experiment
+    # runs 1-2 of a `gmas run` tree copied over one cell of a grid's tree
+    # leave run 3 of the grid's experiment
     out_dir = workspace / "artifacts"
     assert cli_dispatch(_grid_args(workspace, out_dir, runs=3)) == 0
     cell = sorted(out_dir.glob("runs/*/q1"))[0]
-    assert cli_dispatch([
-        "run", "--question", "q1", "--set", cell.parent.name, "--runs", "2",
-        "--questions", str(workspace / "questions.json"),
-        "--config", str(workspace / "experiment.json"), "--out", str(out_dir)]) == 0
+    single = workspace / "single"
+    assert cli_dispatch(_run_args(workspace, single, cell.parent.name)) == 0
+    for k in (1, 2):
+        name = f"run{k}.json"
+        (cell / name).write_bytes((single / cell.relative_to(out_dir) / name).read_bytes())
     paths = [cell / f"run{k}.json" for k in (1, 2, 3)]
     ids = [json.loads(path.read_text())["experiment_id"] for path in paths]
     assert ids[0] == ids[1] != ids[2]
@@ -340,6 +347,47 @@ def test_report_lists_a_cell_of_two_experiments_as_corrupt(workspace, capsys):
     drift = (out_dir / "drift.csv").read_text()
     assert f"{cell.parent.name},q1," not in drift
     assert f"{cell.parent.name},q2," in drift
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_run_into_another_experiments_tree_exits_1_and_writes_nothing(workspace, capsys):
+    out_dir = workspace / "artifacts"
+    assert cli_dispatch(_grid_args(workspace, out_dir, runs=3) + ["--max-sets", "2"]) == 0
+    before = _tree_bytes(out_dir)
+    grid_id = json.loads((out_dir / "experiment.json").read_text())["experiment_id"]
+    cell = sorted(out_dir.glob("runs/*/q1"))[0]
+    capsys.readouterr()
+    assert cli_dispatch(_run_args(workspace, out_dir, cell.parent.name)) == 1
+    assert f"holds experiment {grid_id!r}" in capsys.readouterr().err
+    assert _tree_bytes(out_dir) == before
+    # a tree of the same experiment is accepted and rewritten byte for byte
+    assert cli_dispatch(_grid_args(workspace, out_dir, runs=3) + ["--max-sets", "2"]) == 0
+    assert _tree_bytes(out_dir).keys() == before.keys()
+    assert (out_dir / "experiment.json").read_bytes() == before[Path("experiment.json")]
+    assert (out_dir / "memory.json").read_bytes() == before[Path("memory.json")]
+
+
+@pytest.mark.parametrize("manifest", ["{", "[]", '{"schema_version": 1}'],
+                         ids=["not json", "a list", "no experiment_id"])
+def test_grid_into_a_tree_without_a_readable_manifest_exits_1(workspace, capsys, manifest):
+    out_dir = workspace / "artifacts"
+    out_dir.mkdir()
+    (out_dir / "experiment.json").write_text(manifest)
+    assert cli_dispatch(_grid_args(workspace, out_dir)) == 1
+    assert "cannot be read as an experiment manifest" in capsys.readouterr().err
+    assert (out_dir / "experiment.json").read_text() == manifest
+    assert not (out_dir / "runs").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_grid_with_fewer_than_one_worker_exits_1(workspace, capsys, workers):
+    out_dir = workspace / "artifacts"
+    assert cli_dispatch(_grid_args(workspace, out_dir) + ["--workers", workers]) == 1
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_missing_config_exits_1(workspace, capsys):

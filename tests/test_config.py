@@ -51,6 +51,12 @@ def test_present_keys_override_only_themselves(tmp_path):
     ({"severity_weights": {"warning": 0}}, "severity_weights.warning"),
     ({"severity_weights": {"critical": -30}}, "severity_weights.critical"),
     ({"backend": {"mode": "live", "retries": 0}}, "backend.retries"),
+    ({"workers": 0}, "workers"),
+    ({"workers": -2}, "workers"),
+    ({"workers": "two"}, "workers"),
+    ({"workers": "2"}, "workers"),
+    ({"workers": 1.5}, "workers"),
+    ({"workers": True}, "workers"),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
 def test_setting_a_run_cannot_use_is_refused_naming_its_key(tmp_path, override, key):
     path = _write(tmp_path, {"network_path": "network.json", **override})
