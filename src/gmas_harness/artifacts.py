@@ -40,9 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingVector
-from .errors import ValidationError
-from .records import VECTOR_FIELDS, RunRecord, SCHEMA_VERSION, number_vector
+from .embeddings import EmbeddingVector, number_vector
+from .errors import ConfigurationError, ValidationError
+from .records import VECTOR_FIELDS, RunRecord, SCHEMA_VERSION
 
 
 def _fmt_float(value: float) -> str:
@@ -233,7 +233,8 @@ class VectorMemo:
 
     def get(self, text: str) -> EmbeddingVector | None:
         """The vector ``EmbeddingVector.from_list(json.loads(text))``, or None
-        when ``text`` is not a JSON array of one or more finite numbers."""
+        when ``text`` is not a JSON array of one or more numbers with a finite
+        norm (``embeddings.number_vector``)."""
         key = hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
         vector = self._vectors.get(key)
         if vector is not None:
@@ -243,7 +244,7 @@ class VectorMemo:
             values = json.loads(text)
         except (ValueError, RecursionError):
             return None
-        vector = number_vector(values) if type(values) is list and values else None
+        vector = number_vector(values)
         if vector is None:
             return None
         self._vectors[key] = vector
@@ -370,3 +371,23 @@ def write_manifest(manifest: ExperimentManifest, root: str | Path) -> Path:
     path = root / "experiment.json"
     write_atomic(path, canonical_json(manifest.to_dict()) + "\n")
     return path
+
+
+def read_manifest(root: str | Path) -> dict | None:
+    """The manifest ``root/experiment.json``, or None when there is none.
+    Raises ConfigurationError naming the file unless it is a JSON object
+    with a string ``experiment_id`` and an object ``config_snapshot``."""
+    path = Path(root) / "experiment.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{path} cannot be read as an experiment manifest "
+                                 f"({type(exc).__name__}: {exc})")
+    if (type(manifest) is not dict or type(manifest.get("experiment_id")) is not str
+            or type(manifest.get("config_snapshot")) is not dict):
+        raise ConfigurationError(f"{path} cannot be read as an experiment manifest (not "
+                                 "an object with a string experiment_id and an object "
+                                 "config_snapshot)")
+    return manifest

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
 
-from .embeddings import DEFAULT_DIM, DeterministicEmbedder, EmbeddingVector
+from .embeddings import DEFAULT_DIM, DeterministicEmbedder, EmbeddingVector, number_vector
 from .errors import ConfigurationError, DimensionMismatchError, TransportError
 from .memo import Memo, text_key
 
@@ -605,7 +605,12 @@ class LiveBackend:
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed embeddings payload: {exc}",
                                  attempts=self.retries)
-        if len(values) != self._dim:
+        vector = number_vector(values)
+        if vector is None:
+            raise TransportError(f"malformed embeddings payload: {values!r:.60} is not a "
+                                 "non-empty list of numbers with a finite norm",
+                                 attempts=self.retries)
+        if vector.dim != self._dim:
             raise DimensionMismatchError(
-                f"endpoint returned dim {len(values)}, experiment uses {self._dim}")
-        return EmbeddingVector.from_list([float(v) for v in values])
+                f"endpoint returned dim {vector.dim}, experiment uses {self._dim}")
+        return vector

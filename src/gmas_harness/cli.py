@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .analyzer import PolicyRuleSet, build_report, enforce_policy, parse_code
-from .artifacts import (ExperimentManifest, FileRef, derive_experiment_id,
+from .artifacts import (ExperimentManifest, FileRef, derive_experiment_id, read_manifest,
                         run_relpath, write_manifest)
 from .config import build_env, load_experiment_config, parse_thresholds
 from .errors import ConfigurationError, GmasError, PlanSyntaxError, ValidationError
@@ -90,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="execute an allocation plan on a network")
     sim.add_argument("--plan", required=True)
     sim.add_argument("--network", required=True)
-    sim.add_argument("--min-throughput-ratio", type=float, default=0.5)
-    sim.add_argument("--max-latency-ms", type=float, default=100.0)
+    sim.add_argument("--min-throughput-ratio", type=float,
+                     default=KpiThresholds.min_throughput_ratio)
+    sim.add_argument("--max-latency-ms", type=float, default=KpiThresholds.max_latency_ms)
     return parser
 
 
@@ -157,17 +158,10 @@ def _check_out_tree(root: Path, experiment_id: str) -> None:
     """Refuse an artifact root whose ``experiment.json`` names another
     experiment or is not a manifest, so no run lands in another experiment's
     tree. An absent manifest, or one of the same experiment, passes."""
-    path = root / "experiment.json"
-    if not path.exists():
-        return
-    try:
-        found = json.loads(path.read_text(encoding="utf-8"))["experiment_id"]
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise ConfigurationError(f"{path} cannot be read as an experiment manifest "
-                                 f"({type(exc).__name__}: {exc}); choose another --out")
-    if found != experiment_id:
-        raise ConfigurationError(f"{root} holds experiment {found!r}, not "
-                                 f"{experiment_id}; choose another --out")
+    manifest = read_manifest(root)
+    if manifest is not None and manifest["experiment_id"] != experiment_id:
+        raise ConfigurationError(f"{root} holds experiment {manifest['experiment_id']!r}, "
+                                 f"not {experiment_id}; choose another --out")
 
 
 def _run_experiment(args, config, registry, questions, persona_sets, grid_mode: str,
@@ -232,9 +226,8 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     root = Path(args.root)
     out_dir = Path(args.out) if args.out else root / "report"
-    manifest = root / "experiment.json"
-    snapshot = (json.loads(manifest.read_text(encoding="utf-8"))["config_snapshot"]
-                if manifest.exists() else {})
+    manifest = read_manifest(root)
+    snapshot = manifest["config_snapshot"] if manifest is not None else {}
     result = aggregate_csv(root)
     summary = (summarize_cells(result.cells, parse_thresholds(snapshot).drift)
                if result.cells else None)

@@ -13,6 +13,7 @@ once and counts them all in one pass.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -71,6 +72,23 @@ class EmbeddingVector:
     @classmethod
     def from_list(cls, values: list[float]) -> "EmbeddingVector":
         return cls(values)
+
+
+def number_vector(values) -> EmbeddingVector | None:
+    """The vector of a decoded JSON value, or None unless it is a non-empty
+    list of JSON numbers (``bool`` is not one) whose norm is a finite
+    float64. A finite norm proves every value finite, so this refuses the
+    ``NaN`` and ``Infinity`` tokens ``json.loads`` accepts and integers too
+    large for a float, and also finite values whose squares overflow, whose
+    cosines would come out wrong."""
+    if type(values) is not list or not values or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        with np.errstate(over="ignore"):
+            vector = EmbeddingVector(values)
+    except OverflowError:
+        return None
+    return vector if math.isfinite(vector.norm) else None
 
 
 # Tokens whose codes an embedder keeps; past this many it starts over, so a

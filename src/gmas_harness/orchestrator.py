@@ -15,7 +15,6 @@ whole grid. Its runs' timings go to one sidecar per cell.
 from __future__ import annotations
 
 import logging
-import math
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,30 +45,10 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class Thresholds:
+class Thresholds(KpiThresholds):
     drift: float = 0.35
     alignment: float = 0.3
     conflict: float = 0.6
-    min_throughput_ratio: float = 0.5
-    max_latency_ms: float = 100.0
-
-    def __post_init__(self):
-        for name in ("drift", "alignment", "conflict", "min_throughput_ratio",
-                     "max_latency_ms"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"threshold {name} must be non-negative")
-        self.kpi()  # refuses what every Analyzer turn would refuse
-
-    def kpi(self) -> KpiThresholds:
-        return KpiThresholds(min_throughput_ratio=self.min_throughput_ratio,
-                             max_latency_ms=self.max_latency_ms)
-
-
-# [lo, hi] of each numeric run knob but hop_expand, which is 0 or 1
-_KNOB_RANGES = (("tot_path_count", 1, math.inf), ("max_refinement_depth", 0, math.inf),
-                ("top_k", 1, math.inf), ("memory_budget_chars", 0, math.inf),
-                ("consistency_alpha", 0, 1), ("temperature", 0, 2),
-                ("max_tokens", 1, math.inf))
 
 
 @dataclass(frozen=True)
@@ -86,15 +65,6 @@ class RunConfig:
     max_tokens: int = 1024
     external_linter_cmd: str | None = None
     external_sandbox_cmd: str | None = None
-
-    def __post_init__(self):
-        # Refused here rather than by the first run of a grid; a negative
-        # memory budget would cut every memory digest to "...".
-        for name, lo, hi in _KNOB_RANGES:
-            if not lo <= getattr(self, name) <= hi:
-                raise ConfigurationError(f"{name} must be in [{lo:g}, {hi:g}]")
-        if self.hop_expand not in (0, 1):
-            raise ConfigurationError("hop_expand must be 0 or 1")
 
 
 DEFAULT_BINDINGS = {
@@ -146,7 +116,7 @@ class MemoryEntry:
     refinement_reasons: tuple[str, ...] = ()
 
 
-def memory_digest(entries: list[MemoryEntry], budget_chars: int = 1200) -> str:
+def memory_digest(entries: list[MemoryEntry], budget_chars: int) -> str:
     """Most recent trajectories first, truncated at a char boundary with '...'."""
     if not entries:
         return ""
@@ -312,8 +282,6 @@ def propose_paths(question: Question, persona: Persona, bundle: ContextBundle,
     Returns (paths, prompt, raw output, aux self-eval exchanges). Candidates
     that fail to parse become single-step fallback paths with self_eval 0.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     system, user = _agent_prompt(question, persona, bundle, digest, planner_task(k),
                                  feedback)
 
@@ -438,7 +406,7 @@ def _verdict(plan_text: str, code_text: str, env: ExperimentEnv) -> _Verdict:
         findings.extend(plan_findings_for_syntax_error(exc))
     else:
         threshold_findings, kpi_report = check_thresholds(
-            execute_plan(parsed_plan, env.network), env.config.thresholds.kpi())
+            execute_plan(parsed_plan, env.network), env.config.thresholds)
         findings.extend(kpi_report.findings)
         findings.extend(threshold_findings)
         kpi_dict = kpi_report.to_dict()

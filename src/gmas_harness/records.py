@@ -10,10 +10,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
 
-import numpy as np
-
 from .analyzer import AnalyzerReport
-from .embeddings import EmbeddingVector
+from .embeddings import EmbeddingVector, number_vector
 from .errors import ValidationError
 from .scenario import AgentRole, PIPELINE_ORDER
 
@@ -64,23 +62,6 @@ class CodeArtifact:
     def __post_init__(self):
         if not self.code:
             raise ValueError("code artifact must be non-empty")
-
-
-def number_vector(values: list) -> EmbeddingVector | None:
-    """The vector of a decoded JSON list, or None unless every item is a JSON
-    number (``bool`` is not one) that is a finite float64, which the ``NaN``
-    and ``Infinity`` tokens ``json.loads`` accepts and an integer too large
-    for a float are not."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        vector = EmbeddingVector.from_list(values)
-    except OverflowError:
-        return None
-    # a finite norm proves every value finite; an infinite one may be overflow
-    if math.isfinite(vector.norm) or np.isfinite(vector.values).all():
-        return vector
-    return None
 
 
 def _field(d: dict, key: str, *kinds: type):
@@ -150,15 +131,15 @@ def _role(name: str) -> AgentRole:
 
 def _vector(d: dict, key: str) -> EmbeddingVector:
     """The embedding field ``key`` of a payload: a non-empty flat list of
-    finite numbers, or the vector already built from one (``to_dict`` gives
+    numbers with a finite norm, or the vector already built from one (``to_dict`` gives
     these, and ``artifacts.load_run`` builds each distinct one once)."""
     value = d[key]
     if isinstance(value, EmbeddingVector):
         return value
-    vector = number_vector(value) if type(value) is list and value else None
+    vector = number_vector(value)
     if vector is None:
         raise ValidationError(f"{key} {value!r:.40} is not a non-empty flat list of "
-                              "finite numbers")
+                              "numbers with a finite norm")
     return vector
 
 

@@ -145,7 +145,11 @@ class SimulatedNetwork:
     @classmethod
     def from_json(cls, path: str | Path) -> "SimulatedNetwork":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(raw)
+        try:
+            return cls.from_dict(raw)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ConfigurationError(f"{path} is not a valid network file "
+                                     f"({type(exc).__name__}: {exc})") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimulatedNetwork":

@@ -112,10 +112,14 @@ class PersonaRegistry:
     @classmethod
     def from_json(cls, path: str | Path) -> "PersonaRegistry":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        personas = [Persona(id=item["id"], role=AgentRole(item["role"]),
-                            orientation=item.get("orientation", ""),
-                            prompt_fragment=item["prompt_fragment"])
-                    for item in raw]
+        try:
+            personas = [Persona(id=item["id"], role=AgentRole(item["role"]),
+                                orientation=item.get("orientation", ""),
+                                prompt_fragment=item["prompt_fragment"])
+                        for item in raw]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ConfigurationError(f"{path} is not a valid persona registry file "
+                                     f"({type(exc).__name__}: {exc})") from None
         return cls(personas)
 
     def to_json(self, path: str | Path) -> None:
@@ -335,8 +339,12 @@ def _llm_questions(count: int, topic_mix: dict[Topic, float] | None, seed: int,
 
 def load_questions(path: str | Path) -> list[Question]:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    questions = [Question(id=item["id"], text=item["text"], topic=Topic(item["topic"]))
-                 for item in raw]
+    try:
+        questions = [Question(id=item["id"], text=item["text"], topic=Topic(item["topic"]))
+                     for item in raw]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(f"{path} is not a valid question set file "
+                                 f"({type(exc).__name__}: {exc})") from None
     ids = [q.id for q in questions]
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"duplicate question ids in {path}")

@@ -15,9 +15,10 @@ class StubOpenAIServer:
 
     Any path prefix before ``/v1/`` is accepted and recorded as sent.
     ``completion_text`` is the chat reply, or a function of the request body
-    that returns it; ``delay_s``, a function of the request body, holds each
-    reply back that many seconds. ``peak_in_flight`` is the most requests
-    the server has held unanswered at once. The first ``fail_first``
+    that returns it. ``embedding`` is the values of every embeddings reply,
+    ``[0.5] * dim`` by default. ``delay_s``, a function of the request body,
+    holds each reply back that many seconds. ``peak_in_flight`` is the most
+    requests the server has held unanswered at once. The first ``fail_first``
     requests are answered with ``status_on_fail`` and an empty body. By
     default each response closes its connection (HTTP/1.0). With
     ``keep_alive`` the server answers as HTTP/1.1 and keeps each connection
@@ -29,9 +30,11 @@ class StubOpenAIServer:
     def __init__(self, completion_text: str | Callable[[dict], str] = "stub completion",
                  dim: int = 8, fail_first: int = 0, status_on_fail: int = 500,
                  keep_alive: bool = False, drop_keep_alive: bool = False,
-                 delay_s: Callable[[dict], float] | None = None):
+                 delay_s: Callable[[dict], float] | None = None,
+                 embedding: list | None = None):
         self.completion_text = completion_text
         self.dim = dim
+        self.embedding = [0.5] * dim if embedding is None else embedding
         self.fail_first = fail_first
         self.status_on_fail = status_on_fail
         self.requests: list[dict] = []
@@ -91,7 +94,7 @@ class StubOpenAIServer:
                         "role": "assistant", "content": text}}]}).encode())
                 elif self.path.endswith("/v1/embeddings"):
                     self._reply(200, json.dumps(
-                        {"data": [{"embedding": [0.5] * server.dim}]}).encode())
+                        {"data": [{"embedding": server.embedding}]}).encode())
                 else:
                     self._reply(404)
 

@@ -22,6 +22,7 @@ from gmas_harness.errors import (ConfigurationError, DimensionMismatchError,
                                  TransportError)
 from gmas_harness.memo import Memo
 from gmas_harness.orchestrator import RunConfig, Thresholds, run_grid
+from gmas_harness.records import RunStatus
 from gmas_harness.scenario import enumerate_grid, generate_questions
 from conftest import TEST_DIM
 from stub_server import StubOpenAIServer
@@ -389,6 +390,20 @@ def test_live_embed_failures_are_not_cached():
             backend.embed("text")
         assert backend.embed("text").tolist() == [0.5] * 8
         assert len(server.requests) == 4
+
+
+@pytest.mark.parametrize("values", [[float("nan")] + [0.5] * 7, ["1.5"] + [0.5] * 7,
+                                    [1e308] * 8, [True] * 8, 0.5],
+                         ids=["NaN", "a string", "a norm that overflows", "true", "a number"])
+def test_live_embedding_of_anything_but_finite_numbers_fails_the_run(
+        make_env, registry, questions, tmp_path, values):
+    with StubOpenAIServer(dim=8, embedding=values) as server:
+        backend = LiveBackend(server.base_url, dim=8, rate_limit_per_s=1000)
+        with pytest.raises(TransportError, match="malformed embeddings payload"):
+            backend.embed("text")
+        entries = run_grid(questions[:1], enumerate_grid(registry)[:1], 1,
+                           make_env(backend=backend), tmp_path)
+    assert [entry.status for entry in entries] == [RunStatus.FAILED]
 
 
 def test_live_reopens_a_keep_alive_connection_the_server_closed():

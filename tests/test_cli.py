@@ -272,7 +272,7 @@ def test_grid_with_a_zero_kpi_threshold_exits_1_before_any_run(workspace, capsys
     (workspace / "experiment.json").write_text(json.dumps(config))
     out_dir = workspace / "artifacts"
     assert cli_dispatch(_grid_args(workspace, out_dir)) == 1
-    assert "KPI thresholds must be positive" in capsys.readouterr().err
+    assert f"thresholds.{threshold}" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -410,3 +410,81 @@ def test_cli_imports_no_http_or_schema_library():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+REPO = Path(__file__).parent.parent
+SAMPLE = REPO / "sample_data"
+
+# One value of the sample config changed; each was coerced, or failed with a
+# traceback, before every key was checked against the config table.
+_PROBES = {
+    "top_k string": ("top_k", "4"), "drift string": ("thresholds.drift", "0.3"),
+    "top_k 2.5": ("top_k", 2.5), "tot_path_count 2.5": ("tot_path_count", 2.5),
+    "top_k true": ("top_k", True), "embedding_dim string": ("embedding_dim", "384"),
+    "embedding_dim true": ("embedding_dim", True),
+    "embedding_dim 64.9": ("embedding_dim", 64.9), "retries 2.7": ("backend.retries", 2.7),
+    "info weight string": ("severity_weights.info", "2"),
+    "chunk_size string": ("stores.chunk_size", "400"),
+    "memory_budget_chars 10.5": ("memory_budget_chars", 10.5),
+    "seed string": ("seed", "42"), "max_tokens 1.5": ("max_tokens", 1.5),
+    "grid_mode bogus": ("grid_mode", "bogus"),
+    "misspelt binding role": ("stores.bindings.Plannr", "graph"),
+    "thresholds a number": ("thresholds", 5), "a list": (None, []),
+}
+
+
+@pytest.mark.parametrize("key, value", _PROBES.values(), ids=_PROBES.keys())
+def test_grid_on_a_sample_config_with_one_bad_value_exits_1_and_writes_nothing(
+        tmp_path, capsys, key, value):
+    config = json.loads((SAMPLE / "experiment.json").read_text(encoding="utf-8"))
+    for section, name in (("stores", "corpus_dir"), ("stores", "graph_path"),
+                          (None, "network_path"), (None, "policy_rules_path")):
+        holder = config[section] if section else config
+        holder[name] = str(SAMPLE / holder[name])
+    if key is None:
+        config = value
+    else:
+        *parents, last = key.split(".")
+        holder = config
+        for parent in parents:
+            holder = holder[parent]
+        holder[last] = value
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cli_dispatch(["grid", "--questions", str(SAMPLE / "questions.json"),
+                         "--runs", "1", "--max-sets", "1", "--config", str(path),
+                         "--out", str(out_dir)]) == 1
+    assert (key or str(path)) in capsys.readouterr().err
+    assert not (out_dir / "experiment.json").exists()
+
+
+@pytest.mark.parametrize("manifest", ['{"experiment_id": "exp-1"}', "[1]",
+                                      '{"experiment_id": "exp-1", "config_snapshot": 5}'],
+                         ids=["no config_snapshot", "a list", "config_snapshot a number"])
+def test_report_on_a_tree_whose_manifest_is_not_one_exits_1(workspace, capsys, manifest):
+    out_dir = workspace / "artifacts"
+    assert cli_dispatch(_grid_args(workspace, out_dir)) == 0
+    (out_dir / "experiment.json").write_text(manifest)
+    capsys.readouterr()
+    assert cli_dispatch(["report", "--root", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"{out_dir / 'experiment.json'} cannot be read as an experiment manifest" in err
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("questions.json", lambda items: [{k: v for k, v in q.items() if k != "topic"}
+                                      for q in items]),
+    ("questions.json", lambda items: {"questions": items}),
+    ("personas.json", lambda items: [{k: v for k, v in p.items() if k != "prompt_fragment"}
+                                     for p in items]),
+    ("network.json", lambda network: {k: v for k, v in network.items() if k != "cells"}),
+], ids=["question without topic", "questions an object", "persona without fragment",
+        "network without cells"])
+def test_grid_on_a_malformed_input_file_exits_1_naming_it(workspace, capsys, name, edit):
+    path = workspace / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    out_dir = workspace / "artifacts"
+    assert cli_dispatch(_grid_args(workspace, out_dir)) == 1
+    assert f"{path} is not a valid" in capsys.readouterr().err
+    assert not (out_dir / "runs").exists()

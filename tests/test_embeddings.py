@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gmas_harness import embeddings
 from gmas_harness.embeddings import (DEFAULT_DIM, DeterministicEmbedder,
                                      EmbeddingVector, centroid, cosine,
-                                     deterministic_embed, tokenize)
+                                     deterministic_embed, number_vector, tokenize)
 from gmas_harness.errors import DimensionMismatchError
 
 
@@ -206,3 +206,18 @@ def test_centroid_of_nothing_is_zero():
 def test_centroid_of_zero_vectors_stays_zero():
     zero = EmbeddingVector.from_list([0.0, 0.0, 0.0])
     assert centroid([zero, zero], 3).is_zero()
+
+
+@pytest.mark.parametrize("values", [
+    [1e308, 1e308, 0.0], [1e200, -1e200], [math.nan, 0.0], [0.0, math.inf],
+    [10 ** 400], [True, 0.0], ["1.5", 0.0], [[1.0]], [], (1.0, 2.0), None])
+def test_number_vector_refuses_what_has_no_finite_norm(values):
+    assert number_vector(values) is None
+
+
+def test_number_vector_keeps_finite_numbers_exactly():
+    assert number_vector([1e150, -1e150, 0, 3]).tolist() == [1e150, -1e150, 0.0, 3.0]
+    # the overflowing vector of a cosine that would read 1.0 where it is 0.5
+    assert number_vector([1e308, 0.0, 1e308]) is None
+    assert cosine(number_vector([1e150, 1e150, 0.0]),
+                  number_vector([1e150, 0.0, 1e150])) == pytest.approx(0.5)

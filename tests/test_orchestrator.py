@@ -670,7 +670,7 @@ def _reference_report(plan_text: str, code_text: str, env) -> AnalyzerReport:
         findings += plan_findings_for_syntax_error(exc)
     else:
         threshold_findings, kpi = check_thresholds(execute_plan(plan, env.network),
-                                                   cfg.thresholds.kpi())
+                                                   cfg.thresholds)
         findings += kpi.findings
         findings += threshold_findings
     findings += run_external_hook(code_text, cfg.external_sandbox_cmd, Dimension.RUNTIME,

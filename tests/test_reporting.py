@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gmas_harness import artifacts, reporting
@@ -656,3 +657,16 @@ def test_svg_charts_are_minimal_but_wellformed():
     assert line.count("<circle") == 3
     empty = bar_chart_svg([], [], "t")
     assert "no data" in empty
+
+
+def test_report_lists_runs_whose_embedding_norm_overflows_as_corrupt(tmp_path, capsys):
+    # finite values whose norms overflow: the cosine of the two read 1.0, not 0.5
+    with np.errstate(over="ignore"):
+        vecs = [EmbeddingVector([1e308, 1e308] + [0.0] * (FACTORY_DIM - 2)),
+                EmbeddingVector([1e308, 0.0, 1e308] + [0.0] * (FACTORY_DIM - 3))]
+    paths = [persist_run(make_record(run_index=k, coder_vec=vec), tmp_path)
+             for k, vec in enumerate(vecs, 1)]
+    assert cli_dispatch(["report", "--root", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"corrupt artifact skipped: {path}" in err for path in paths)
+    assert (tmp_path / "drift.csv").read_text().count("\n") == 1  # the header alone
