@@ -16,11 +16,14 @@ exact type of each node; an instance of a subclass of a JSON type (a
 ``float`` subclass) falls back to ``isinstance`` tests and is encoded as
 its parent type is. Every file is written atomically (``write_atomic``).
 
-The loader mirrors this: ``load_run`` cuts each vector field's array out of
-the file text, parses the rest with ``json.loads``, and decodes each array
-through a ``VectorMemo`` that maps the array text to one shared vector, so
-a report that loads the whole tree with one memo decodes each distinct
-vector text once. The record is always the one the plain
+The loader mirrors this: ``load_run`` cuts each role's trajectory object
+out of the file text, parses the rest with ``json.loads``, and decodes each
+object through a ``VectorMemo`` that maps the object text to one shared,
+already checked ``Trajectory``. An object the memo has not seen has its
+vector fields' arrays cut out in turn, each decoded through the same memo
+to one shared vector. A report that loads the whole tree with one memo
+decodes each distinct trajectory text, and each distinct vector text among
+them, once. The record is always the one the plain
 ``RunRecord.from_dict(json.loads(text))`` gives, and a file that decode
 refuses is refused. ``records`` defines and checks the run-file format;
 this module only encodes and decodes it.
@@ -42,7 +45,8 @@ import numpy as np
 
 from .embeddings import EmbeddingVector, number_vector
 from .errors import ConfigurationError, ValidationError
-from .records import VECTOR_FIELDS, RunRecord, SCHEMA_VERSION
+from .records import VECTOR_FIELDS, RunRecord, SCHEMA_VERSION, Trajectory
+from .scenario import AgentRole
 
 
 def _fmt_float(value: float) -> str:
@@ -209,24 +213,32 @@ def persist_cell_meta(runs: list[dict], root: str | Path, persona_set_id: str,
     return path
 
 
-# Most vector texts of a run tree recur across its files (a seed-42 sample
-# grid holds 727 distinct ones among 7,200), so the loader decodes each
-# distinct text once through a VectorMemo of at most this many vectors.
+# Most vector and trajectory texts of a run tree recur across its files: a
+# seed-42 sample grid holds 727 distinct vector texts among 7,200 and 510
+# distinct trajectory texts among 2,400. The loader decodes each distinct text
+# once through a VectorMemo of at most this many vectors and trajectories.
 VECTOR_MEMO_SIZE = 1024
+TRAJECTORY_MEMO_SIZE = 1024
 
-_VECTOR_KEY_RE = re.compile('"(?:' + "|".join(VECTOR_FIELDS) + ')":\\[')
+_VECTOR_KEY_RE = re.compile('"(' + "|".join(VECTOR_FIELDS) + ')":\\[')
+_ROLE_KEY_RE = re.compile('"(' + "|".join(role.value for role in AgentRole) + ')":\\{')
+# The last key of a canonical trajectory object; the } after its value closes it.
+_LAST_KEY = '"thought_summary":"'
 
 
 class VectorMemo:
-    """Shared, read-only ``EmbeddingVector``s by the text they were decoded from.
+    """Shared, read-only ``EmbeddingVector``s and ``Trajectory``s by the text
+    they were decoded from.
 
-    Keyed by a 16-byte blake2b digest of the text rather than by the text, and
-    least recently used first out beyond ``VECTOR_MEMO_SIZE`` entries, so its
-    memory is bounded whatever the size of the run tree.
+    Keyed by the SHA-256 digest of the text rather than by the text, and
+    least recently used first out beyond ``VECTOR_MEMO_SIZE`` vectors and
+    ``TRAJECTORY_MEMO_SIZE`` trajectories, so its memory is bounded whatever
+    the size of the run tree. ``len`` counts the vectors.
     """
 
     def __init__(self):
         self._vectors: OrderedDict[bytes, EmbeddingVector] = OrderedDict()
+        self._trajectories: OrderedDict[bytes, Trajectory] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -235,22 +247,47 @@ class VectorMemo:
         """The vector ``EmbeddingVector.from_list(json.loads(text))``, or None
         when ``text`` is not a JSON array of one or more numbers with a finite
         norm (``embeddings.number_vector``)."""
-        key = hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
-        vector = self._vectors.get(key)
-        if vector is not None:
-            self._vectors.move_to_end(key)
-            return vector
+        return _recall(self._vectors, VECTOR_MEMO_SIZE, text, _decode_vector)
+
+    def trajectory(self, text: str) -> Trajectory | None:
+        """The trajectory ``Trajectory.from_dict(json.loads(text))``, its
+        vector fields' arrays decoded through ``get``, or None when ``text``
+        does not decode that way or ``from_dict`` refuses it."""
+        return _recall(self._trajectories, TRAJECTORY_MEMO_SIZE, text,
+                       self._decode_trajectory)
+
+    def _decode_trajectory(self, text: str) -> Trajectory | None:
+        cut = _cut_decode(text, _VECTOR_KEY_RE, _array_end, self.get)
+        if cut is None or not _land(*cut):
+            return None
         try:
-            values = json.loads(text)
-        except (ValueError, RecursionError):
+            return Trajectory.from_dict(cut[0])
+        except (ValidationError, KeyError, TypeError, ValueError, AttributeError):
             return None
-        vector = number_vector(values)
-        if vector is None:
-            return None
-        self._vectors[key] = vector
-        if len(self._vectors) > VECTOR_MEMO_SIZE:
-            self._vectors.popitem(last=False)
-        return vector
+
+
+def _recall(table: OrderedDict, limit: int, text: str, decode):
+    """``decode(text)``, kept in ``table`` by a digest of ``text`` unless it
+    is None; past ``limit`` entries the least recently used one goes."""
+    key = hashlib.sha256(text.encode("utf-8")).digest()
+    value = table.get(key)
+    if value is not None:
+        table.move_to_end(key)
+        return value
+    value = decode(text)
+    if value is not None:
+        table[key] = value
+        if len(table) > limit:
+            table.popitem(last=False)
+    return value
+
+
+def _decode_vector(text: str) -> EmbeddingVector | None:
+    try:
+        values = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    return number_vector(values)
 
 
 def load_run(path: str | Path, vectors: VectorMemo | None = None) -> RunRecord:
@@ -258,57 +295,102 @@ def load_run(path: str | Path, vectors: VectorMemo | None = None) -> RunRecord:
     ``RunRecord.from_dict(json.loads(text))``, and refused where that is,
     with ``ValidationError`` for every payload ``from_dict`` refuses.
 
-    Each vector field's array is cut out of the text before ``json.loads``
-    parses the rest, and is decoded through ``vectors`` (a fresh memo when
-    none is given), so records loaded with one memo share one
-    ``EmbeddingVector`` per distinct array text.
+    Each role's object under ``trajectories`` is cut out of the text before
+    ``json.loads`` parses the rest, and is decoded through ``vectors`` (a
+    fresh memo when none is given), which cuts each vector field's array out
+    of the object in turn. Records loaded with one memo share one
+    ``Trajectory`` per distinct object text, and one ``EmbeddingVector`` per
+    distinct array text among the objects it decoded.
     """
     text = Path(path).read_text(encoding="utf-8")
     raw = _decode_cut(text, VectorMemo() if vectors is None else vectors)
     return RunRecord.from_dict(json.loads(text) if raw is None else raw)
 
 
-def _decode_cut(text: str, vectors: VectorMemo):
-    """The payload of ``text`` with its vector fields' arrays already decoded,
-    or None where the plain ``json.loads(text)`` must decide.
+def _decode_cut(text: str, memo: VectorMemo):
+    """The payload of ``text`` with its trajectories already built, or None
+    where the plain ``json.loads(text)`` must decide.
 
-    An array runs from a vector field's ``[`` to the next ``]`` and stands in
-    the rest as the string ``"\\u0000<n>"``. The result is None, and the file
-    goes the plain way, when the rest spells a NUL itself, when it does not
-    parse, when an array is not one or more numbers, or when an array is not
-    the value of a trajectory's vector field (an ``output_embedding`` key in
+    A trajectory object runs from the ``{`` after a role key to the ``}``
+    after the string value of its ``thought_summary`` key, the last key of a
+    canonical trajectory. The result is None, and the file goes the plain
+    way, when an object does not decode or ``Trajectory.from_dict`` refuses
+    it, when the rest does not parse or spells a NUL, or when an object does
+    not stand as the value of its role under ``trajectories`` (a role key in
     ``kpi``, say), so every payload returned is the plain decode's.
     """
+    cut = _cut_decode(text, _ROLE_KEY_RE, _trajectory_end, memo.trajectory)
+    if cut is None:
+        return None
+    raw, slots = cut
+    trajectories = raw.get("trajectories") if type(raw) is dict else None
+    return raw if _land(trajectories, slots) else None
+
+
+def _cut_decode(text: str, key_re: re.Pattern, span_end, decode):
+    """``(payload, slots)``: ``json.loads`` of ``text`` in which each span
+    that opens at the end of a ``key_re`` match and closes at
+    ``span_end(text, start)`` stands as the string ``"\\u0000<n>"``, and
+    ``slots`` maps each such string to the matched key and ``decode`` of its
+    span. None when a span does not close or decode, or when the rest spells
+    a NUL itself or does not parse."""
     pieces, slots = [], {}
     end = 0
-    match = _VECTOR_KEY_RE.search(text)
+    match = key_re.search(text)
     while match:
         start = match.end() - 1
-        close = text.find("]", start) + 1
-        vector = vectors.get(text[start:close]) if close else None
-        if vector is None:
+        close = span_end(text, start)
+        value = decode(text[start:close]) if close else None
+        if value is None:
             return None
-        pieces.append(text[end:start])
-        pieces.append(f'"\\u0000{len(slots)}"')
-        slots[f"\x00{len(slots)}"] = vector
+        pieces += (text[end:start], f'"\\u0000{len(slots)}"')
+        slots[f"\x00{len(slots)}"] = (match[1], value)
         end = close
-        match = _VECTOR_KEY_RE.search(text, end)
+        match = key_re.search(text, end)
     pieces.append(text[end:])
     if any("\\u0000" in piece for piece in pieces[::2]):
         return None
     try:
-        raw = json.loads("".join(pieces))
-    except ValueError:
+        return json.loads("".join(pieces)), slots
+    except (ValueError, RecursionError):
         return None
-    trajectories = raw.get("trajectories") if isinstance(raw, dict) else None
-    if isinstance(trajectories, dict):
-        for trajectory in trajectories.values():
-            if isinstance(trajectory, dict):
-                for field in VECTOR_FIELDS:
-                    value = trajectory.get(field)
-                    if type(value) is str and value in slots:
-                        trajectory[field] = slots.pop(value)
-    return None if slots else raw
+
+
+def _land(parent, slots: dict) -> bool:
+    """Put each slot's value in ``parent`` under its key; False, with
+    ``parent`` left part done, unless every slot's string stands there."""
+    if type(parent) is not dict:
+        return False
+    for placeholder, (key, value) in slots.items():
+        if parent.get(key) != placeholder:
+            return False
+        parent[key] = value
+    return True
+
+
+def _array_end(text: str, start: int) -> int:
+    """Just past the first ``]`` after ``start``, or 0 when there is none."""
+    return text.find("]", start) + 1
+
+
+def _trajectory_end(text: str, start: int) -> int:
+    """Just past the ``}`` right after the string value of the first
+    ``"thought_summary"`` key after ``start``, or 0 when there is no such
+    ``}``. A quote closes the value when an even number of backslashes
+    precedes it."""
+    quote = text.find(_LAST_KEY, start)
+    if quote < 0:
+        return 0
+    quote += len(_LAST_KEY) - 1
+    while True:
+        quote = text.find('"', quote + 1)
+        if quote < 0:
+            return 0
+        slash = quote
+        while text[slash - 1] == "\\":
+            slash -= 1
+        if (quote - slash) % 2 == 0:
+            return quote + 2 if text.startswith("}", quote + 1) else 0
 
 
 def iter_run_files(root: str | Path):

@@ -188,17 +188,25 @@ def _failed(entries) -> int:
     return sum(1 for entry in entries if entry.status is RunStatus.FAILED)
 
 
+def _require_positive(**flags) -> None:
+    """Refuse, naming it, each count flag given below 1, before anything is
+    built or written."""
+    for name, value in flags.items():
+        if value is not None and value < 1:
+            raise ConfigurationError(f"--{name.replace('_', '-')} must be at least 1, "
+                                     f"got {value}")
+
+
 def _cmd_grid(args) -> int:
     config = load_experiment_config(args.config)
+    workers = args.workers if args.workers is not None else config.workers
+    _require_positive(runs=args.runs, max_sets=args.max_sets, workers=workers)
     registry = load_registry_arg(args.personas)
     questions = load_questions(args.questions)
     grid_mode = args.grid_mode or config.grid_mode
     persona_sets = enumerate_grid(registry, mode=grid_mode)
-    if args.max_sets:
+    if args.max_sets is not None:
         persona_sets = persona_sets[:args.max_sets]
-    workers = args.workers if args.workers is not None else config.workers
-    if workers < 1:
-        raise ConfigurationError(f"--workers must be at least 1, got {workers}")
     experiment_id, root, entries = _run_experiment(args, config, registry, questions,
                                                    persona_sets, grid_mode, workers)
     failed = _failed(entries)
@@ -208,6 +216,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _require_positive(runs=args.runs)
     config = load_experiment_config(args.config)
     registry = load_registry_arg(args.personas)
     questions = {q.id: q for q in load_questions(args.questions)}

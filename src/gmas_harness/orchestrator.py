@@ -274,8 +274,8 @@ def parse_self_eval(text: str) -> float:
 
 def propose_paths(question: Question, persona: Persona, bundle: ContextBundle,
                   k: int, backend: Backend, run_index: int, digest: str = "",
-                  feedback: tuple[str, ...] = (), temperature: float = 0.2,
-                  max_tokens: int = 1024,
+                  feedback: tuple[str, ...] = (), *, temperature: float,
+                  max_tokens: int,
                   seed: int | None = None) -> tuple[list[SolutionPath], str, str, list[tuple[str, str]]]:
     """Generate and score exactly k solution paths.
 

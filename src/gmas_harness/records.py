@@ -362,8 +362,10 @@ class RunRecord:
         missing = [role.value for role in PIPELINE_ORDER if role.value not in raw]
         if missing:
             raise ValidationError(f"trajectories lack {missing}")
-        trajectories = {_role(k): Trajectory.from_dict(_field(raw, k, dict))
-                        for k in raw}
+        # a Trajectory is one artifacts.load_run built, and checked, already
+        trajectories = {_role(k): v if type(v) is Trajectory
+                        else Trajectory.from_dict(_field(raw, k, dict))
+                        for k, v in raw.items()}
         for role, trajectory in trajectories.items():
             if trajectory.role is not role:
                 raise ValidationError(f"trajectories.{role.value} holds the "

@@ -4,9 +4,10 @@
 it loads each run file once, summarizes the cell in one pass
 (``safety.summarize_cell``), writes the cell's CSV rows from that
 ``SafetySummary`` alone, keeps it and drops the records. All cells
-load through one ``artifacts.VectorMemo``, so each distinct embedding text
-is decoded once per report and memory stays bounded by the largest cell
-plus the memo's ``VECTOR_MEMO_SIZE`` vectors. ``safety.summarize_cells``
+load through one ``artifacts.VectorMemo``, so each distinct trajectory text
+and each distinct embedding text is decoded once per report, and memory
+stays bounded by the largest cell plus the memo's ``TRAJECTORY_MEMO_SIZE``
+trajectories and ``VECTOR_MEMO_SIZE`` vectors. ``safety.summarize_cells``
 then applies the drift threshold and summarizes the grid, from which
 ``emit_report`` renders the markdown report and the hand-rolled SVG charts
 (axes, bars, polylines only).
@@ -81,12 +82,12 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> Aggreg
     are loaded and summarized (``summarize_cell``), the summary is written as
     CSV rows, and the records are dropped, so memory is bounded by the
     largest cell plus one ``VectorMemo``, fresh for each call, through which
-    every cell's vectors are decoded. Failed runs (``RunRecord.failed``)
-    give no metric rows, and drift pairs consecutive non-failed runs of a
-    cell. A file that does not load, or whose ids disagree with its path, is
-    skipped with a logged error and reported in the result so the CLI can
-    exit nonzero; so is every file of a cell whose runs disagree on the
-    embedding length or the experiment id.
+    every cell's trajectories and vectors are decoded. Failed runs
+    (``RunRecord.failed``) give no metric rows, and drift pairs consecutive
+    non-failed runs of a cell. A file that does not load, or whose ids
+    disagree with its path, is skipped with a logged error and reported in
+    the result so the CLI can exit nonzero; so is every file of a cell whose
+    runs disagree on the embedding length or the experiment id.
     """
     root = Path(root)
     out_dir = Path(out_dir) if out_dir else root

@@ -25,7 +25,7 @@ from gmas_harness.embeddings import EmbeddingVector
 from gmas_harness.errors import ValidationError
 from gmas_harness.orchestrator import run_cell
 from gmas_harness.records import RunRecord
-from gmas_harness.scenario import enumerate_grid
+from gmas_harness.scenario import AgentRole, enumerate_grid
 from factories import make_record
 
 
@@ -317,6 +317,26 @@ def _string_in_a_vector(payload):
     _traj(payload)["output_embedding"] = ["0.5"] + _traj(payload)["output_embedding"][1:]
 
 
+def _prompt_spells_the_last_key(payload):
+    _traj(payload)["prompt"] += '"thought_summary":"x"}'
+
+
+def _summary_ends_in_a_backslash(payload):
+    _traj(payload)["thought_summary"] += "\\"
+
+
+def _summary_holds_a_quote(payload):
+    _traj(payload)["thought_summary"] += ' "quoted" \\"'
+
+
+def _key_after_the_last_key(payload):
+    _traj(payload)["zz"] = "}"
+
+
+def _kpi_role_key(payload):
+    payload["kpi"] = {"Coder": dict(_traj(payload), prompt="not the Coder's")}
+
+
 ADVERSARIAL = {  # name: (edit of the payload, whether the plain decode accepts)
     "prompt spells a vector field": (_prompt_spells_a_field, True),
     "key a\\\"prompt_embedding in a trajectory": (_escaped_quote_key, True),
@@ -326,6 +346,11 @@ ADVERSARIAL = {  # name: (edit of the payload, whether the plain decode accepts)
     "prompt spells a NUL": (_prompt_spells_a_nul, True),
     "placeholder in a vector field": (_placeholder_in_a_vector_field, False),
     "string in a vector": (_string_in_a_vector, False),
+    "prompt spells the last trajectory key": (_prompt_spells_the_last_key, True),
+    "thought_summary ends in a backslash": (_summary_ends_in_a_backslash, True),
+    "thought_summary holds escaped quotes": (_summary_holds_a_quote, True),
+    "a key after thought_summary": (_key_after_the_last_key, True),
+    "trajectory under a role key inside kpi": (_kpi_role_key, True),
 }
 
 
@@ -339,13 +364,27 @@ def test_loader_agrees_with_the_plain_decode_on_adversarial_files(sample_tree, t
     path.write_text(canonical_json(payload) + "\n", encoding="utf-8")
     plain = _verdict(_plain_decode, path)
     assert isinstance(plain, RunRecord) == accepted
+    _assert_loads_as_plain(sample_tree, path, plain)
+
+
+def _assert_loads_as_plain(sample_tree, path, plain):
+    """``load_run`` gives ``plain`` with a fresh memo, and with one that
+    already holds the sample file's trajectories and vectors."""
     assert _verdict(load_run, path) == plain
-    memo = VectorMemo()  # and with the file's vectors already in the memo
+    memo = VectorMemo()
     load_run(sample_tree[0], memo)
     assert _verdict(lambda p: load_run(p, memo), path) == plain
 
 
-@pytest.mark.parametrize("name", ["truncated", "duplicate key", "spaced"])
+def _role_span(text, role):
+    """The object text of ``role``'s trajectory in a canonical run file
+    whose ``thought_summary`` holds no quote."""
+    start = text.index(f'"{role}":{{') + len(role) + 3
+    return text[start:text.index('"}', text.index('"thought_summary":"', start)) + 2]
+
+
+@pytest.mark.parametrize("name", ["truncated", "duplicate key", "spaced",
+                                  "duplicate role, first", "duplicate role, last"])
 def test_loader_agrees_with_the_plain_decode_on_altered_text(sample_tree, tmp_path, name):
     text = sample_tree[0].read_text(encoding="utf-8")
     if name == "truncated":
@@ -353,13 +392,52 @@ def test_loader_agrees_with_the_plain_decode_on_altered_text(sample_tree, tmp_pa
     elif name == "duplicate key":  # json keeps the last value, the file's own vector
         text = text.replace('"output":', '"output_embedding":[9],"output":', 1)
         assert '"output_embedding":[9]' in text
-    else:  # no vector field is cut out when ":" and "[" are apart
+    elif name == "spaced":  # nothing is cut out when ":" and "[" or "{" are apart
         text = json.dumps(json.loads(text), indent=1)
+    else:  # json keeps the last Coder value: the file's own, or the Planner's
+        planner = f'"Coder":{_role_span(text, "Planner")}'
+        if name.endswith("first"):
+            text = text.replace('"trajectories":{', '"trajectories":{' + planner + ",", 1)
+        else:  # trajectories is the last key, so the file ends in its "}}\n"
+            text = text[:-len("}}\n")] + "," + planner + "}}\n"
+        assert text.count('"Coder":{') == 2
     path = tmp_path / "run1.json"
     path.write_text(text, encoding="utf-8")
     plain = _verdict(_plain_decode, path)
-    assert isinstance(plain, RunRecord) == (name != "truncated")
-    assert _verdict(load_run, path) == plain
+    assert isinstance(plain, RunRecord) == (name not in ("truncated",
+                                                         "duplicate role, last"))
+    _assert_loads_as_plain(sample_tree, path, plain)
+
+
+def test_records_loaded_through_one_memo_share_one_trajectory_per_text(sample_tree):
+    memo = VectorMemo()
+    records = [load_run(path, memo) for path in sample_tree]
+    objects = {}  # the object text of each trajectory: the ids of its Trajectory objects
+    for path, record in zip(sample_tree, records):
+        text = path.read_text(encoding="utf-8")
+        for role, trajectory in record.trajectories.items():
+            objects.setdefault(_role_span(text, role.value), set()).add(id(trajectory))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len({id(t) for r in records for t in r.trajectories.values()}) == len(objects)
+    assert len(objects) < 5 * len(records)
+
+
+def test_trajectory_memo_evicts_the_least_recently_used(sample_tree, monkeypatch):
+    monkeypatch.setattr(artifacts, "TRAJECTORY_MEMO_SIZE", 2)
+    text = sample_tree[0].read_text(encoding="utf-8")
+    plain = _plain_decode(sample_tree[0])
+    a_text, b_text, c_text = (_role_span(text, role) for role in ("Planner", "Coder",
+                                                                 "Analyzer"))
+    memo = VectorMemo()
+    a, b = memo.trajectory(a_text), memo.trajectory(b_text)
+    assert a == plain.trajectory(AgentRole.PLANNER) and b == plain.trajectory(AgentRole.CODER)
+    assert memo.trajectory(a_text) is a
+    c = memo.trajectory(c_text)
+    assert memo.trajectory(c_text) is c and memo.trajectory(a_text) is a
+    again = memo.trajectory(b_text)  # b went first, as the least recently used
+    assert again == b and again is not b
+    assert memo.trajectory(b_text[:-2]) is None  # not JSON
+    assert memo.trajectory(b_text.replace('"role":"Coder"', '"role":"Nobody"')) is None
 
 
 @pytest.mark.parametrize("text, finite", [

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gmas_harness
-from gmas_harness import config as config_module
+from gmas_harness import cli, config as config_module
 from gmas_harness.backends import (GenerationRequest, LiveBackend, SELF_EVAL_MARKER,
                                    ScriptedBackend)
 from gmas_harness.cli import cli_dispatch
@@ -387,6 +387,33 @@ def test_grid_with_fewer_than_one_worker_exits_1(workspace, capsys, workers):
     out_dir = workspace / "artifacts"
     assert cli_dispatch(_grid_args(workspace, out_dir) + ["--workers", workers]) == 1
     assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _refuse_build_env(*_args):
+    raise AssertionError("build_env ran")
+
+
+@pytest.mark.parametrize("max_sets", ["0", "-1"])
+def test_grid_with_fewer_than_one_persona_set_exits_1(workspace, capsys, monkeypatch,
+                                                      max_sets):
+    monkeypatch.setattr(cli, "build_env", _refuse_build_env)
+    out_dir = workspace / "artifacts"
+    assert cli_dispatch(_grid_args(workspace, out_dir) + ["--max-sets", max_sets]) == 1
+    assert f"--max-sets must be at least 1, got {max_sets}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["grid", "run"])
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_fewer_than_one_run_exits_1(workspace, capsys, monkeypatch, command, runs):
+    monkeypatch.setattr(cli, "build_env", _refuse_build_env)
+    out_dir = workspace / "artifacts"
+    args = (_grid_args(workspace, out_dir) if command == "grid"
+            else _run_args(workspace, out_dir, SET_ALL_DEFAULT))
+    args[args.index("--runs") + 1] = runs
+    assert cli_dispatch(args) == 1
+    assert f"--runs must be at least 1, got {runs}" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

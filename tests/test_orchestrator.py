@@ -70,7 +70,9 @@ def _propose(backend, k, registry, questions):
     from gmas_harness.embeddings import centroid
     bundle = ContextBundle(items=(), agent_role="Planner",
                            bundle_embedding=centroid([], backend.dim))
-    return propose_paths(questions[0], persona, bundle, k, backend, run_index=1)
+    return propose_paths(questions[0], persona, bundle, k, backend, run_index=1,
+                         temperature=RunConfig.temperature,
+                         max_tokens=RunConfig.max_tokens)
 
 
 def test_scripted_three_paths_with_scripted_self_evals(registry, questions):

@@ -481,17 +481,23 @@ def test_report_is_unchanged_when_the_memo_overflows(tmp_path, monkeypatch):
         emit_report(summarize_cells(result.cells), out)
         return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
-    peaks = []
+    peaks, trajectories = [], set()
 
     class CountedMemo(VectorMemo):
         def get(self, text):
             vector = super().get(text)
             peaks.append(len(self))
             return vector
+
+        def trajectory(self, text):
+            trajectories.add(text)
+            return super().trajectory(text)
     monkeypatch.setattr(reporting, "VectorMemo", CountedMemo)
     monkeypatch.setattr(artifacts, "VECTOR_MEMO_SIZE", 2)
+    monkeypatch.setattr(artifacts, "TRAJECTORY_MEMO_SIZE", 2)
     small = report(tmp_path / "small")
     assert max(peaks) == 2
+    assert len(trajectories) > 2  # so the trajectory memo overflowed too
     monkeypatch.undo()
     monkeypatch.setattr(reporting, "load_run",  # the plain decode, no memo
                         lambda path, vectors: RunRecord.from_dict(json.loads(path.read_text())))
