@@ -16,17 +16,14 @@ exact type of each node; an instance of a subclass of a JSON type (a
 ``float`` subclass) falls back to ``isinstance`` tests and is encoded as
 its parent type is. Every file is written atomically (``write_atomic``).
 
-The loader mirrors this: ``load_run`` cuts each role's trajectory object
-out of the file text, parses the rest with ``json.loads``, and decodes each
-object through a ``VectorMemo`` that maps the object text to one shared,
-already checked ``Trajectory``. An object the memo has not seen has its
-vector fields' arrays cut out in turn, each decoded through the same memo
-to one shared vector. A report that loads the whole tree with one memo
-decodes each distinct trajectory text, and each distinct vector text among
-them, once. The record is always the one the plain
-``RunRecord.from_dict(json.loads(text))`` gives, and a file that decode
-refuses is refused. ``records`` defines and checks the run-file format;
-this module only encodes and decodes it.
+The loader mirrors this: ``load_run`` cuts a canonical file at its known
+sorted keys (the record's, the roles' under ``trajectories`` and each
+trajectory's), and decodes each value text through a ``ValueMemo`` that
+maps the text to one shared, already checked value. A report that loads the
+whole tree with one memo decodes each distinct value text once. The record
+is always the one the plain ``RunRecord.from_dict(json.loads(text))``
+gives, and a file that decode refuses is refused. ``records`` defines and
+checks the run-file format; this module only encodes and decodes it.
 """
 
 from __future__ import annotations
@@ -35,9 +32,8 @@ import hashlib
 import json
 import math
 import os
-import re
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
@@ -45,7 +41,7 @@ import numpy as np
 
 from .embeddings import EmbeddingVector, number_vector
 from .errors import ConfigurationError, ValidationError
-from .records import VECTOR_FIELDS, RunRecord, SCHEMA_VERSION, Trajectory
+from .records import PAYLOAD_FIELDS, VECTOR_FIELDS, RunRecord, SCHEMA_VERSION, Trajectory
 from .scenario import AgentRole
 
 
@@ -163,11 +159,18 @@ def write_atomic(path: Path, text: str) -> None:
     The text goes to ``.<name>.tmp`` in the same directory, which then
     replaces ``path`` in one ``os.replace``; the temp file is removed if
     anything fails. There is no fsync: this guards against a process crash,
-    not against power loss.
+    not against power loss. The write goes through ``os`` calls, below the
+    buffered file objects of ``io``.
     """
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -199,8 +202,11 @@ def persist_run(record: RunRecord, root: str | Path) -> Path:
         text = canonical_json(record.to_dict()) + "\n"
     except ValidationError as exc:
         raise ValidationError(f"record {path.name} rejected: {exc}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, text)
+    try:
+        write_atomic(path, text)
+    except FileNotFoundError:  # the cell's first run: its directory is made once
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, text)
     return path
 
 
@@ -213,184 +219,160 @@ def persist_cell_meta(runs: list[dict], root: str | Path, persona_set_id: str,
     return path
 
 
-# Most vector and trajectory texts of a run tree recur across its files: a
-# seed-42 sample grid holds 727 distinct vector texts among 7,200 and 510
-# distinct trajectory texts among 2,400. The loader decodes each distinct text
-# once through a VectorMemo of at most this many vectors and trajectories.
-VECTOR_MEMO_SIZE = 1024
-TRAJECTORY_MEMO_SIZE = 1024
+# Most value texts of a run tree recur across its files: the 480 files of a
+# seed-42 refine grid hold 877 distinct vector texts among 7,200, 594 distinct
+# trajectory texts among 2,400 and 32 distinct kpi texts. The loader decodes
+# each distinct text once through a ValueMemo of at most this many values.
+VALUE_MEMO_SIZE = 4096
+# A value text up to this long keys the memo as it stands, a longer one by
+# its SHA-256 digest, so the memo holds no long text.
+SHORT_TEXT = 256
 
-_VECTOR_KEY_RE = re.compile('"(' + "|".join(VECTOR_FIELDS) + ')":\\[')
-_ROLE_KEY_RE = re.compile('"(' + "|".join(role.value for role in AgentRole) + ')":\\{')
-# The last key of a canonical trajectory object; the } after its value closes it.
-_LAST_KEY = '"thought_summary":"'
+_MISSING = object()
 
 
-class VectorMemo:
-    """Shared, read-only ``EmbeddingVector``s and ``Trajectory``s by the text
-    they were decoded from.
+class ValueMemo:
+    """Checked values of run files by the text they were decoded from.
 
-    Keyed by the SHA-256 digest of the text rather than by the text, and
-    least recently used first out beyond ``VECTOR_MEMO_SIZE`` vectors and
-    ``TRAJECTORY_MEMO_SIZE`` trajectories, so its memory is bounded whatever
-    the size of the run tree. ``len`` counts the vectors.
+    ``get(decode, text)`` is ``decode(text, memo)``, computed once per
+    distinct pair and shared: an ``AnalyzerReport``, a ``kpi`` dict,
+    ``RunMetrics``, a tuple of paths or events, a ``Trajectory``, an
+    ``EmbeddingVector`` or a short scalar. An exception from ``decode``
+    reaches the caller and keeps nothing. The least recently used value
+    goes first beyond ``VALUE_MEMO_SIZE``, so the memo's memory is bounded
+    whatever the size of the run tree.
     """
 
     def __init__(self):
-        self._vectors: OrderedDict[bytes, EmbeddingVector] = OrderedDict()
-        self._trajectories: OrderedDict[bytes, Trajectory] = OrderedDict()
+        self._values: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._values)
 
-    def get(self, text: str) -> EmbeddingVector | None:
-        """The vector ``EmbeddingVector.from_list(json.loads(text))``, or None
-        when ``text`` is not a JSON array of one or more numbers with a finite
-        norm (``embeddings.number_vector``)."""
-        return _recall(self._vectors, VECTOR_MEMO_SIZE, text, _decode_vector)
-
-    def trajectory(self, text: str) -> Trajectory | None:
-        """The trajectory ``Trajectory.from_dict(json.loads(text))``, its
-        vector fields' arrays decoded through ``get``, or None when ``text``
-        does not decode that way or ``from_dict`` refuses it."""
-        return _recall(self._trajectories, TRAJECTORY_MEMO_SIZE, text,
-                       self._decode_trajectory)
-
-    def _decode_trajectory(self, text: str) -> Trajectory | None:
-        cut = _cut_decode(text, _VECTOR_KEY_RE, _array_end, self.get)
-        if cut is None or not _land(*cut):
-            return None
-        try:
-            return Trajectory.from_dict(cut[0])
-        except (ValidationError, KeyError, TypeError, ValueError, AttributeError):
-            return None
-
-
-def _recall(table: OrderedDict, limit: int, text: str, decode):
-    """``decode(text)``, kept in ``table`` by a digest of ``text`` unless it
-    is None; past ``limit`` entries the least recently used one goes."""
-    key = hashlib.sha256(text.encode("utf-8")).digest()
-    value = table.get(key)
-    if value is not None:
-        table.move_to_end(key)
+    def get(self, decode, text: str):
+        key = (decode, text if len(text) <= SHORT_TEXT
+               else hashlib.sha256(text.encode("utf-8")).digest())
+        value = self._values.get(key, _MISSING)
+        if value is not _MISSING:
+            self._values.move_to_end(key)
+            return value
+        value = self._values[key] = decode(text, self)
+        if len(self._values) > VALUE_MEMO_SIZE:
+            self._values.popitem(last=False)
         return value
-    value = decode(text)
-    if value is not None:
-        table[key] = value
-        if len(table) > limit:
-            table.popitem(last=False)
-    return value
 
 
-def _decode_vector(text: str) -> EmbeddingVector | None:
-    try:
-        values = json.loads(text)
-    except (ValueError, RecursionError):
+def _cutter(keys) -> tuple[str, tuple[str, ...]]:
+    """The text that opens an object whose first key is ``keys[0]``, and the
+    text that opens each later key's value."""
+    return '{"%s":' % keys[0], tuple(',"%s":' % key for key in keys[1:])
+
+
+_RECORD_KEYS = sorted(field.name for field in fields(RunRecord))
+_ROLES_IN_ORDER = sorted(AgentRole, key=lambda role: role.value)
+_TRAJECTORY_KEYS = sorted(field.name for field in fields(Trajectory))
+_RECORD = _cutter(_RECORD_KEYS)
+_ROLES = _cutter([role.value for role in _ROLES_IN_ORDER])
+_TRAJECTORY = _cutter(_TRAJECTORY_KEYS)
+
+
+def _cut(text: str, start: int, end: int, cutter) -> list[tuple[int, int]] | None:
+    """The ``(start, end)`` of each value of the object ``text[start:end]``
+    under its keys in order, or None unless the object opens with the first
+    key and each later key follows.
+
+    The split is sound once each value text decodes as one JSON value.
+    Inside a JSON string every ``"`` is escaped, so ``,"k":`` cannot lie
+    within one string, and a span that starts just after a key's ``:`` and
+    decodes whole ends where its value ends, at the object's own depth:
+    the match after it is the object's next key. Any other first match (its
+    comma inside a string, a key nested in the value, a later key of the
+    object) cuts the value short or leaves more than it in the span, which
+    then does not decode. So an object whose every value text decodes is
+    exactly its keys, in this order, each with the value cut out for it.
+    """
+    head, separators = cutter
+    if not text.startswith(head, start, end) or text[end - 1] != "}":
         return None
-    return number_vector(values)
+    spans, begin = [], start + len(head)
+    for separator in separators:
+        at = text.find(separator, begin, end)
+        if at < 0:
+            return None
+        spans.append((begin, at))
+        begin = at + len(separator)
+    spans.append((begin, end - 1))
+    return spans
 
 
-def load_run(path: str | Path, vectors: VectorMemo | None = None) -> RunRecord:
+# each record field's decode of its value text, as ValueMemo.get calls it
+_FIELDS = {key: lambda text, _memo, decode=decode: decode(json.loads(text))
+           for key, decode in PAYLOAD_FIELDS.items()}
+
+
+def _decode_vector(text: str, _memo: ValueMemo) -> EmbeddingVector:
+    """``EmbeddingVector.from_list(json.loads(text))``, refused unless
+    ``text`` is a JSON array of one or more numbers with a finite norm
+    (``embeddings.number_vector``)."""
+    vector = number_vector(json.loads(text))
+    if vector is None:
+        raise ValidationError(f"{text:.40} is not a vector with a finite norm")
+    return vector
+
+
+def _decode_trajectory(text: str, memo: ValueMemo) -> Trajectory:
+    """``Trajectory.from_dict(json.loads(text))`` of a canonical object, its
+    vector fields' texts decoded through ``memo``."""
+    spans = _cut(text, 0, len(text), _TRAJECTORY)
+    if spans is None:
+        raise ValidationError(f"{text:.40} is not a canonical trajectory")
+    payload = {}
+    for key, (start, end) in zip(_TRAJECTORY_KEYS, spans):
+        value = text[start:end]
+        payload[key] = (memo.get(_decode_vector, value) if key in VECTOR_FIELDS
+                        and value != "null" else json.loads(value))
+    return Trajectory.from_dict(payload)
+
+
+def load_run(path: str | Path, memo: ValueMemo | None = None) -> RunRecord:
     """The record persisted at ``path``: equal to
     ``RunRecord.from_dict(json.loads(text))``, and refused where that is,
     with ``ValidationError`` for every payload ``from_dict`` refuses.
 
-    Each role's object under ``trajectories`` is cut out of the text before
-    ``json.loads`` parses the rest, and is decoded through ``vectors`` (a
-    fresh memo when none is given), which cuts each vector field's array out
-    of the object in turn. Records loaded with one memo share one
-    ``Trajectory`` per distinct object text, and one ``EmbeddingVector`` per
-    distinct array text among the objects it decoded.
+    A canonical file is cut at its keys (``_cut``): the record's, the roles'
+    under ``trajectories`` and each trajectory's. Each value text goes
+    through ``memo`` (a fresh one when none is given) to the checked value
+    ``records.PAYLOAD_FIELDS`` makes of it, each trajectory object to a
+    ``Trajectory`` and each vector array to an ``EmbeddingVector``, and
+    ``RunRecord.from_fields`` makes the checks that span fields. Records
+    loaded with one memo share one value per distinct text. Any cut, decode
+    or check that fails sends the whole file the plain way.
     """
     text = Path(path).read_text(encoding="utf-8")
-    raw = _decode_cut(text, VectorMemo() if vectors is None else vectors)
-    return RunRecord.from_dict(json.loads(text) if raw is None else raw)
-
-
-def _decode_cut(text: str, memo: VectorMemo):
-    """The payload of ``text`` with its trajectories already built, or None
-    where the plain ``json.loads(text)`` must decide.
-
-    A trajectory object runs from the ``{`` after a role key to the ``}``
-    after the string value of its ``thought_summary`` key, the last key of a
-    canonical trajectory. The result is None, and the file goes the plain
-    way, when an object does not decode or ``Trajectory.from_dict`` refuses
-    it, when the rest does not parse or spells a NUL, or when an object does
-    not stand as the value of its role under ``trajectories`` (a role key in
-    ``kpi``, say), so every payload returned is the plain decode's.
-    """
-    cut = _cut_decode(text, _ROLE_KEY_RE, _trajectory_end, memo.trajectory)
-    if cut is None:
-        return None
-    raw, slots = cut
-    trajectories = raw.get("trajectories") if type(raw) is dict else None
-    return raw if _land(trajectories, slots) else None
-
-
-def _cut_decode(text: str, key_re: re.Pattern, span_end, decode):
-    """``(payload, slots)``: ``json.loads`` of ``text`` in which each span
-    that opens at the end of a ``key_re`` match and closes at
-    ``span_end(text, start)`` stands as the string ``"\\u0000<n>"``, and
-    ``slots`` maps each such string to the matched key and ``decode`` of its
-    span. None when a span does not close or decode, or when the rest spells
-    a NUL itself or does not parse."""
-    pieces, slots = [], {}
-    end = 0
-    match = key_re.search(text)
-    while match:
-        start = match.end() - 1
-        close = span_end(text, start)
-        value = decode(text[start:close]) if close else None
-        if value is None:
-            return None
-        pieces += (text[end:start], f'"\\u0000{len(slots)}"')
-        slots[f"\x00{len(slots)}"] = (match[1], value)
-        end = close
-        match = key_re.search(text, end)
-    pieces.append(text[end:])
-    if any("\\u0000" in piece for piece in pieces[::2]):
-        return None
     try:
-        return json.loads("".join(pieces)), slots
-    except (ValueError, RecursionError):
+        record = _decode_cut(text, ValueMemo() if memo is None else memo)
+    except (ValidationError, ValueError, TypeError, KeyError, AttributeError,
+            RecursionError):
+        record = None
+    return RunRecord.from_dict(json.loads(text)) if record is None else record
+
+
+def _decode_cut(text: str, memo: ValueMemo) -> RunRecord | None:
+    """The record of a canonical file's ``text``, or None where it does not cut."""
+    spans = _cut(text, 0, len(text) - 1, _RECORD) if text.endswith("}\n") else None
+    if spans is None:
         return None
-
-
-def _land(parent, slots: dict) -> bool:
-    """Put each slot's value in ``parent`` under its key; False, with
-    ``parent`` left part done, unless every slot's string stands there."""
-    if type(parent) is not dict:
-        return False
-    for placeholder, (key, value) in slots.items():
-        if parent.get(key) != placeholder:
-            return False
-        parent[key] = value
-    return True
-
-
-def _array_end(text: str, start: int) -> int:
-    """Just past the first ``]`` after ``start``, or 0 when there is none."""
-    return text.find("]", start) + 1
-
-
-def _trajectory_end(text: str, start: int) -> int:
-    """Just past the ``}`` right after the string value of the first
-    ``"thought_summary"`` key after ``start``, or 0 when there is no such
-    ``}``. A quote closes the value when an even number of backslashes
-    precedes it."""
-    quote = text.find(_LAST_KEY, start)
-    if quote < 0:
-        return 0
-    quote += len(_LAST_KEY) - 1
-    while True:
-        quote = text.find('"', quote + 1)
-        if quote < 0:
-            return 0
-        slash = quote
-        while text[slash - 1] == "\\":
-            slash -= 1
-        if (quote - slash) % 2 == 0:
-            return quote + 2 if text.startswith("}", quote + 1) else 0
+    values = {}
+    for key, (start, end) in zip(_RECORD_KEYS, spans):
+        if key != "trajectories":
+            values[key] = memo.get(_FIELDS[key], text[start:end])
+            continue
+        roles = _cut(text, start, end, _ROLES)
+        if roles is None:
+            return None
+        values[key] = {role: memo.get(_decode_trajectory, text[begin:stop])
+                       for role, (begin, stop) in zip(_ROLES_IN_ORDER, roles)}
+    return RunRecord.from_fields(values)
 
 
 def iter_run_files(root: str | Path):

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Protocol
 
 from .embeddings import DEFAULT_DIM, DeterministicEmbedder, EmbeddingVector, number_vector
 from .errors import ConfigurationError, DimensionMismatchError, TransportError
-from .memo import Memo, text_key
+from .memo import Memo, hash_in_pieces, text_key
 
 if TYPE_CHECKING:
     import http.client
@@ -61,8 +61,7 @@ def prompt_fingerprint(role: str | None, full_prompt: str) -> str:
     h = hashlib.sha256()
     h.update((role or "").encode("utf-8"))
     h.update(b"\x00")
-    h.update(full_prompt.encode("utf-8"))
-    return h.hexdigest()[:16]
+    return hash_in_pieces(h, full_prompt.encode("utf-8")).hexdigest()[:16]
 
 
 class Backend(Protocol):

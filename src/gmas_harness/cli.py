@@ -107,15 +107,17 @@ def _parse_topics(pairs) -> dict | None:
 
 
 def _cmd_gen_questions(args) -> int:
-    backend = None
+    backend, llm = None, {}
     if args.mode == "llm":
         if not args.config:
             raise ConfigurationError("llm mode needs --config for the backend")
         from .config import build_backend
-        backend = build_backend(load_experiment_config(args.config))
+        config = load_experiment_config(args.config)
+        backend = build_backend(config)
+        llm = {"backend": backend, "max_tokens": config.run.max_tokens}
     try:
         questions = generate_questions(args.count, _parse_topics(args.topics),
-                                       mode=args.mode, seed=args.seed, backend=backend)
+                                       mode=args.mode, seed=args.seed, **llm)
     finally:
         if backend is not None:
             backend.close()

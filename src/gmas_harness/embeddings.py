@@ -48,7 +48,7 @@ class EmbeddingVector:
         arr = np.array(self.values, dtype=np.float64)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "norm", float(np.linalg.norm(arr)))
+        object.__setattr__(self, "norm", math.sqrt(arr @ arr))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingVector):
@@ -155,7 +155,7 @@ class DeterministicEmbedder:
         counts = np.bincount(codes, minlength=2 * self.dim)
         # integer counts, so the float64 difference is exactly the sum of the signs
         vec = np.subtract(counts[:self.dim], counts[self.dim:], dtype=np.float64)
-        norm = np.linalg.norm(vec)
+        norm = math.sqrt(vec @ vec)
         if norm > 0.0:
             vec = vec / norm
         return EmbeddingVector(vec)
@@ -186,7 +186,7 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
         return 1.0
     if a.is_zero() or b.is_zero():
         return 0.0
-    value = float(np.dot(a.values, b.values) / (a.norm * b.norm))
+    value = float(a.values @ b.values / (a.norm * b.norm))
     return max(-1.0, min(1.0, value))  # shave float rounding past the unit ball
 
 
@@ -198,7 +198,7 @@ def centroid(vectors: list[EmbeddingVector], dim: int) -> EmbeddingVector:
         if v.dim != dim:
             raise DimensionMismatchError(f"centroid over mixed dims: {v.dim} vs {dim}")
     mean = np.mean([v.values for v in vectors], axis=0)
-    norm = np.linalg.norm(mean)
+    norm = math.sqrt(mean @ mean)
     if norm > 0.0:
         mean = mean / norm
     return EmbeddingVector(mean)

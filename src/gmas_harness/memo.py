@@ -42,10 +42,24 @@ class Memo:
         return value
 
 
+# hashlib lets go of the GIL while it hashes a buffer of 2,048 bytes or more,
+# and a worker thread that lets go of it mid-run waits to get it back; fed in
+# shorter pieces, a digest keeps it. The digest is the same.
+HASH_PIECE = 2047
+
+
+def hash_in_pieces(h, data: bytes):
+    """``h`` after ``h.update(data)``, fed ``HASH_PIECE`` bytes at a time."""
+    for start in range(0, len(data), HASH_PIECE):
+        h.update(data[start:start + HASH_PIECE])
+    return h
+
+
 def text_key(*texts: str) -> bytes:
     """16-byte blake2b digest of a sequence of texts. Each text but the last
     is prefixed by its length, which keeps the split between them
     unambiguous; ``surrogatepass`` admits the lone surrogates a live reply's
     JSON may decode to."""
     joined = "".join(f"{len(text)}\0{text}\0" for text in texts[:-1]) + texts[-1]
-    return hashlib.blake2b(joined.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+    return hash_in_pieces(hashlib.blake2b(digest_size=16),
+                          joined.encode("utf-8", "surrogatepass")).digest()

@@ -64,17 +64,22 @@ class CodeArtifact:
             raise ValueError("code artifact must be non-empty")
 
 
-def _field(d: dict, key: str, *kinds: type):
-    """``d[key]`` of a record payload, refused unless the key is there and the
-    value's JSON type is one of ``kinds`` (str, int, float, bool, list, dict,
-    NoneType; ``float`` admits an integer, and ``bool`` is neither)."""
-    if key not in d:
-        raise ValidationError(f"{key} is missing")
-    value = d[key]
+def _typed(key: str, value, *kinds: type):
+    """``value``, the payload field ``key``, refused unless its JSON type is
+    one of ``kinds`` (str, int, float, bool, list, dict, NoneType; ``float``
+    admits an integer, and ``bool`` is neither)."""
     if type(value) in kinds or (type(value) is int and float in kinds):
         return value
     raise ValidationError(f"{key} {value!r:.40} is not "
                           + " or ".join(kind.__name__ for kind in kinds))
+
+
+def _field(d: dict, key: str, *kinds: type):
+    """``d[key]`` of a record payload, refused unless the key is there and
+    ``_typed`` admits the value."""
+    if key not in d:
+        raise ValidationError(f"{key} is missing")
+    return _typed(key, d[key], *kinds)
 
 
 def _strings(d: dict, key: str) -> tuple[str, ...]:
@@ -266,6 +271,57 @@ class RunMetrics:
         return cls(**d)
 
 
+def _schema_version(value) -> int:
+    if type(value) is not int or value != SCHEMA_VERSION:
+        raise ValidationError(f"schema_version {value!r} is not {SCHEMA_VERSION}")
+    return value
+
+
+def _trajectories(value) -> dict:
+    """The trajectories by role; every role's must be there, and no other key."""
+    raw = _typed("trajectories", value, dict)
+    missing = [role.value for role in PIPELINE_ORDER if role.value not in raw]
+    if missing:
+        raise ValidationError(f"trajectories lack {missing}")
+    return {_role(k): Trajectory.from_dict(_field(raw, k, dict)) for k in raw}
+
+
+def _typed_as(key: str, *kinds: type):
+    return lambda value: _typed(key, value, *kinds)
+
+
+def _null_or(key: str, decode):
+    return lambda value: None if _typed(key, value, dict, type(None)) is None else decode(value)
+
+
+def _tuple_of(key: str, decode):
+    return lambda value: tuple(map(decode, _typed(key, value, list)))
+
+
+# How a run-file payload's field becomes its checked value in the record:
+# ``RunRecord.from_dict`` applies these to a payload, and
+# ``artifacts.load_run`` to each distinct value text of a run tree once.
+PAYLOAD_FIELDS = {
+    "analyzer_report": _null_or("analyzer_report", AnalyzerReport.from_dict),
+    "code_text": _typed_as("code_text", str),
+    "experiment_id": _typed_as("experiment_id", str),
+    "kpi": lambda value: _all_finite("kpi", _typed("kpi", value, dict, type(None))),
+    "max_refinement_depth": _typed_as("max_refinement_depth", int),
+    "metrics": _null_or("metrics", RunMetrics.from_dict),
+    "persona_set_id": _typed_as("persona_set_id", str),
+    "plan_text": _typed_as("plan_text", str),
+    "proposed_paths": _tuple_of("proposed_paths", SolutionPath.from_dict),
+    "question_id": _typed_as("question_id", str),
+    "question_text": _typed_as("question_text", str),
+    "refinement_events": _tuple_of("refinement_events", RefinementEvent.from_dict),
+    "run_index": _typed_as("run_index", int),
+    "schema_version": _schema_version,
+    "selected_path_id": _typed_as("selected_path_id", int, type(None)),
+    "status": lambda value: RunStatus(_typed("status", value, str)),
+    "trajectories": _trajectories,
+}
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """Full trajectory of one (question, persona set, run index) execution."""
@@ -346,55 +402,27 @@ class RunRecord:
         not fail, embeddings that are not non-empty flat lists of numbers or
         differ in length, and analyzer findings that would not write back
         as they stand."""
-        version = d.get("schema_version") if type(d) is dict else None
-        if type(version) is not int or version != SCHEMA_VERSION:
-            raise ValidationError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
+        _schema_version(d.get("schema_version") if type(d) is dict else None)
         try:
-            return cls._from_payload(d)
+            return cls.from_fields({key: decode(d[key])
+                                    for key, decode in PAYLOAD_FIELDS.items()})
         except KeyError as exc:
             raise ValidationError(f"{exc.args[0]} is missing") from exc
         except (TypeError, ValueError, AttributeError) as exc:
             raise ValidationError(f"malformed run record: {exc}") from exc
 
     @classmethod
-    def _from_payload(cls, d: dict) -> "RunRecord":
-        raw = _field(d, "trajectories", dict)
-        missing = [role.value for role in PIPELINE_ORDER if role.value not in raw]
-        if missing:
-            raise ValidationError(f"trajectories lack {missing}")
-        # a Trajectory is one artifacts.load_run built, and checked, already
-        trajectories = {_role(k): v if type(v) is Trajectory
-                        else Trajectory.from_dict(_field(raw, k, dict))
-                        for k, v in raw.items()}
-        for role, trajectory in trajectories.items():
+    def from_fields(cls, values: dict) -> "RunRecord":
+        """The record of checked field values, ``PAYLOAD_FIELDS``' of each
+        key, once each trajectory is found under its own role and all the
+        embeddings share one length; ``__post_init__`` checks the rest."""
+        for role, trajectory in values["trajectories"].items():
             if trajectory.role is not role:
                 raise ValidationError(f"trajectories.{role.value} holds the "
                                       f"{trajectory.role.value} trajectory")
-        dims = {vector.dim for t in trajectories.values()
+        dims = {vector.dim for t in values["trajectories"].values()
                 for vector in (getattr(t, name) for name in VECTOR_FIELDS)
                 if vector is not None}
         if len(dims) > 1:
             raise ValidationError(f"embedding dims differ: {sorted(dims)}")
-        report = _field(d, "analyzer_report", dict, type(None))
-        metrics = _field(d, "metrics", dict, type(None))
-        return cls(
-            experiment_id=_field(d, "experiment_id", str),
-            question_id=_field(d, "question_id", str),
-            question_text=_field(d, "question_text", str),
-            persona_set_id=_field(d, "persona_set_id", str),
-            run_index=_field(d, "run_index", int),
-            status=RunStatus(_field(d, "status", str)),
-            trajectories=trajectories,
-            proposed_paths=tuple(SolutionPath.from_dict(p)
-                                 for p in _field(d, "proposed_paths", list)),
-            selected_path_id=_field(d, "selected_path_id", int, type(None)),
-            plan_text=_field(d, "plan_text", str),
-            code_text=_field(d, "code_text", str),
-            kpi=_all_finite("kpi", _field(d, "kpi", dict, type(None))),
-            analyzer_report=None if report is None else AnalyzerReport.from_dict(report),
-            metrics=None if metrics is None else RunMetrics.from_dict(metrics),
-            refinement_events=tuple(RefinementEvent.from_dict(e)
-                                    for e in _field(d, "refinement_events", list)),
-            max_refinement_depth=_field(d, "max_refinement_depth", int),
-            schema_version=d["schema_version"],
-        )
+        return cls(**values)

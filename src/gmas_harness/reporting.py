@@ -4,10 +4,10 @@
 it loads each run file once, summarizes the cell in one pass
 (``safety.summarize_cell``), writes the cell's CSV rows from that
 ``SafetySummary`` alone, keeps it and drops the records. All cells
-load through one ``artifacts.VectorMemo``, so each distinct trajectory text
-and each distinct embedding text is decoded once per report, and memory
-stays bounded by the largest cell plus the memo's ``TRAJECTORY_MEMO_SIZE``
-trajectories and ``VECTOR_MEMO_SIZE`` vectors. ``safety.summarize_cells``
+load through one ``artifacts.ValueMemo``, so each distinct value text (a
+trajectory, an embedding, a kpi, an analyzer report...) is decoded once per
+report, and memory stays bounded by the largest cell plus the memo's
+``VALUE_MEMO_SIZE`` values. ``safety.summarize_cells``
 then applies the drift threshold and summarizes the grid, from which
 ``emit_report`` renders the markdown report and the hand-rolled SVG charts
 (axes, bars, polylines only).
@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import VectorMemo, iter_run_files, load_run, run_relpath
+from .artifacts import ValueMemo, iter_run_files, load_run, run_relpath
 from .errors import ValidationError
 from .records import RunRecord
 from .safety import GridSummary, SafetySummary, summarize_cell
@@ -81,8 +81,8 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> Aggreg
     Cells (``runs/<set>/<question>/``) are read one at a time: a cell's runs
     are loaded and summarized (``summarize_cell``), the summary is written as
     CSV rows, and the records are dropped, so memory is bounded by the
-    largest cell plus one ``VectorMemo``, fresh for each call, through which
-    every cell's trajectories and vectors are decoded. Failed runs
+    largest cell plus one ``ValueMemo``, fresh for each call, through which
+    every cell's values are decoded. Failed runs
     (``RunRecord.failed``) give no metric rows, and drift pairs consecutive
     non-failed runs of a cell. A file that does not load, or whose ids
     disagree with its path, is skipped with a logged error and reported in
@@ -95,7 +95,7 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> Aggreg
 
     cells: list[SafetySummary] = []
     corrupt: list[Path] = []
-    vectors = VectorMemo()
+    memo = ValueMemo()
     paths = {name: out_dir / name for name in CSV_NAMES}
     with contextlib.ExitStack() as stack:
         writers = {}
@@ -105,7 +105,7 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> Aggreg
             writers[name].writerow(_HEADERS[name])
         for _, cell_paths in itertools.groupby(iter_run_files(root),
                                                key=lambda path: path.parent):
-            records = _load_cell(root, cell_paths, corrupt, vectors)
+            records = _load_cell(root, cell_paths, corrupt, memo)
             if records:
                 cells.append(summarize_cell(records))
                 _write_cell_rows(writers, cells[-1])
@@ -114,13 +114,13 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> Aggreg
 
 
 def _load_cell(root: Path, paths, corrupt: list[Path],
-               vectors: VectorMemo) -> list[RunRecord]:
+               memo: ValueMemo) -> list[RunRecord]:
     """One cell's loadable runs; bad files go to ``corrupt``, and so do all of
     a cell whose records disagree on the embedding length or experiment id."""
     loaded = []
     for path in paths:
         try:
-            record = load_run(path, vectors)
+            record = load_run(path, memo)
             expected = run_relpath(record.persona_set_id, record.question_id,
                                    record.run_index)
             if expected != path.relative_to(root):

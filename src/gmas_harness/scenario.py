@@ -262,8 +262,10 @@ def _fill_template(template: str, rng: random.Random) -> str:
 
 def generate_questions(count: int, topic_mix: dict[Topic, float] | None = None,
                        mode: str = "template", seed: int = 0,
-                       backend: Backend | None = None) -> list[Question]:
-    """Deterministic template-bank questions, or backend-generated ones in llm mode."""
+                       backend: Backend | None = None,
+                       max_tokens: int = GenerationRequest.max_tokens) -> list[Question]:
+    """Deterministic template-bank questions, or backend-generated ones in llm
+    mode: one request at temperature 0.5 with ``max_tokens``."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if mode == "template":
@@ -271,7 +273,7 @@ def generate_questions(count: int, topic_mix: dict[Topic, float] | None = None,
     if mode == "llm":
         if backend is None:
             raise ConfigurationError("llm question mode needs a backend")
-        return _llm_questions(count, topic_mix, seed, backend)
+        return _llm_questions(count, topic_mix, seed, backend, max_tokens)
     raise ValueError(f"unknown question mode {mode!r}")
 
 
@@ -308,7 +310,7 @@ def _template_questions(count: int, topic_mix: dict[Topic, float] | None,
 
 
 def _llm_questions(count: int, topic_mix: dict[Topic, float] | None, seed: int,
-                   backend: Backend) -> list[Question]:
+                   backend: Backend, max_tokens: int) -> list[Question]:
     rng = random.Random(seed)
     topics = _topic_sequence(count, topic_mix, rng)
     topic_list = ", ".join(sorted({t.value for t in topics}))
@@ -317,6 +319,7 @@ def _llm_questions(count: int, topic_mix: dict[Topic, float] | None, seed: int,
         user_prompt=(f"Produce {count} distinct engineering questions covering: {topic_list}. "
                      "Write one question per line with no numbering."),
         temperature=0.5,
+        max_tokens=max_tokens,
         seed=seed,
     )
     text = backend.generate(request, role="QuestionGenerator", run_index=0)

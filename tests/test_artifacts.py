@@ -16,16 +16,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gmas_harness import artifacts, orchestrator
-from gmas_harness.artifacts import (ExperimentManifest, VectorMemo, _fmt_float,
+from gmas_harness.artifacts import (ExperimentManifest, ValueMemo, _fmt_float,
                                     canonical_json, cell_relpath, derive_experiment_id,
                                     iter_run_files, load_run, persist_run, run_relpath,
                                     write_manifest)
 from gmas_harness.cli import cli_dispatch
+from gmas_harness.config import build_env, load_experiment_config
 from gmas_harness.embeddings import EmbeddingVector
-from gmas_harness.errors import ValidationError
-from gmas_harness.orchestrator import run_cell
-from gmas_harness.records import RunRecord
-from gmas_harness.scenario import AgentRole, enumerate_grid
+from gmas_harness.errors import TransportError, ValidationError
+from gmas_harness.orchestrator import run_cell, run_grid
+from gmas_harness.records import RunRecord, RunStatus
+from gmas_harness.scenario import AgentRole, enumerate_grid, load_questions
 from factories import make_record
 
 
@@ -230,7 +231,8 @@ def test_persist_load_persist_is_fixed_point(tmp_path):
     assert original == again
 
 
-SAMPLE_DATA = Path(__file__).parent.parent / "sample_data"
+REPO = Path(__file__).parent.parent
+SAMPLE_DATA = REPO / "sample_data"
 
 
 @pytest.fixture(scope="module")
@@ -269,15 +271,20 @@ def _verdict(load, path):
         return type(exc).__name__
 
 
+def _held(memo, decode):
+    """The values ``memo`` holds that ``decode`` made."""
+    return [value for (kind, _), value in memo._values.items() if kind is decode]
+
+
 def test_loader_returns_the_plain_decode_of_every_sample_run(sample_tree):
     assert len(sample_tree) == 20
-    memo = VectorMemo()
+    memo = ValueMemo()
     records = [load_run(path, memo) for path in sample_tree]
     assert records == [_plain_decode(path) for path in sample_tree]
     vectors = {id(vector) for record in records for t in record.trajectories.values()
                for vector in (t.prompt_embedding, t.output_embedding, t.context_centroid)
                if vector is not None}
-    assert len(vectors) == len(memo) < 15 * len(records)
+    assert len(vectors) == len(_held(memo, artifacts._decode_vector)) < 15 * len(records)
 
 
 def _traj(payload):
@@ -337,6 +344,26 @@ def _kpi_role_key(payload):
     payload["kpi"] = {"Coder": dict(_traj(payload), prompt="not the Coder's")}
 
 
+def _kpi_record_key(payload):
+    payload["kpi"] = {"a": 1, "max_refinement_depth": 9, "z": [{"run_index": 2}]}
+
+
+def _kpi_trajectories_key(payload):
+    payload["kpi"] = {"a": 1, "trajectories": payload["trajectories"]}
+
+
+def _message_spells_a_record_key(payload):
+    payload["analyzer_report"]["findings"][0]["message"] += ',"code_text":"x"'
+
+
+def _extra_record_key(payload):
+    payload["metrics_note"] = ',"persona_set_id":"x"'
+
+
+def _role_names_another_role(payload):
+    _traj(payload)["role"] = "Allocator"
+
+
 ADVERSARIAL = {  # name: (edit of the payload, whether the plain decode accepts)
     "prompt spells a vector field": (_prompt_spells_a_field, True),
     "key a\\\"prompt_embedding in a trajectory": (_escaped_quote_key, True),
@@ -351,6 +378,11 @@ ADVERSARIAL = {  # name: (edit of the payload, whether the plain decode accepts)
     "thought_summary holds escaped quotes": (_summary_holds_a_quote, True),
     "a key after thought_summary": (_key_after_the_last_key, True),
     "trajectory under a role key inside kpi": (_kpi_role_key, True),
+    "kpi key max_refinement_depth": (_kpi_record_key, True),
+    "kpi key trajectories": (_kpi_trajectories_key, True),
+    "finding message spells a record key": (_message_spells_a_record_key, True),
+    "an extra record key": (_extra_record_key, True),
+    "trajectory role names another role": (_role_names_another_role, False),
 }
 
 
@@ -369,9 +401,9 @@ def test_loader_agrees_with_the_plain_decode_on_adversarial_files(sample_tree, t
 
 def _assert_loads_as_plain(sample_tree, path, plain):
     """``load_run`` gives ``plain`` with a fresh memo, and with one that
-    already holds the sample file's trajectories and vectors."""
+    already holds the sample file's values."""
     assert _verdict(load_run, path) == plain
-    memo = VectorMemo()
+    memo = ValueMemo()
     load_run(sample_tree[0], memo)
     assert _verdict(lambda p: load_run(p, memo), path) == plain
 
@@ -384,15 +416,37 @@ def _role_span(text, role):
 
 
 @pytest.mark.parametrize("name", ["truncated", "duplicate key", "spaced",
-                                  "duplicate role, first", "duplicate role, last"])
+                                  "duplicate role, first", "duplicate role, last",
+                                  "record keys out of order", "duplicate record key, first",
+                                  "duplicate record key, last", "a role's object left open",
+                                  "text after the record", "first record key misspelt"])
 def test_loader_agrees_with_the_plain_decode_on_altered_text(sample_tree, tmp_path, name):
     text = sample_tree[0].read_text(encoding="utf-8")
-    if name == "truncated":
+    if name == "record keys out of order":  # analyzer_report moved to the end
+        payload = json.loads(text)
+        payload["analyzer_report"] = payload.pop("analyzer_report")
+        text = json.dumps(payload, separators=(",", ":")) + "\n"
+        assert text.startswith('{"code_text":')
+    elif name.startswith("duplicate record key"):  # json keeps the last run_index
+        if name.endswith("first"):
+            text = '{"run_index":7,' + text[1:]
+        else:
+            text = text[:-len("}\n")] + ',"run_index":7}\n'
+        assert text.count('"run_index":') == 2
+    elif name == "a role's object left open":  # no } closes the Allocator's object
+        text = text.replace('"},"Analyzer":{', '"7,"Analyzer":{', 1)
+        assert '"7,"Analyzer":{' in text
+    elif name == "first record key misspelt":  # as long as the key it replaces
+        text = text.replace('{"analyzer_report":', '{"analyzer_reporx":', 1)
+        assert text.startswith('{"analyzer_reporx":')
+    elif name == "text after the record":
+        text = text[:-len("\n")] + "x"
+    elif name == "truncated":
         text = text[:len(text) // 2]
     elif name == "duplicate key":  # json keeps the last value, the file's own vector
         text = text.replace('"output":', '"output_embedding":[9],"output":', 1)
         assert '"output_embedding":[9]' in text
-    elif name == "spaced":  # nothing is cut out when ":" and "[" or "{" are apart
+    elif name == "spaced":  # no key is found when "," and the key are apart
         text = json.dumps(json.loads(text), indent=1)
     else:  # json keeps the last Coder value: the file's own, or the Planner's
         planner = f'"Coder":{_role_span(text, "Planner")}'
@@ -404,13 +458,46 @@ def test_loader_agrees_with_the_plain_decode_on_altered_text(sample_tree, tmp_pa
     path = tmp_path / "run1.json"
     path.write_text(text, encoding="utf-8")
     plain = _verdict(_plain_decode, path)
-    assert isinstance(plain, RunRecord) == (name not in ("truncated",
-                                                         "duplicate role, last"))
+    assert isinstance(plain, RunRecord) == (name not in (
+        "truncated", "duplicate role, last", "a role's object left open", "text after the record",
+        "first record key misspelt"))
+    if name == "duplicate record key, last":
+        assert plain.run_index == 7
     _assert_loads_as_plain(sample_tree, path, plain)
 
 
+def test_every_file_of_a_refined_grid_with_a_failed_run_loads_as_plain(tmp_path):
+    """2 questions x 4 persona sets x 3 runs with the refine benchmark's
+    config, the Coder's backend down for the first run 2 it serves: every
+    refinement route, budget-exhausted runs and one failed run."""
+    config = load_experiment_config(REPO / "perfbench" / "data" / "refine"
+                                    / "experiment.json")
+    env = build_env(config, "exp-tree")
+    generate, down = env.backend.generate, []
+
+    def coder_down_once(request, *, role=None, run_index=0):
+        if role == AgentRole.CODER.value and run_index == 2 and not down:
+            down.append(run_index)
+            raise TransportError("coder backend down")
+        return generate(request, role=role, run_index=run_index)
+
+    env.backend.generate = coder_down_once
+    questions = load_questions(SAMPLE_DATA / "questions.json")[3:]
+    run_grid(questions, enumerate_grid(env.registry)[::8], 3, env, tmp_path)
+    paths = list(iter_run_files(tmp_path))
+    memo = ValueMemo()
+    records = [load_run(path, memo) for path in paths]
+    assert records == [_plain_decode(path) for path in paths]
+    assert len(records) == 24
+    assert collections.Counter(record.status for record in records) == {
+        RunStatus.BUDGET_EXHAUSTED: 18, RunStatus.COMPLETED: 5, RunStatus.FAILED: 1}
+    assert {event.routed_role for record in records
+            for event in record.refinement_events} == \
+        {AgentRole.PLANNER, AgentRole.ALLOCATOR, AgentRole.CODER}
+
+
 def test_records_loaded_through_one_memo_share_one_trajectory_per_text(sample_tree):
-    memo = VectorMemo()
+    memo = ValueMemo()
     records = [load_run(path, memo) for path in sample_tree]
     objects = {}  # the object text of each trajectory: the ids of its Trajectory objects
     for path, record in zip(sample_tree, records):
@@ -422,22 +509,45 @@ def test_records_loaded_through_one_memo_share_one_trajectory_per_text(sample_tr
     assert len(objects) < 5 * len(records)
 
 
-def test_trajectory_memo_evicts_the_least_recently_used(sample_tree, monkeypatch):
-    monkeypatch.setattr(artifacts, "TRAJECTORY_MEMO_SIZE", 2)
+def test_memo_evicts_the_least_recently_used_trajectory(sample_tree, monkeypatch):
+    monkeypatch.setattr(artifacts, "VALUE_MEMO_SIZE", 2)
     text = sample_tree[0].read_text(encoding="utf-8")
     plain = _plain_decode(sample_tree[0])
     a_text, b_text, c_text = (_role_span(text, role) for role in ("Planner", "Coder",
                                                                  "Analyzer"))
-    memo = VectorMemo()
-    a, b = memo.trajectory(a_text), memo.trajectory(b_text)
+    vectors = ValueMemo()  # so that only trajectories fill ``memo``
+
+    def trajectory(text, _memo):
+        return artifacts._decode_trajectory(text, vectors)
+
+    memo = ValueMemo()
+    a, b = memo.get(trajectory, a_text), memo.get(trajectory, b_text)
     assert a == plain.trajectory(AgentRole.PLANNER) and b == plain.trajectory(AgentRole.CODER)
-    assert memo.trajectory(a_text) is a
-    c = memo.trajectory(c_text)
-    assert memo.trajectory(c_text) is c and memo.trajectory(a_text) is a
-    again = memo.trajectory(b_text)  # b went first, as the least recently used
+    assert memo.get(trajectory, a_text) is a
+    c = memo.get(trajectory, c_text)
+    assert memo.get(trajectory, c_text) is c and memo.get(trajectory, a_text) is a
+    again = memo.get(trajectory, b_text)  # b went first, as the least recently used
     assert again == b and again is not b
-    assert memo.trajectory(b_text[:-2]) is None  # not JSON
-    assert memo.trajectory(b_text.replace('"role":"Coder"', '"role":"Nobody"')) is None
+    with pytest.raises(ValidationError):  # not JSON
+        memo.get(trajectory, b_text[:-2])
+    with pytest.raises(ValueError, match="Nobody"):
+        memo.get(trajectory, b_text.replace('"role":"Coder"', '"role":"Nobody"'))
+    assert len(memo) == 2 and memo.get(trajectory, b_text) is again
+
+
+def test_memo_keeps_one_value_per_decode_and_text(sample_tree):
+    memo = ValueMemo()
+    records = [load_run(path, memo) for path in sample_tree]
+    for field in ("kpi", "analyzer_report", "metrics", "proposed_paths",
+                  "refinement_events", "question_text", "persona_set_id"):
+        values = {}  # text of the field in each file: the ids of its values
+        for path, record in zip(sample_tree, records):
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            values.setdefault(canonical_json(payload[field]), set()).add(
+                id(getattr(record, field)))
+        assert all(len(ids) == 1 for ids in values.values()), field
+    kpis = {id(record.kpi) for record in records}
+    assert len(kpis) < len(records)
 
 
 @pytest.mark.parametrize("text, finite", [
@@ -445,7 +555,10 @@ def test_trajectory_memo_evicts_the_least_recently_used(sample_tree, monkeypatch
     ("[NaN,0]", False), ("[0,Infinity]", False), ("[-Infinity]", False),
     ("[1" + "0" * 400 + "]", False), ("[1e150,-1e150]", True)])
 def test_vector_memo_decodes_finite_values_only(text, finite):
-    vector = VectorMemo().get(text)
+    try:
+        vector = ValueMemo().get(artifacts._decode_vector, text)
+    except ValidationError:
+        vector = None
     assert (vector is not None) == finite
     if finite:
         assert vector.tolist() == json.loads(text)

@@ -58,6 +58,28 @@ def test_gen_questions_stdout_json(capsys):
     assert {q["id"] for q in payload} == {"q1", "q2", "q3"}
 
 
+def test_gen_questions_llm_mode_asks_with_the_configs_max_tokens(tmp_path, monkeypatch,
+                                                                 capsys):
+    requests = []
+
+    class Recording(ScriptedBackend):
+        def generate(self, request, *, role=None, run_index=0):
+            requests.append(request)
+            return "How should c1 shed load?\nWhen should c2 hand over?"
+
+    monkeypatch.setattr(config_module, "build_backend",
+                        lambda config: Recording(fallback_seed=None, dim=8))
+    (tmp_path / "experiment.json").write_text(json.dumps({"max_tokens": 77,
+                                                          "temperature": 1.5}))
+    assert cli_dispatch(["gen-questions", "--count", "2", "--mode", "llm",
+                         "--config", str(tmp_path / "experiment.json")]) == 0
+    assert [q["text"] for q in json.loads(capsys.readouterr().out)] == \
+        ["How should c1 shed load?", "When should c2 hand over?"]
+    (request,) = requests
+    assert request.max_tokens == 77
+    assert request.temperature == 0.5  # fixed for question generation
+
+
 def test_gen_questions_bad_count_exits_1(capsys):
     assert cli_dispatch(["gen-questions", "--count", "0"]) == 1
 

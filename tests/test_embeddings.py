@@ -221,3 +221,17 @@ def test_number_vector_keeps_finite_numbers_exactly():
     assert number_vector([1e308, 0.0, 1e308]) is None
     assert cosine(number_vector([1e150, 1e150, 0.0]),
                   number_vector([1e150, 0.0, 1e150])) == pytest.approx(0.5)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 600), st.sampled_from([1e-150, 1.0, 1e150]))
+def test_matmul_of_vectors_is_dot_and_norm_bit_for_bit(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, n)) * scale
+    assert (a @ b).tobytes() == np.dot(a, b).tobytes()
+    assert math.sqrt(a @ a) == float(np.linalg.norm(a))
+    assert EmbeddingVector(a).norm == float(np.linalg.norm(a))
+    if n:
+        expected = max(-1.0, min(1.0, float(np.dot(a, b) / (np.linalg.norm(a)
+                                                              * np.linalg.norm(b)))))
+        assert cosine(EmbeddingVector(a), EmbeddingVector(b)) == expected

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gmas_harness import artifacts, reporting
-from gmas_harness.artifacts import (VectorMemo, canonical_json, iter_run_files, load_run,
+from gmas_harness.artifacts import (ValueMemo, canonical_json, iter_run_files, load_run,
                                     persist_run)
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.embeddings import EmbeddingVector
@@ -458,16 +458,23 @@ def test_equal_vector_texts_share_one_vector_within_one_report(tmp_path, monkeyp
 
 
 def test_vector_memo_evicts_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(artifacts, "VECTOR_MEMO_SIZE", 2)
-    memo = VectorMemo()
-    a, b = memo.get("[1,0]"), memo.get("[0,1]")
-    assert memo.get("[1,0]") is a
-    c = memo.get("[1,1]")
+    monkeypatch.setattr(artifacts, "VALUE_MEMO_SIZE", 2)
+    memo = ValueMemo()
+
+    def get(text):
+        return memo.get(artifacts._decode_vector, text)
+
+    a, b = get("[1,0]"), get("[0,1]")
+    assert get("[1,0]") is a
+    c = get("[1,1]")
     assert len(memo) == 2
-    assert memo.get("[1,1]") is c and memo.get("[1,0]") is a
-    again = memo.get("[0,1]")
+    assert get("[1,1]") is c and get("[1,0]") is a
+    again = get("[0,1]")
     assert again == b and again is not b
-    assert memo.get("[]") is None and memo.get("[true]") is None and memo.get("[1,") is None
+    for text in ("[]", "[true]", "[1,"):
+        with pytest.raises((ValidationError, ValueError)):
+            get(text)
+    assert len(memo) == 2
 
 
 def test_report_is_unchanged_when_the_memo_overflows(tmp_path, monkeypatch):
@@ -483,24 +490,21 @@ def test_report_is_unchanged_when_the_memo_overflows(tmp_path, monkeypatch):
 
     peaks, trajectories = [], set()
 
-    class CountedMemo(VectorMemo):
-        def get(self, text):
-            vector = super().get(text)
+    class CountedMemo(ValueMemo):
+        def get(self, decode, text):
+            if decode is artifacts._decode_trajectory:
+                trajectories.add(text)
+            value = super().get(decode, text)
             peaks.append(len(self))
-            return vector
-
-        def trajectory(self, text):
-            trajectories.add(text)
-            return super().trajectory(text)
-    monkeypatch.setattr(reporting, "VectorMemo", CountedMemo)
-    monkeypatch.setattr(artifacts, "VECTOR_MEMO_SIZE", 2)
-    monkeypatch.setattr(artifacts, "TRAJECTORY_MEMO_SIZE", 2)
+            return value
+    monkeypatch.setattr(reporting, "ValueMemo", CountedMemo)
+    monkeypatch.setattr(artifacts, "VALUE_MEMO_SIZE", 2)
     small = report(tmp_path / "small")
     assert max(peaks) == 2
-    assert len(trajectories) > 2  # so the trajectory memo overflowed too
+    assert len(trajectories) > 2  # so trajectories overflowed the memo too
     monkeypatch.undo()
     monkeypatch.setattr(reporting, "load_run",  # the plain decode, no memo
-                        lambda path, vectors: RunRecord.from_dict(json.loads(path.read_text())))
+                        lambda path, memo: RunRecord.from_dict(json.loads(path.read_text())))
     assert report(tmp_path / "plain") == small
     assert set(small) == {*CSV_NAMES, "report.md", "penalty_by_run.svg",
                           "consistency_by_set.svg", "drift_by_transition.svg"}

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from gmas_harness.artifacts import VectorMemo, canonical_json, iter_run_files, load_run
+from gmas_harness.artifacts import ValueMemo, canonical_json, iter_run_files, load_run
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.errors import ValidationError
 from gmas_harness.records import VECTOR_FIELDS, RunRecord
@@ -56,7 +56,7 @@ def trees(tmp_path_factory):
 def test_every_file_the_harness_wrote_writes_back_byte_for_byte(trees):
     paths = [path for root in trees.values() for path in iter_run_files(root)]
     assert len(paths) == 13
-    memo = VectorMemo()
+    memo = ValueMemo()
     for path in paths:
         assert canonical_json(load_run(path, memo).to_dict()) + "\n" == \
             path.read_text(encoding="utf-8"), path
@@ -115,7 +115,7 @@ def test_every_mutant_is_refused_or_round_trips(trees, tmp_path, name):
     path = tmp_path / "run1.json"
     path.write_text(json.dumps(payload, separators=(",", ":")), encoding="utf-8")
     load_run(path)  # the unmutated payload loads
-    memo = VectorMemo()
+    memo = ValueMemo()
     refused, failures = 0, []
     for where, text in _mutants(payload):
         path.write_text(text, encoding="utf-8")
