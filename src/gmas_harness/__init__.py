@@ -20,8 +20,8 @@ from .records import (AllocationPlan, CodeArtifact, RunMetrics, RunRecord,
 from .ricsim import (KpiReport, KpiThresholds, SimulatedNetwork, check_thresholds,
                      execute_plan, parse_plan)
 from .safety import (SafetySummary, check_alignment, conflict_rate,
-                     consistency_score, coordination_overhead, cross_run_distance,
-                     summarize_cells, summarize_grid)
+                     consistency_score, cross_run_distance, summarize_cells,
+                     summarize_grid)
 from .scenario import (AgentRole, Persona, PersonaRegistry, PersonaSet, Question,
                        Topic, enumerate_grid, generate_questions,
                        render_persona_prompt)

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import tempfile
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, read_json_file
 
 logger = logging.getLogger(__name__)
 
@@ -491,8 +492,9 @@ def run_external_hook(code: str, cmd_template: str, dimension: Dimension,
     """Run `cmd_template` with {file} naming a temp file that holds `code`.
 
     The command prints a JSON finding array; its findings get `dimension`.
-    A crash or unreadable output is one `unavailable_rule` warning, never a
-    run failure. The temp file is removed either way.
+    A crash, unreadable output, or a finding whose `rule_id` or `message` is
+    not a string is one `unavailable_rule` warning, never a run failure. The
+    temp file is removed either way.
     """
     import subprocess  # only hooks need it; it loads selectors
     path = None
@@ -505,12 +507,16 @@ def run_external_hook(code: str, cmd_template: str, dimension: Dimension,
                               timeout=30)
         if proc.returncode != 0:
             raise RuntimeError(f"exited with status {proc.returncode}")
-        raw = json.loads(proc.stdout)
-        return [Finding(dimension, item["rule_id"],
-                        Severity(item.get("severity", "warning")),
-                        item.get("message", ""),
-                        (int(item["line"]), 1) if item.get("line") else None)
-                for item in raw]
+        findings = [Finding(dimension, item["rule_id"],
+                            Severity(item.get("severity", "warning")),
+                            item.get("message", ""),
+                            (int(item["line"]), 1) if item.get("line") else None)
+                    for item in json.loads(proc.stdout)]
+        for finding in findings:    # else the run file would not load back
+            if type(finding.rule_id) is not str or type(finding.message) is not str:
+                raise TypeError(f"finding rule_id {finding.rule_id!r:.40} or message "
+                                f"{finding.message!r:.40} is not a string")
+        return findings
     except Exception as exc:                      # hook crash is never a run failure
         logger.warning("external %s hook failed: %s", dimension.value, exc)
         return [Finding(dimension, unavailable_rule, Severity.WARNING,
@@ -533,24 +539,28 @@ class PolicyRuleSet:
         for path in self.forbidden_calls + self.forbidden_imports:
             if not path:
                 raise ConfigurationError("forbidden paths must be non-empty")
-        for _, cap in self.resource_caps:
-            if cap <= 0:
-                raise ConfigurationError("resource caps must be positive")
+        for resource, cap in self.resource_caps:
+            if not 0 < cap < math.inf:
+                raise ConfigurationError(f"resource cap {resource!r} must be finite and "
+                                         f"positive, got {cap!r:.40}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PolicyRuleSet":
         """The rule set of a policy file; a key other than the four fields is
         refused, so a misspelt one cannot leave its rules unenforced."""
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigurationError(f"unknown policy key {unknown[0]!r} in {path}")
-        return cls(
-            forbidden_calls=tuple(raw.get("forbidden_calls", [])),
-            forbidden_imports=tuple(raw.get("forbidden_imports", [])),
-            conflict_rules=tuple((r[0], r[1], r[2]) for r in raw.get("conflict_rules", [])),
-            resource_caps=tuple(sorted(raw.get("resource_caps", {}).items())),
-        )
+        def build(raw) -> "PolicyRuleSet":
+            unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ConfigurationError(f"unknown policy key {unknown[0]!r}")
+            return cls(
+                forbidden_calls=tuple(raw.get("forbidden_calls", [])),
+                forbidden_imports=tuple(raw.get("forbidden_imports", [])),
+                conflict_rules=tuple((a, b, scope)
+                                     for a, b, scope in raw.get("conflict_rules", [])),
+                resource_caps=tuple(sorted(raw.get("resource_caps", {}).items())),
+            )
+
+        return read_json_file(path, "policy rules", build)
 
 
 def _path_matches(dotted: str, forbidden: str) -> bool:

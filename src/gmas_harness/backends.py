@@ -25,7 +25,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
 
 from .embeddings import DEFAULT_DIM, DeterministicEmbedder, EmbeddingVector, number_vector
-from .errors import ConfigurationError, DimensionMismatchError, TransportError
+from .errors import (ConfigurationError, DimensionMismatchError, TransportError,
+                     read_json_file)
 from .memo import Memo, hash_in_pieces, text_key
 
 if TYPE_CHECKING:
@@ -117,19 +118,16 @@ class ScriptEntry:
 
 def load_script(path: str | Path) -> list[ScriptEntry]:
     """Load script entries from a JSON array of ScriptEntry-shaped objects."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = []
-    for item in raw:
-        if not item.get("response"):
-            raise ConfigurationError(f"script entry without response in {path}")
-        entries.append(ScriptEntry(
-            response=item["response"],
-            role=item.get("role"),
-            run_index=item.get("run_index"),
-            fingerprint=item.get("fingerprint"),
-            prompt_contains=item.get("prompt_contains"),
-        ))
-    return entries
+    def build(raw) -> list[ScriptEntry]:
+        if not all(item.get("response") for item in raw):
+            raise ConfigurationError("script entry without response")
+        return [ScriptEntry(response=item["response"], role=item.get("role"),
+                            run_index=item.get("run_index"),
+                            fingerprint=item.get("fingerprint"),
+                            prompt_contains=item.get("prompt_contains"))
+                for item in raw]
+
+    return read_json_file(path, "script", build)
 
 
 class ScriptedBackend:

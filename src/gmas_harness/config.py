@@ -7,7 +7,6 @@ live-backend fields when set.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, fields
@@ -17,7 +16,7 @@ from typing import NamedTuple
 from .analyzer import DEFAULT_SEVERITY_WEIGHTS, PolicyRuleSet, Severity
 from .backends import LiveBackend, ScriptedBackend, load_script
 from .embeddings import DEFAULT_DIM
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_json_file
 from .knowledge import index_documents, load_corpus_dir, load_graph
 from .orchestrator import (DEFAULT_BINDINGS, ExperimentEnv, RunConfig, StoreSet,
                            Thresholds)
@@ -120,25 +119,22 @@ def parse_thresholds(raw: dict) -> Thresholds:
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-    if type(raw) is not dict:
-        raise ConfigurationError(f"config file {path} must hold a JSON object")
-    _check("", raw)
-    knobs = {f.name: raw[f.name] for f in fields(RunConfig) if f.name in raw}
-    run = RunConfig(**{**knobs, "thresholds": parse_thresholds(raw)})
-    weights_raw = raw.get("severity_weights", {})
-    weights = {sev: float(weights_raw.get(sev.value, default))
-               for sev, default in DEFAULT_SEVERITY_WEIGHTS.items()}
-    return ExperimentConfig(
-        raw=raw, base_dir=path.parent, run=run,
-        workers=raw.get("workers", 1), grid_mode=raw.get("grid_mode", "strict"),
-        severity_weights=weights,
-    )
+
+    def build(raw) -> ExperimentConfig:
+        if type(raw) is not dict:
+            raise ConfigurationError("the file must hold a JSON object")
+        _check("", raw)
+        knobs = {f.name: raw[f.name] for f in fields(RunConfig) if f.name in raw}
+        weights_raw = raw.get("severity_weights", {})
+        return ExperimentConfig(
+            raw=raw, base_dir=path.parent,
+            run=RunConfig(**{**knobs, "thresholds": parse_thresholds(raw)}),
+            workers=raw.get("workers", 1), grid_mode=raw.get("grid_mode", "strict"),
+            severity_weights={sev: float(weights_raw.get(sev.value, default))
+                              for sev, default in DEFAULT_SEVERITY_WEIGHTS.items()},
+        )
+
+    return read_json_file(path, "experiment config", build)
 
 
 def build_backend(config: ExperimentConfig):

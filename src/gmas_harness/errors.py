@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from typing import Any, Callable, TypeVar
+
+T = TypeVar("T")
+
 
 class GmasError(Exception):
     """Base class for all harness errors."""
@@ -9,6 +15,20 @@ class GmasError(Exception):
 
 class ConfigurationError(GmasError):
     """Invalid or incomplete configuration (bad registry, script miss, missing file)."""
+
+
+def read_json_file(path: str | Path, kind: str, build: Callable[[Any], T]) -> T:
+    """``build`` applied to the value of the UTF-8 JSON file at ``path``, which
+    is decoded exactly as ``json.loads`` does. Any failure to read, decode or
+    build, a ConfigurationError raised by ``build`` included, becomes one
+    ConfigurationError naming the file and its ``kind``. ``build`` only takes
+    the value apart, so no backend error is ever reported as a bad file."""
+    try:
+        return build(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError,
+            RecursionError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{path} is not a valid {kind} file "
+                                 f"({type(exc).__name__}: {exc})") from None
 
 
 class ValidationError(GmasError):

@@ -6,14 +6,13 @@ desk-scale, so no approximate-nearest-neighbor structures.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .embeddings import EmbeddingVector, centroid, cosine, tokenize
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_json_file
 
 logger = logging.getLogger(__name__)
 
@@ -116,15 +115,10 @@ def index_documents(corpus: list[tuple[str, str, SourceTag]], embedder,
 def load_corpus_dir(directory: str | Path) -> list[tuple[str, str, SourceTag]]:
     """Directory of UTF-8 text files plus a manifest.json mapping file -> source tag."""
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigurationError(f"corpus manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    corpus = []
-    for name in sorted(manifest):
-        tag = SourceTag(manifest[name])
-        corpus.append((name, (directory / name).read_text(encoding="utf-8"), tag))
-    return corpus
+    manifest = read_json_file(directory / "manifest.json", "corpus manifest", lambda raw: [
+        (name, SourceTag(raw[name])) for name in sorted(raw)])
+    return [(name, (directory / name).read_text(encoding="utf-8"), tag)
+            for name, tag in manifest]
 
 
 def retrieve_rag(store: DocumentStore, query: str, top_k: int, embedder,
@@ -190,10 +184,15 @@ def build_graph(nodes: list[tuple[str, str, str]], edges: list[tuple[str, str, s
 
 
 def load_graph(path: str | Path, embedder) -> KnowledgeGraph:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    nodes = [(n["id"], n["label"], n.get("text", "")) for n in raw["nodes"]]
-    edges = [(e["src"], e["dst"], e.get("relation", "related")) for e in raw.get("edges", [])]
-    return build_graph(nodes, edges, embedder)
+    def parts(raw) -> tuple[list, list]:
+        nodes = [(n["id"], n["label"], n.get("text", "")) for n in raw["nodes"]]
+        edges = [(e["src"], e["dst"], e.get("relation", "related"))
+                 for e in raw.get("edges", [])]
+        if any(type(value) is not str for item in nodes + edges for value in item):
+            raise TypeError("every node and edge field must be a string")
+        return nodes, edges
+
+    return build_graph(*read_json_file(path, "graph", parts), embedder)
 
 
 def retrieve_graph(graph: KnowledgeGraph, query: str, top_k: int, hop_expand: int,

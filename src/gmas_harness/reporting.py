@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import ValueMemo, iter_run_files, load_run, run_relpath
+from .artifacts import ValueMemo, _fmt_float, iter_run_files, load_run
 from .errors import ValidationError
 from .records import RunRecord
 from .safety import GridSummary, SafetySummary, summarize_cell
@@ -48,11 +48,7 @@ _HEADERS = {
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if value == 0.0:
-            return "0"
-        return format(value, ".17g")
-    return str(value)
+    return _fmt_float(value) if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -105,7 +101,7 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> Aggreg
             writers[name].writerow(_HEADERS[name])
         for _, cell_paths in itertools.groupby(iter_run_files(root),
                                                key=lambda path: path.parent):
-            records = _load_cell(root, cell_paths, corrupt, memo)
+            records = _load_cell(cell_paths, corrupt, memo)
             if records:
                 cells.append(summarize_cell(records))
                 _write_cell_rows(writers, cells[-1])
@@ -113,18 +109,16 @@ def aggregate_csv(root: str | Path, out_dir: str | Path | None = None) -> Aggreg
     return AggregateResult(csv_paths=paths, cells=cells, corrupt=corrupt)
 
 
-def _load_cell(root: Path, paths, corrupt: list[Path],
-               memo: ValueMemo) -> list[RunRecord]:
+def _load_cell(paths, corrupt: list[Path], memo: ValueMemo) -> list[RunRecord]:
     """One cell's loadable runs; bad files go to ``corrupt``, and so do all of
     a cell whose records disagree on the embedding length or experiment id."""
     loaded = []
     for path in paths:
         try:
             record = load_run(path, memo)
-            expected = run_relpath(record.persona_set_id, record.question_id,
-                                   record.run_index)
-            if expected != path.relative_to(root):
-                raise ValidationError(f"record ids belong at {expected}")
+            ids = (record.persona_set_id, record.question_id, f"run{record.run_index}.json")
+            if ids != path.parts[-3:]:
+                raise ValidationError(f"record ids belong at runs/{'/'.join(ids)}")
         except Exception as exc:
             logger.error("corrupt artifact %s: %s", path, exc)
             corrupt.append(path)

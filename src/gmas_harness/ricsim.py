@@ -16,13 +16,13 @@ DSL runs against the simulated network.
 
 from __future__ import annotations
 
-import json
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analyzer import Dimension, Finding, Severity
-from .errors import ConfigurationError, PlanSyntaxError
+from .errors import ConfigurationError, PlanSyntaxError, read_json_file
 
 _INT_RE = re.compile(r"^\d+$")
 _ID_RE = re.compile(r"^[A-Za-z_]\w*$")
@@ -108,8 +108,9 @@ class Cell:
     capacity_prb: int
 
     def __post_init__(self):
-        if self.capacity_prb <= 0:
-            raise ConfigurationError(f"cell {self.cell_id} capacity must be positive")
+        if not 0 < self.capacity_prb < math.inf:
+            raise ConfigurationError(
+                f"cell {self.cell_id} capacity must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,9 @@ class Slice:
     demand_mbps: float
 
     def __post_init__(self):
-        if self.demand_mbps <= 0:
-            raise ConfigurationError(f"slice {self.slice_id} demand must be positive")
+        if not 0 < self.demand_mbps < math.inf:
+            raise ConfigurationError(
+                f"slice {self.slice_id} demand must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,9 @@ class SimulatedNetwork:
     base_latency_ms: float = 20.0
 
     def __post_init__(self):
+        if not (0 < self.prb_rate_mbps < math.inf and 0 < self.base_latency_ms < math.inf):
+            raise ConfigurationError("prb_rate_mbps and base_latency_ms must be finite "
+                                     "and positive")
         cell_ids = {c.cell_id for c in self.cells}
         if len(cell_ids) != len(self.cells):
             raise ConfigurationError("duplicate cell ids")
@@ -144,12 +149,7 @@ class SimulatedNetwork:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SimulatedNetwork":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        try:
-            return cls.from_dict(raw)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ConfigurationError(f"{path} is not a valid network file "
-                                     f"({type(exc).__name__}: {exc})") from None
+        return read_json_file(path, "network", cls.from_dict)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimulatedNetwork":

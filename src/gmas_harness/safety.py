@@ -144,11 +144,6 @@ def overhead_from_events(events) -> float:
     return total
 
 
-def coordination_overhead(record: RunRecord) -> float:
-    """Coordination load of one run, recomputable from its refinement events."""
-    return overhead_from_events(record.refinement_events)
-
-
 # ── grid summaries ───────────────────────────────────────────────────────────
 
 def stat_block(values: list[float]) -> dict:
@@ -243,7 +238,7 @@ class GridSummary:
     """Stat blocks over a grid's non-failed runs; failed runs are only counted."""
 
     per_run: dict        # run_index -> {"penalty": stats, "consistency": stats}
-    per_set: dict        # set_id -> {"penalty": stats, "consistency": stats, "drift": stats}
+    per_set: dict        # set_id -> {"penalty": stats, "consistency": stats}
     per_transition: dict # "r<i>->r<j>" -> Coder drift stats pooled across cells, where
                          # i, j are consecutive non-failed runs of a cell
     overall: dict        # {"penalty", "consistency", "drift", "coordination_overhead",
@@ -276,11 +271,8 @@ def summarize_cells(cells: list[SafetySummary], tau_d: float = 0.35) -> GridSumm
     per_run = {run_index: blocks([r for r in runs if r[1] == run_index])
                for run_index in sorted({r[1] for r in runs})}
 
-    per_set: dict[str, dict] = {}
-    for set_id in sorted({r[0] for r in runs}):
-        per_set[set_id] = blocks([r for r in runs if r[0] == set_id])
-        per_set[set_id]["drift"] = stat_block([d for c in cells if c.persona_set_id == set_id
-                                               for d in c.drift[DRIFT_AGENT]])
+    per_set = {set_id: blocks([r for r in runs if r[0] == set_id])
+               for set_id in sorted({r[0] for r in runs})}
 
     pooled: dict[tuple[int, int], list[float]] = {}
     for c in cells:

@@ -11,7 +11,7 @@ from enum import Enum
 from pathlib import Path
 
 from .backends import Backend, GenerationRequest
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_json_file
 
 
 class AgentRole(str, Enum):
@@ -49,8 +49,8 @@ class Question:
     topic: Topic
 
     def __post_init__(self):
-        if not self.text:
-            raise ValueError("question text must be non-empty")
+        if type(self.id) is not str or type(self.text) is not str or not self.text:
+            raise ValueError("question id and text must be strings, the text non-empty")
 
 
 @dataclass(frozen=True)
@@ -111,16 +111,10 @@ class PersonaRegistry:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PersonaRegistry":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        try:
-            personas = [Persona(id=item["id"], role=AgentRole(item["role"]),
-                                orientation=item.get("orientation", ""),
-                                prompt_fragment=item["prompt_fragment"])
-                        for item in raw]
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ConfigurationError(f"{path} is not a valid persona registry file "
-                                     f"({type(exc).__name__}: {exc})") from None
-        return cls(personas)
+        return read_json_file(path, "persona registry", lambda raw: cls([
+            Persona(id=item["id"], role=AgentRole(item["role"]),
+                    orientation=item.get("orientation", ""),
+                    prompt_fragment=item["prompt_fragment"]) for item in raw]))
 
     def to_json(self, path: str | Path) -> None:
         items = [{"id": p.id, "role": p.role.value, "orientation": p.orientation,
@@ -341,13 +335,9 @@ def _llm_questions(count: int, topic_mix: dict[Topic, float] | None, seed: int,
 
 
 def load_questions(path: str | Path) -> list[Question]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        questions = [Question(id=item["id"], text=item["text"], topic=Topic(item["topic"]))
-                     for item in raw]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ConfigurationError(f"{path} is not a valid question set file "
-                                 f"({type(exc).__name__}: {exc})") from None
+    questions = read_json_file(path, "question set", lambda raw: [
+        Question(id=item["id"], text=item["text"], topic=Topic(item["topic"]))
+        for item in raw])
     ids = [q.id for q in questions]
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"duplicate question ids in {path}")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -212,13 +213,25 @@ def test_external_linter_hook_merges_findings(tmp_path):
     assert ext.severity is Severity.ERROR
 
 
-def test_external_linter_crash_is_single_warning_not_failure():
+# A finding whose rule_id or message is not a string could not be read back
+# from the run file, so the hook counts as failed.
+_NON_STRING_FINDING = '[{"rule_id": 5, "message": [1], "severity": "info", "line": 1}]'
+
+
+@pytest.mark.parametrize("stdout, reason", [
+    (None, "exited with status 1"),
+    (_NON_STRING_FINDING, "finding rule_id 5 or message [1] is not a string"),
+], ids=["crash", "non-string finding fields"])
+def test_external_linter_crash_is_single_warning_not_failure(tmp_path, stdout, reason):
+    cmd = "false {file}"
+    if stdout is not None:
+        (tmp_path / "out.json").write_text(stdout)
+        cmd = f"cat {tmp_path / 'out.json'}"
     code = "import ric\nx = 1\nric.log(x)"
-    findings = merge_external_lint(run_static_checks(parse_code(code)), code,
-                                   "false {file}")
+    findings = merge_external_lint(run_static_checks(parse_code(code)), code, cmd)
     assert [f.rule_id for f in findings] == ["linter_unavailable"]
     assert findings[0].severity is Severity.WARNING
-    assert findings[0].message == "external static hook failed: exited with status 1"
+    assert findings[0].message == f"external static hook failed: {reason}"
 
 
 def test_external_hook_removes_its_temp_file(tmp_path, monkeypatch):
@@ -293,8 +306,9 @@ def test_policy_corpus_exact_match():
 def test_policy_rules_validation():
     with pytest.raises(Exception):
         PolicyRuleSet(forbidden_calls=("",))
-    with pytest.raises(Exception):
-        PolicyRuleSet(resource_caps=(("prb", 0),))
+    for cap in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="resource cap 'prb' must be finite"):
+            PolicyRuleSet(resource_caps=(("prb", cap),))
 
 
 def test_policy_rules_from_json(tmp_path):

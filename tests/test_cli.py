@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -508,6 +509,23 @@ def test_grid_on_a_sample_config_with_one_bad_value_exits_1_and_writes_nothing(
     assert not (out_dir / "experiment.json").exists()
 
 
+def test_grid_with_a_linter_printing_non_string_fields_reports_with_exit_0(workspace,
+                                                                          capsys):
+    """Such a finding is a linter failure, so the run files load back."""
+    (workspace / "lint.json").write_text(
+        '[{"rule_id": 5, "message": [1], "severity": "info", "line": 1}]')
+    config = json.loads((workspace / "experiment.json").read_text())
+    config["external_linter_cmd"] = f"cat {workspace / 'lint.json'}"
+    (workspace / "experiment.json").write_text(json.dumps(config))
+    out_dir = workspace / "artifacts"
+    assert cli_dispatch(_grid_args(workspace, out_dir, runs=1)) == 0
+    assert cli_dispatch(["report", "--root", str(out_dir)]) == 0
+    assert "corrupt" not in capsys.readouterr().err
+    record = json.loads(next(out_dir.glob("runs/*/*/run1.json")).read_text())
+    findings = record["analyzer_report"]["findings"]
+    assert "linter_unavailable" in {finding["rule_id"] for finding in findings}
+
+
 @pytest.mark.parametrize("manifest", ['{"experiment_id": "exp-1"}', "[1]",
                                       '{"experiment_id": "exp-1", "config_snapshot": 5}'],
                          ids=["no config_snapshot", "a list", "config_snapshot a number"])
@@ -521,19 +539,56 @@ def test_report_on_a_tree_whose_manifest_is_not_one_exits_1(workspace, capsys, m
     assert f"{out_dir / 'experiment.json'} cannot be read as an experiment manifest" in err
 
 
+# Input files the workspace's config does not name: (section, key, value) wires one in.
+_UNWIRED = {"graph.json": ("stores", "graph_path", "graph.json"),
+            "corpus/manifest.json": ("stores", "corpus_dir", "corpus"),
+            "script.json": ("backend", "script_path", "script.json")}
+_NODE = {"id": "n1", "label": "slicing", "text": "PRB split"}
+
+
 @pytest.mark.parametrize("name, edit", [
     ("questions.json", lambda items: [{k: v for k, v in q.items() if k != "topic"}
                                       for q in items]),
     ("questions.json", lambda items: {"questions": items}),
+    ("questions.json", lambda items: json.dumps(items)[:-1]),
+    ("questions.json", lambda items: [{**items[0], "id": 1}]),
     ("personas.json", lambda items: [{k: v for k, v in p.items() if k != "prompt_fragment"}
                                      for p in items]),
     ("network.json", lambda network: {k: v for k, v in network.items() if k != "cells"}),
-], ids=["question without topic", "questions an object", "persona without fragment",
-        "network without cells"])
+    ("network.json", lambda network: {**network, "slices": [
+        {**network["slices"][0], "demand_mbps": math.nan}]}),
+    ("network.json", lambda network: {**network, "cells": [
+        {"cell_id": "c1", "capacity_prb": math.inf}]}),
+    ("graph.json", lambda _: {"nodes": [{"id": "n1", "text": "PRB split"}]}),
+    ("graph.json", lambda _: {"nodes": [{**_NODE, "label": 5}]}),
+    ("graph.json", lambda _: [_NODE]),
+    ("graph.json", lambda _: {"nodes": [_NODE], "edges": [5]}),
+    ("corpus/manifest.json", lambda _: ["notes.txt"]),
+    ("rules.json", lambda rules: {**rules, "conflict_rules": [["admit"]]}),
+    ("rules.json", lambda rules: {**rules, "resource_caps": [["prb", 40]]}),
+    ("rules.json", lambda rules: {**rules, "resource_caps": {"prb": "40"}}),
+    ("rules.json", lambda rules: {**rules, "resource_caps": {"prb": math.nan}}),
+    ("script.json", lambda _: ["allocate 5 prb to s1"]),
+], ids=["question without topic", "questions an object", "questions not JSON",
+        "question id a number", "persona without fragment", "network without cells",
+        "NaN demand", "Infinity capacity", "graph node without label",
+        "graph label a number", "graph a list", "graph edge a number",
+        "corpus manifest a list", "conflict rule of one item", "resource caps a list",
+        "cap a string", "NaN cap", "script entry a string"])
 def test_grid_on_a_malformed_input_file_exits_1_naming_it(workspace, capsys, name, edit):
+    """``edit`` maps the file's JSON value (None when the workspace lacks the
+    file) to the malformed value, or to the text itself when it is a str."""
     path = workspace / name
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    if name in _UNWIRED:
+        section, key, value = _UNWIRED[name]
+        config = json.loads((workspace / "experiment.json").read_text())
+        config.setdefault(section, {})[key] = value
+        (workspace / "experiment.json").write_text(json.dumps(config))
+        path.parent.mkdir(exist_ok=True)
+    value = edit(json.loads(path.read_text()) if path.exists() else None)
+    path.write_text(value if isinstance(value, str) else json.dumps(value))
     out_dir = workspace / "artifacts"
     assert cli_dispatch(_grid_args(workspace, out_dir)) == 1
     assert f"{path} is not a valid" in capsys.readouterr().err
     assert not (out_dir / "runs").exists()
+    assert not (out_dir / "experiment.json").exists()

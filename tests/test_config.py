@@ -159,6 +159,21 @@ def test_a_file_that_is_not_an_object_is_refused(tmp_path, text):
         load_experiment_config(path)
 
 
+@pytest.mark.parametrize("content, cause", [
+    (None, "FileNotFoundError"), (b"{", "JSONDecodeError"),
+    (b"\xff{}", "UnicodeDecodeError"), (b"[" * 100_000, "RecursionError"),
+    (b"[]", "ConfigurationError: the file must hold"),
+], ids=["missing", "not JSON", "not UTF-8", "nested too deep", "not an object"])
+def test_a_file_that_does_not_read_as_a_config_is_refused_naming_it(tmp_path, content,
+                                                                    cause):
+    path = tmp_path / "experiment.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"{path} is not a valid experiment config file ({cause}")):
+        load_experiment_config(path)
+
+
 def test_a_snapshots_thresholds_are_checked_through_the_table():
     with pytest.raises(ConfigurationError, match=re.escape("thresholds.drift must be")):
         parse_thresholds({"thresholds": {"drift": "0.3"}})

@@ -124,15 +124,25 @@ def test_completed_run_without_metrics_is_corrupt(tmp_path):
     assert [cell.run_indices for cell in result.cells] == [(1,)]
 
 
-@pytest.mark.parametrize("destination", ["run3.json", "../q9/run1.json"])
-def test_run_file_whose_ids_disagree_with_its_path_is_corrupt(tmp_path, destination):
+@pytest.mark.parametrize("destination, set_id", [
+    ("run3.json", "{}"), ("../q9/run1.json", "{}"),
+    # ids that name the copy's path only once pathlib normalizes them
+    ("run3.json", "./{}"), ("run3.json", "{}/"),
+], ids=["run3.json", "../q9/run1.json", "./<set>", "<set>/"])
+def test_run_file_whose_ids_disagree_with_its_path_is_corrupt(tmp_path, destination,
+                                                              set_id):
     _persist_all([make_record(run_index=1), make_record(run_index=2)], tmp_path)
     aggregate_csv(tmp_path)
     before = {name: (tmp_path / name).read_bytes() for name in CSV_NAMES}
     original = next(iter((tmp_path / "runs").glob("*/*/run1.json")))
     copy = (original.parent / destination).resolve()
     copy.parent.mkdir(parents=True, exist_ok=True)
-    copy.write_bytes(original.read_bytes())
+    if set_id == "{}":
+        copy.write_bytes(original.read_bytes())
+    else:
+        payload = json.loads(original.read_text())
+        payload.update(run_index=3, persona_set_id=set_id.format(payload["persona_set_id"]))
+        copy.write_text(json.dumps(payload))
     result = aggregate_csv(tmp_path)
     assert [path.resolve() for path in result.corrupt] == [copy]
     assert result.runs == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -83,10 +84,14 @@ def test_network_validation():
     with pytest.raises(ConfigurationError):
         SimulatedNetwork(cells=(Cell("c1", 10),),
                          slices=(Slice("s1", "nope", 1.0),))
-    with pytest.raises(ConfigurationError):
-        Cell("c1", 0)
-    with pytest.raises(ConfigurationError):
-        Slice("s1", "c1", 0.0)
+    for bad in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="must be finite and positive"):
+            Cell("c1", bad)
+        with pytest.raises(ConfigurationError, match="must be finite and positive"):
+            Slice("s1", "c1", bad)
+        for knob in ("prb_rate_mbps", "base_latency_ms"):
+            with pytest.raises(ConfigurationError, match="must be finite and positive"):
+                SimulatedNetwork(cells=(Cell("c1", 10),), slices=(), **{knob: bad})
 
 
 def test_network_json_round_trip(tmp_path, network):

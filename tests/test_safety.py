@@ -12,9 +12,9 @@ from gmas_harness.records import (AllocationPlan, CodeArtifact, RefinementEvent,
                                   SolutionPath)
 from gmas_harness.safety import (SafetySummary, check_alignment, conflict_rate,
                                  consecutive_distances, consistency_score,
-                                 coordination_overhead, cross_run_distance,
-                                 overhead_from_events, stat_block, step_coverage,
-                                 summarize_cell, summarize_cells, summarize_grid)
+                                 cross_run_distance, overhead_from_events, stat_block,
+                                 step_coverage, summarize_cell, summarize_cells,
+                                 summarize_grid)
 from gmas_harness.scenario import PIPELINE_ORDER, AgentRole
 from factories import make_record
 from oracles import exact_mean, exact_median, exact_pstdev, plain_drift
@@ -234,12 +234,12 @@ def test_conflict_rate_monotone_in_threshold(raw, t1, t2):
 # ── coordination overhead ────────────────────────────────────────────────────
 
 def test_clean_run_overhead_is_4():
-    assert coordination_overhead(make_record()) == 4.0
+    assert overhead_from_events(make_record().refinement_events) == 4.0
 
 
 def test_one_coder_refinement_overhead_6():
     events = (RefinementEvent(1, AgentRole.CODER, "policy: forbidden_call"),)
-    assert coordination_overhead(make_record(refinements=events)) == 6.0
+    assert overhead_from_events(make_record(refinements=events).refinement_events) == 6.0
 
 
 def test_overhead_by_routed_role():
