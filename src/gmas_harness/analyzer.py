@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigurationError, ValidationError, read_json_file
+from .errors import (NUM_GT_0, STR, TEXT, Each, ValidationError, list_rule, read_json_file,
+                     table_rule)
 
 logger = logging.getLogger(__name__)
 
@@ -535,32 +535,21 @@ class PolicyRuleSet:
     conflict_rules: tuple[tuple[str, str, str], ...] = ()  # (action_a, action_b, scope)
     resource_caps: tuple[tuple[str, float], ...] = ()      # (resource, max)
 
-    def __post_init__(self):
-        for path in self.forbidden_calls + self.forbidden_imports:
-            if not path:
-                raise ConfigurationError("forbidden paths must be non-empty")
-        for resource, cap in self.resource_caps:
-            if not 0 < cap < math.inf:
-                raise ConfigurationError(f"resource cap {resource!r} must be finite and "
-                                         f"positive, got {cap!r:.40}")
-
     @classmethod
     def from_json(cls, path: str | Path) -> "PolicyRuleSet":
-        """The rule set of a policy file; a key other than the four fields is
-        refused, so a misspelt one cannot leave its rules unenforced."""
-        def build(raw) -> "PolicyRuleSet":
-            unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-            if unknown:
-                raise ConfigurationError(f"unknown policy key {unknown[0]!r}")
-            return cls(
-                forbidden_calls=tuple(raw.get("forbidden_calls", [])),
-                forbidden_imports=tuple(raw.get("forbidden_imports", [])),
-                conflict_rules=tuple((a, b, scope)
-                                     for a, b, scope in raw.get("conflict_rules", [])),
-                resource_caps=tuple(sorted(raw.get("resource_caps", {}).items())),
-            )
+        """The rule set of a policy file; ``POLICY_TABLE`` refuses a misspelt key."""
+        return read_json_file(path, "policy rules", table_rule(POLICY_TABLE), lambda raw: cls(
+            forbidden_calls=tuple(raw.get("forbidden_calls", ())),
+            forbidden_imports=tuple(raw.get("forbidden_imports", ())),
+            conflict_rules=tuple(map(tuple, raw.get("conflict_rules", ()))),
+            resource_caps=tuple(sorted(raw.get("resource_caps", {}).items()))))
 
-        return read_json_file(path, "policy rules", build)
+
+POLICY_TABLE = {
+    "forbidden_calls": list_rule(TEXT), "forbidden_imports": list_rule(TEXT),
+    "conflict_rules": list_rule(("a row [action_a, action_b, scope]", (list,), [STR] * 3)),
+    "resource_caps": ("an object", (dict,), Each(NUM_GT_0)),  # resource -> its cap
+}
 
 
 def _path_matches(dotted: str, forbidden: str) -> bool:

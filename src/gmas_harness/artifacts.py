@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingVector, number_vector
-from .errors import ConfigurationError, ValidationError
+from .errors import FILE_NAME, ConfigurationError, ValidationError
 from .records import PAYLOAD_FIELDS, VECTOR_FIELDS, RunRecord, SCHEMA_VERSION, Trajectory
 from .scenario import AgentRole
 
@@ -186,6 +186,10 @@ def content_sha256(data: bytes | str) -> str:
 # ── run record persistence ───────────────────────────────────────────────────
 
 def cell_relpath(persona_set_id: str, question_id: str) -> Path:
+    """``runs/<set id>/<question id>``, each id one path part, so under the root."""
+    for part in (persona_set_id, question_id):
+        if not FILE_NAME[2].fullmatch(part):
+            raise ValidationError(f"{part!r:.60} is not {FILE_NAME[0]}")
     return Path("runs") / persona_set_id / question_id
 
 

@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
 
 from .embeddings import DEFAULT_DIM, DeterministicEmbedder, EmbeddingVector, number_vector
-from .errors import (ConfigurationError, DimensionMismatchError, TransportError,
-                     read_json_file)
+from .errors import (STR_OR_NULL, TEXT, ConfigurationError, DimensionMismatchError,
+                     TransportError, list_rule, read_json_file, table_rule)
 from .memo import Memo, hash_in_pieces, text_key
 
 if TYPE_CHECKING:
@@ -47,10 +47,6 @@ class GenerationRequest:
     def __post_init__(self):
         if not self.system_prompt or not self.user_prompt:
             raise ValueError("prompts must be non-empty")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError(f"temperature {self.temperature} outside [0, 2]")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
 
     @property
     def full_prompt(self) -> str:
@@ -116,18 +112,15 @@ class ScriptEntry:
         return True
 
 
+SCRIPT_ENTRY_TABLE = {"response": TEXT, "role": STR_OR_NULL,
+                      "run_index": ("an integer or null", (int, type(None)), None),
+                      "fingerprint": STR_OR_NULL, "prompt_contains": STR_OR_NULL}
+
+
 def load_script(path: str | Path) -> list[ScriptEntry]:
     """Load script entries from a JSON array of ScriptEntry-shaped objects."""
-    def build(raw) -> list[ScriptEntry]:
-        if not all(item.get("response") for item in raw):
-            raise ConfigurationError("script entry without response")
-        return [ScriptEntry(response=item["response"], role=item.get("role"),
-                            run_index=item.get("run_index"),
-                            fingerprint=item.get("fingerprint"),
-                            prompt_contains=item.get("prompt_contains"))
-                for item in raw]
-
-    return read_json_file(path, "script", build)
+    return read_json_file(path, "script", list_rule(table_rule(SCRIPT_ENTRY_TABLE)),
+                          lambda raw: [ScriptEntry(**item) for item in raw])
 
 
 class ScriptedBackend:

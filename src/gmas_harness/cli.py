@@ -15,8 +15,8 @@ from pathlib import Path
 from .analyzer import PolicyRuleSet, build_report, enforce_policy, parse_code
 from .artifacts import (ExperimentManifest, FileRef, derive_experiment_id, read_manifest,
                         run_relpath, write_manifest)
-from .config import build_env, load_experiment_config, parse_thresholds
-from .errors import ConfigurationError, GmasError, PlanSyntaxError, ValidationError
+from .config import CONFIG_TABLE, build_env, load_experiment_config, parse_thresholds
+from .errors import ConfigurationError, GmasError, PlanSyntaxError, ValidationError, check
 from .orchestrator import run_grid
 from .records import RunStatus
 from .reporting import aggregate_csv, emit_report
@@ -266,6 +266,9 @@ def _cmd_validate_policy(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    rules = CONFIG_TABLE["thresholds"][2]
+    for key in ("min_throughput_ratio", "max_latency_ms"):
+        check(getattr(args, key), rules[key], f"--{key.replace('_', '-')}")
     network = SimulatedNetwork.from_json(args.network)
     plan_text = Path(args.plan).read_text(encoding="utf-8")
     try:

@@ -7,16 +7,15 @@ live-backend fields when set.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
 
 from .analyzer import DEFAULT_SEVERITY_WEIGHTS, PolicyRuleSet, Severity
 from .backends import LiveBackend, ScriptedBackend, load_script
 from .embeddings import DEFAULT_DIM
-from .errors import ConfigurationError, read_json_file
+from .errors import (INT_GE_0, INT_GE_1, NUM_GE_0, NUM_GT_0, STR, STR_OR_NULL,
+                     ConfigurationError, Range, check, read_json_file, table_rule)
 from .knowledge import index_documents, load_corpus_dir, load_graph
 from .orchestrator import (DEFAULT_BINDINGS, ExperimentEnv, RunConfig, StoreSet,
                            Thresholds)
@@ -43,77 +42,38 @@ class ExperimentConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
-class _Range(NamedTuple):
-    """[lo, hi], or (lo, hi] when ``lo_open``; a float in it is finite too."""
-    lo: float
-    hi: float = math.inf
-    lo_open: bool = False
-
-    def __contains__(self, value) -> bool:
-        return ((self.lo < value if self.lo_open else self.lo <= value) and value <= self.hi
-                and (type(value) is int or math.isfinite(value)))
-
-    def __str__(self) -> str:
-        return f"{'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g}]"
-
-
-# A rule: what a value must be, its exact types (bool is not a number, and an
-# integer takes no float, not even 2.0), and the _Range or values it must be in.
-_INT_GE_0, _INT_GE_1 = ("an integer", (int,), _Range(0)), ("an integer", (int,), _Range(1))
-_NUM_GE_0, _NUM_GT_0 = (("a number", (int, float), _Range(0)),
-                        ("a number", (int, float), _Range(0, lo_open=True)))
-_STR, _OBJ = ("a string", (str,), None), ("an object", (dict,), None)
-_STR_OR_NULL = ("a string or null", (str, type(None)), None)   # null: none
-
-# CONFIG_TABLE[section][key]: the rule of each key the file may hold, "" being
-# the top level; any other key is refused, so a misspelt knob cannot keep its
-# default. A negative memory budget would cut every memory digest to "...".
-CONFIG_TABLE: dict[str, dict[str, tuple]] = {
-    "": {  # the fields of RunConfig, then the experiment's environment
-        "tot_path_count": _INT_GE_1, "max_refinement_depth": _INT_GE_0, "thresholds": _OBJ,
-        "top_k": _INT_GE_1, "hop_expand": ("an integer", (int,), _Range(0, 1)),
-        "memory_budget_chars": _INT_GE_0, "seed": ("an integer", (int,), None),
-        "consistency_alpha": ("a number", (int, float), _Range(0, 1)),
-        "temperature": ("a number", (int, float), _Range(0, 2)), "max_tokens": _INT_GE_1,
-        "external_linter_cmd": _STR_OR_NULL, "external_sandbox_cmd": _STR_OR_NULL,
-        "severity_weights": _OBJ, "backend": _OBJ, "stores": _OBJ, "embedding_dim": _INT_GE_1,
-        "network_path": _STR, "policy_rules_path": _STR_OR_NULL, "workers": _INT_GE_1,
-        "grid_mode": ("a string", (str,), ("relaxed", "strict"))},
-    "thresholds": {"drift": _NUM_GE_0, "alignment": _NUM_GE_0, "conflict": _NUM_GE_0,
-                   "min_throughput_ratio": _NUM_GT_0, "max_latency_ms": _NUM_GT_0},
-    "severity_weights": {sev.value: _NUM_GT_0 for sev in Severity},
-    "backend": {
-        "mode": ("a string", (str,), ("live", "scripted")), "script_path": _STR_OR_NULL,
-        "fallback_seed": ("an integer or null", (int, type(None)), None), "api_base": _STR,
-        "api_key": _STR, "chat_model": _STR, "embedding_model": _STR, "retries": _INT_GE_1,
-        "backoff_s": _NUM_GE_0, "rate_limit_per_s": _NUM_GT_0, "timeout_s": _NUM_GT_0},
-    "stores": {"corpus_dir": _STR_OR_NULL, "graph_path": _STR_OR_NULL,
-               "chunk_size": _INT_GE_1, "bindings": _OBJ},
-    "stores.bindings": {role.value: ("a string", (str,), ("graph", "none", "rag"))
-                        for role in AgentRole},
+# CONFIG_TABLE[key]: the rule of each key the file may hold; any other key is
+# refused, so a misspelt knob cannot keep its default. A negative memory
+# budget would cut every memory digest to "...".
+CONFIG_TABLE: dict[str, tuple] = {  # the fields of RunConfig, then the environment
+    "tot_path_count": INT_GE_1, "max_refinement_depth": INT_GE_0,
+    "thresholds": table_rule({
+        "drift": NUM_GE_0, "alignment": NUM_GE_0, "conflict": NUM_GE_0,
+        "min_throughput_ratio": NUM_GT_0, "max_latency_ms": NUM_GT_0}),
+    "top_k": INT_GE_1, "hop_expand": ("an integer", (int,), Range(0, 1)),
+    "memory_budget_chars": INT_GE_0, "seed": ("an integer", (int,), None),
+    "consistency_alpha": ("a number", (int, float), Range(0, 1)),
+    "temperature": ("a number", (int, float), Range(0, 2)), "max_tokens": INT_GE_1,
+    "external_linter_cmd": STR_OR_NULL, "external_sandbox_cmd": STR_OR_NULL,
+    "severity_weights": table_rule({sev.value: NUM_GT_0 for sev in Severity}),
+    "backend": table_rule({
+        "mode": ("a string", (str,), ("live", "scripted")), "script_path": STR_OR_NULL,
+        "fallback_seed": ("an integer or null", (int, type(None)), None), "api_base": STR,
+        "api_key": STR, "chat_model": STR, "embedding_model": STR, "retries": INT_GE_1,
+        "backoff_s": NUM_GE_0, "rate_limit_per_s": NUM_GT_0, "timeout_s": NUM_GT_0}),
+    "stores": table_rule({
+        "corpus_dir": STR_OR_NULL, "graph_path": STR_OR_NULL, "chunk_size": INT_GE_1,
+        "bindings": table_rule({role.value: ("a string", (str,), ("graph", "none", "rag"))
+                                for role in AgentRole})}),
+    "embedding_dim": INT_GE_1, "network_path": STR, "policy_rules_path": STR_OR_NULL,
+    "workers": INT_GE_1, "grid_mode": ("a string", (str,), ("relaxed", "strict")),
 }
-
-
-def _check(section: str, obj: dict) -> None:
-    """Refuse the object at ``section`` with ConfigurationError naming the
-    key at fault unless ``CONFIG_TABLE`` admits each of its keys and values."""
-    rules = CONFIG_TABLE[section]
-    for key, value in obj.items():
-        name = f"{section}.{key}" if section else key
-        if key not in rules:
-            raise ConfigurationError(f"unknown config key {name!r}")
-        kind, types, allowed = rules[key]
-        if type(value) not in types or allowed is not None and value not in allowed:
-            detail = "" if allowed is None else f" in {allowed}"
-            raise ConfigurationError(f"{name} must be {kind}{detail}, got {value!r:.60}")
-        if type(value) is dict:
-            _check(name, value)
 
 
 def parse_thresholds(raw: dict) -> Thresholds:
     """The ``thresholds`` of a raw config dict (a file's or a manifest's
     snapshot), checked against ``CONFIG_TABLE``."""
-    _check("", {"thresholds": raw.get("thresholds", {})})
+    check(raw.get("thresholds", {}), CONFIG_TABLE["thresholds"], "thresholds")
     return Thresholds(**raw.get("thresholds", {}))
 
 
@@ -121,30 +81,25 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
 
     def build(raw) -> ExperimentConfig:
-        if type(raw) is not dict:
-            raise ConfigurationError("the file must hold a JSON object")
-        _check("", raw)
         knobs = {f.name: raw[f.name] for f in fields(RunConfig) if f.name in raw}
         weights_raw = raw.get("severity_weights", {})
         return ExperimentConfig(
             raw=raw, base_dir=path.parent,
-            run=RunConfig(**{**knobs, "thresholds": parse_thresholds(raw)}),
+            run=RunConfig(**{**knobs, "thresholds": Thresholds(**raw.get("thresholds", {}))}),
             workers=raw.get("workers", 1), grid_mode=raw.get("grid_mode", "strict"),
             severity_weights={sev: float(weights_raw.get(sev.value, default))
                               for sev, default in DEFAULT_SEVERITY_WEIGHTS.items()},
         )
 
-    return read_json_file(path, "experiment config", build)
+    return read_json_file(path, "experiment config", table_rule(CONFIG_TABLE), build)
 
 
 def build_backend(config: ExperimentConfig):
     spec = config.raw.get("backend", {})
     dim = config.raw.get("embedding_dim", DEFAULT_DIM)
     if spec.get("mode", "scripted") == "scripted":
-        script = []
         script_path = config.resolve(spec.get("script_path"))
-        if script_path:
-            script = load_script(script_path)
+        script = load_script(script_path) if script_path else []
         return ScriptedBackend(script=script,
                                fallback_seed=spec.get("fallback_seed", config.run.seed),
                                dim=dim)
@@ -166,10 +121,8 @@ def build_stores(config: ExperimentConfig, embedder) -> StoreSet:
     if corpus_dir:
         chunking = {key: stores_raw[key] for key in ("chunk_size",) if key in stores_raw}
         document_store = index_documents(load_corpus_dir(corpus_dir), embedder, **chunking)
-    graph = None
     graph_path = config.resolve(stores_raw.get("graph_path"))
-    if graph_path:
-        graph = load_graph(graph_path, embedder)
+    graph = load_graph(graph_path, embedder) if graph_path else None
     bindings = dict(DEFAULT_BINDINGS)
     for role_name, kind in stores_raw.get("bindings", {}).items():
         bindings[AgentRole(role_name)] = kind

@@ -12,7 +12,8 @@ from enum import Enum
 from pathlib import Path
 
 from .embeddings import EmbeddingVector, centroid, cosine, tokenize
-from .errors import ConfigurationError, read_json_file
+from .errors import (FILE_NAME, STR, ConfigurationError, Each, list_rule, read_json_file,
+                     table_rule)
 
 logger = logging.getLogger(__name__)
 
@@ -112,11 +113,16 @@ def index_documents(corpus: list[tuple[str, str, SourceTag]], embedder,
     return DocumentStore(chunks, embedder.dim)
 
 
+# The corpus manifest maps each file name in the directory to its source tag.
+CORPUS_MANIFEST = ("an object", (dict,), Each(
+    ("a source tag", (str,), tuple(tag.value for tag in SourceTag)), keys=FILE_NAME))
+
+
 def load_corpus_dir(directory: str | Path) -> list[tuple[str, str, SourceTag]]:
     """Directory of UTF-8 text files plus a manifest.json mapping file -> source tag."""
     directory = Path(directory)
-    manifest = read_json_file(directory / "manifest.json", "corpus manifest", lambda raw: [
-        (name, SourceTag(raw[name])) for name in sorted(raw)])
+    manifest = read_json_file(directory / "manifest.json", "corpus manifest", CORPUS_MANIFEST,
+                              lambda raw: [(name, SourceTag(raw[name])) for name in sorted(raw)])
     return [(name, (directory / name).read_text(encoding="utf-8"), tag)
             for name, tag in manifest]
 
@@ -124,8 +130,6 @@ def load_corpus_dir(directory: str | Path) -> list[tuple[str, str, SourceTag]]:
 def retrieve_rag(store: DocumentStore, query: str, top_k: int, embedder,
                  agent_role: str = "") -> ContextBundle:
     """Top-k chunks by cosine to the query; ties broken by (doc_id, chunk_index)."""
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
     query_emb = embedder.embed(query)
     scored = [(cosine(query_emb, c.embedding), c) for c in store.chunks]
     scored.sort(key=lambda sc: (-sc[0], sc[1].doc_id, sc[1].chunk_index))
@@ -183,16 +187,18 @@ def build_graph(nodes: list[tuple[str, str, str]], edges: list[tuple[str, str, s
     return KnowledgeGraph(graph_nodes, graph_edges, embedder.dim)
 
 
+GRAPH_TABLE = {"nodes": list_rule(table_rule({"id": STR, "label": STR, "text": STR})),
+               "edges": list_rule(table_rule({"src": STR, "dst": STR, "relation": STR}))}
+
+
 def load_graph(path: str | Path, embedder) -> KnowledgeGraph:
     def parts(raw) -> tuple[list, list]:
         nodes = [(n["id"], n["label"], n.get("text", "")) for n in raw["nodes"]]
         edges = [(e["src"], e["dst"], e.get("relation", "related"))
                  for e in raw.get("edges", [])]
-        if any(type(value) is not str for item in nodes + edges for value in item):
-            raise TypeError("every node and edge field must be a string")
         return nodes, edges
 
-    return build_graph(*read_json_file(path, "graph", parts), embedder)
+    return build_graph(*read_json_file(path, "graph", table_rule(GRAPH_TABLE), parts), embedder)
 
 
 def retrieve_graph(graph: KnowledgeGraph, query: str, top_k: int, hop_expand: int,
@@ -207,10 +213,6 @@ def retrieve_graph(graph: KnowledgeGraph, query: str, top_k: int, hop_expand: in
     descending, seeds before neighbors on ties, then node_id ascending, and
     truncated to top_k. This ordering keeps results monotone in top_k.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    if hop_expand not in (0, 1):
-        raise ValueError("hop_expand must be 0 or 1")
     if not graph.nodes:
         raise ConfigurationError("graph is empty")
 

@@ -16,13 +16,13 @@ DSL runs against the simulated network.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analyzer import Dimension, Finding, Severity
-from .errors import ConfigurationError, PlanSyntaxError, read_json_file
+from .errors import (INT_GE_1, NUM_GT_0, STR, ConfigurationError, PlanSyntaxError, list_rule,
+                     read_json_file, table_rule)
 
 _INT_RE = re.compile(r"^\d+$")
 _ID_RE = re.compile(r"^[A-Za-z_]\w*$")
@@ -107,22 +107,12 @@ class Cell:
     cell_id: str
     capacity_prb: int
 
-    def __post_init__(self):
-        if not 0 < self.capacity_prb < math.inf:
-            raise ConfigurationError(
-                f"cell {self.cell_id} capacity must be finite and positive")
-
 
 @dataclass(frozen=True)
 class Slice:
     slice_id: str
     cell_id: str
     demand_mbps: float
-
-    def __post_init__(self):
-        if not 0 < self.demand_mbps < math.inf:
-            raise ConfigurationError(
-                f"slice {self.slice_id} demand must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -133,9 +123,6 @@ class SimulatedNetwork:
     base_latency_ms: float = 20.0
 
     def __post_init__(self):
-        if not (0 < self.prb_rate_mbps < math.inf and 0 < self.base_latency_ms < math.inf):
-            raise ConfigurationError("prb_rate_mbps and base_latency_ms must be finite "
-                                     "and positive")
         cell_ids = {c.cell_id for c in self.cells}
         if len(cell_ids) != len(self.cells):
             raise ConfigurationError("duplicate cell ids")
@@ -149,22 +136,22 @@ class SimulatedNetwork:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SimulatedNetwork":
-        return read_json_file(path, "network", cls.from_dict)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SimulatedNetwork":
-        cells = tuple(Cell(c["cell_id"], int(c["capacity_prb"])) for c in raw["cells"])
-        slices = tuple(Slice(s["slice_id"], s["cell_id"], float(s["demand_mbps"]))
-                       for s in raw["slices"])
-        return cls(cells=cells, slices=slices,
-                   prb_rate_mbps=float(raw.get("prb_rate_mbps", 1.0)),
-                   base_latency_ms=float(raw.get("base_latency_ms", 20.0)))
+        return read_json_file(path, "network", table_rule(NETWORK_TABLE), lambda raw: cls(**{
+            **raw, "cells": tuple(Cell(**c) for c in raw["cells"]),
+            "slices": tuple(Slice(**s) for s in raw["slices"])}))
 
     def slice_map(self) -> dict[str, Slice]:
         return {s.slice_id: s for s in self.slices}
 
     def capacity_map(self) -> dict[str, int]:
         return {c.cell_id: c.capacity_prb for c in self.cells}
+
+
+CELL_TABLE = {"cell_id": STR, "capacity_prb": INT_GE_1}
+SLICE_TABLE = {"slice_id": STR, "cell_id": STR, "demand_mbps": NUM_GT_0}
+NETWORK_TABLE = {"cells": list_rule(table_rule(CELL_TABLE)),
+                 "slices": list_rule(table_rule(SLICE_TABLE)),
+                 "prb_rate_mbps": NUM_GT_0, "base_latency_ms": NUM_GT_0}
 
 
 @dataclass(frozen=True)
@@ -274,10 +261,6 @@ def execute_plan(plan: ParsedPlan, network: SimulatedNetwork) -> KpiReport:
 class KpiThresholds:
     min_throughput_ratio: float = 0.5
     max_latency_ms: float = 100.0
-
-    def __post_init__(self):
-        if self.min_throughput_ratio <= 0 or self.max_latency_ms <= 0:
-            raise ConfigurationError("KPI thresholds must be positive")
 
 
 def check_thresholds(report: KpiReport, thresholds: KpiThresholds

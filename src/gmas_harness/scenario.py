@@ -11,7 +11,7 @@ from enum import Enum
 from pathlib import Path
 
 from .backends import Backend, GenerationRequest
-from .errors import ConfigurationError, read_json_file
+from .errors import STR, TEXT, ConfigurationError, list_rule, read_json_file, table_rule
 
 
 class AgentRole(str, Enum):
@@ -48,10 +48,6 @@ class Question:
     text: str
     topic: Topic
 
-    def __post_init__(self):
-        if type(self.id) is not str or type(self.text) is not str or not self.text:
-            raise ValueError("question id and text must be strings, the text non-empty")
-
 
 @dataclass(frozen=True)
 class Persona:
@@ -60,9 +56,13 @@ class Persona:
     orientation: str
     prompt_fragment: str
 
-    def __post_init__(self):
-        if not self.prompt_fragment:
-            raise ValueError(f"persona {self.id} has empty prompt_fragment")
+
+# Question and persona ids name run-tree directories: no separator, no . or ..
+ID = ("an id of word characters (\\w+)", (str,), re.compile(r"\w+"))
+PERSONA_TABLE = {"id": ID, "role": ("a role", (str,), tuple(role.value for role in AgentRole)),
+                 "orientation": STR, "prompt_fragment": TEXT}
+QUESTION_TABLE = {"id": ID, "text": TEXT,
+                  "topic": ("a topic", (str,), tuple(topic.value for topic in Topic))}
 
 
 BUILTIN_PERSONAS = [
@@ -111,10 +111,10 @@ class PersonaRegistry:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PersonaRegistry":
-        return read_json_file(path, "persona registry", lambda raw: cls([
-            Persona(id=item["id"], role=AgentRole(item["role"]),
-                    orientation=item.get("orientation", ""),
-                    prompt_fragment=item["prompt_fragment"]) for item in raw]))
+        return read_json_file(path, "persona registry", list_rule(table_rule(PERSONA_TABLE)),
+                              lambda raw: cls([Persona(**{"orientation": "", **item,
+                                                          "role": AgentRole(item["role"])})
+                                               for item in raw]))
 
     def to_json(self, path: str | Path) -> None:
         items = [{"id": p.id, "role": p.role.value, "orientation": p.orientation,
@@ -335,9 +335,9 @@ def _llm_questions(count: int, topic_mix: dict[Topic, float] | None, seed: int,
 
 
 def load_questions(path: str | Path) -> list[Question]:
-    questions = read_json_file(path, "question set", lambda raw: [
-        Question(id=item["id"], text=item["text"], topic=Topic(item["topic"]))
-        for item in raw])
+    questions = read_json_file(path, "question set", list_rule(table_rule(QUESTION_TABLE)),
+                               lambda raw: [Question(**{**item, "topic": Topic(item["topic"])})
+                                            for item in raw])
     ids = [q.id for q in questions]
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"duplicate question ids in {path}")

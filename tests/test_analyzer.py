@@ -303,12 +303,15 @@ def test_policy_corpus_exact_match():
     assert not mismatches, mismatches
 
 
-def test_policy_rules_validation():
-    with pytest.raises(Exception):
-        PolicyRuleSet(forbidden_calls=("",))
+def test_policy_rules_validation(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"forbidden_calls": [""]}))
+    with pytest.raises(ConfigurationError, match=r"forbidden_calls\[0\] must be a non-empty"):
+        PolicyRuleSet.from_json(path)
     for cap in (0, -1.0, math.nan, math.inf):
-        with pytest.raises(ConfigurationError, match="resource cap 'prb' must be finite"):
-            PolicyRuleSet(resource_caps=(("prb", cap),))
+        path.write_text(json.dumps({"resource_caps": {"prb": cap}}))
+        with pytest.raises(ConfigurationError, match=r"resource_caps\.prb must be a number"):
+            PolicyRuleSet.from_json(path)
 
 
 def test_policy_rules_from_json(tmp_path):
@@ -325,7 +328,7 @@ def test_policy_rules_from_json(tmp_path):
 def test_policy_file_with_a_misspelt_key_is_refused(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text(json.dumps({"forbidden_call": ["os.system"], "forbidden_imports": []}))
-    with pytest.raises(ConfigurationError, match="unknown policy key 'forbidden_call'"):
+    with pytest.raises(ConfigurationError, match="unknown key 'forbidden_call'"):
         PolicyRuleSet.from_json(path)
 
 

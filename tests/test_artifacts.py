@@ -18,8 +18,8 @@ from hypothesis.extra import numpy as hnp
 from gmas_harness import artifacts, orchestrator
 from gmas_harness.artifacts import (ExperimentManifest, ValueMemo, _fmt_float,
                                     canonical_json, cell_relpath, derive_experiment_id,
-                                    iter_run_files, load_run, persist_run, run_relpath,
-                                    write_manifest)
+                                    iter_run_files, load_run, persist_cell_meta, persist_run,
+                                    run_relpath, write_manifest)
 from gmas_harness.cli import cli_dispatch
 from gmas_harness.config import build_env, load_experiment_config
 from gmas_harness.embeddings import EmbeddingVector
@@ -213,6 +213,21 @@ def test_persist_and_load_round_trip(tmp_path):
     loaded = load_run(path)
     assert loaded == record
     assert loaded.to_dict() == record.to_dict()
+
+
+@pytest.mark.parametrize("set_id, question_id", [
+    (None, "../x"), (None, ".."), (None, "."), (None, ""), (None, "/abs"),
+    ("../x", "q1"), ("a/../../x", "q1")])
+def test_persist_refuses_a_path_that_leaves_the_root(tmp_path, set_id, question_id):
+    """No table checks a record built in Python, so persisting holds each id
+    to one path part itself."""
+    record = make_record(question_id=question_id, **({"set_id": set_id} if set_id else {}))
+    root = tmp_path / "a" / "root"
+    with pytest.raises(ValidationError, match="is not a file name"):
+        persist_run(record, root)
+    with pytest.raises(ValidationError, match="is not a file name"):
+        persist_cell_meta([], root, record.persona_set_id, question_id)
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_persist_twice_is_byte_identical(tmp_path):

@@ -123,6 +123,20 @@ def test_simulate_threshold_violation_exits_1(workspace, capsys):
                          "--network", str(workspace / "network.json")]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--min-throughput-ratio", "0"), ("--min-throughput-ratio", "-1"),
+    ("--min-throughput-ratio", "nan"), ("--max-latency-ms", "0"), ("--max-latency-ms", "inf"),
+    ("--max-latency-ms", "nan")])
+def test_simulate_refuses_a_threshold_flag_out_of_range(workspace, capsys, flag, value):
+    plan = workspace / "plan.dsl"
+    plan.write_text("allocate 5 prb to s1\nallocate 7 prb to s2\n")
+    assert cli_dispatch(["simulate", "--plan", str(plan),
+                         "--network", str(workspace / "network.json"), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} must be a number in (0, inf], got {float(value)!r}" in captured.err
+    assert captured.out == ""
+
+
 def test_validate_policy_forbidden_call_exits_1(workspace, capsys):
     code_file = workspace / "snippet.code"
     code_file.write_text('import os\nos.system("reboot")\n')
@@ -148,10 +162,10 @@ def test_misspelt_policy_key_exits_1(workspace, capsys):
     code_file.write_text('import ric\nric.admit("s1")\n')
     assert cli_dispatch(["validate-policy", "--code", str(code_file),
                          "--rules", str(workspace / "rules.json")]) == 1
-    assert "unknown policy key 'forbidden_call'" in capsys.readouterr().err
+    assert "unknown key 'forbidden_call'" in capsys.readouterr().err
     out_dir = workspace / "artifacts"
     assert cli_dispatch(_grid_args(workspace, out_dir)) == 1
-    assert "unknown policy key 'forbidden_call'" in capsys.readouterr().err
+    assert "unknown key 'forbidden_call'" in capsys.readouterr().err
     assert not (out_dir / "runs").exists()
 
 
@@ -542,53 +556,86 @@ def test_report_on_a_tree_whose_manifest_is_not_one_exits_1(workspace, capsys, m
 # Input files the workspace's config does not name: (section, key, value) wires one in.
 _UNWIRED = {"graph.json": ("stores", "graph_path", "graph.json"),
             "corpus/manifest.json": ("stores", "corpus_dir", "corpus"),
+            "data/corpus/manifest.json": ("stores", "corpus_dir", "data/corpus"),
             "script.json": ("backend", "script_path", "script.json")}
 _NODE = {"id": "n1", "label": "slicing", "text": "PRB split"}
+_MALFORMED = {
+    "question without topic": ("questions.json", lambda items: [
+        {k: v for k, v in q.items() if k != "topic"} for q in items], "'topic'"),
+    "questions an object": ("questions.json", lambda items: {"questions": items},
+                            "the file must be a list"),
+    "questions not JSON": ("questions.json", lambda items: json.dumps(items)[:-1],
+                           "JSONDecodeError"),
+    "question id a number": ("questions.json", lambda items: [{**items[0], "id": 1}],
+                             "[0].id must be"),
+    "question id a path": ("questions.json", lambda items: [
+        {**items[0], "id": "../../../escaped"}], "[0].id must be"),
+    "persona without fragment": ("personas.json", lambda items: [
+        {k: v for k, v in p.items() if k != "prompt_fragment"} for p in items],
+        "'prompt_fragment'"),
+    "persona id a path": ("personas.json", lambda items: [
+        {**p, "id": "x/../../../../pescaped"} if p["id"] == "CreativeThinker" else p
+        for p in items], "[0].id must be"),
+    "network without cells": ("network.json", lambda network: {
+        k: v for k, v in network.items() if k != "cells"}, "KeyError: 'cells'"),
+    "NaN demand": ("network.json", lambda network: {**network, "slices": [
+        {**network["slices"][0], "demand_mbps": math.nan}]}, "slices[0].demand_mbps must be"),
+    "demand a string": ("network.json", lambda network: {**network, "slices": [
+        {**network["slices"][0], "demand_mbps": "4"}]}, "slices[0].demand_mbps must be"),
+    "demand true": ("network.json", lambda network: {**network, "slices": [
+        {**network["slices"][0], "demand_mbps": True}]}, "slices[0].demand_mbps must be"),
+    "Infinity capacity": ("network.json", lambda network: {**network, "cells": [
+        {"cell_id": "c1", "capacity_prb": math.inf}]}, "cells[0].capacity_prb must be"),
+    "fractional capacity": ("network.json", lambda network: {**network, "cells": [
+        {"cell_id": "c1", "capacity_prb": 24.9}]}, "cells[0].capacity_prb must be"),
+    "misspelt base_latency_ms": ("network.json", lambda network: {
+        **network, "base_latency": 20.0}, "unknown key 'base_latency'"),
+    "graph node without label": ("graph.json", lambda _: {
+        "nodes": [{"id": "n1", "text": "PRB split"}]}, "KeyError: 'label'"),
+    "graph label a number": ("graph.json", lambda _: {"nodes": [{**_NODE, "label": 5}]},
+                             "nodes[0].label must be"),
+    "graph a list": ("graph.json", lambda _: [_NODE], "the file must be an object"),
+    "graph edge a number": ("graph.json", lambda _: {"nodes": [_NODE], "edges": [5]},
+                            "edges[0] must be an object"),
+    "corpus manifest a list": ("corpus/manifest.json", lambda _: ["notes.txt"],
+                               "the file must be an object"),
+    "corpus name a path": ("data/corpus/manifest.json", lambda _: {
+        "../../questions.json": "specs"}, "a key of the file must be"),
+    "forbidden calls a string": ("rules.json", lambda rules: {
+        **rules, "forbidden_calls": "os.system"}, "forbidden_calls must be a list"),
+    "conflict rule of one item": ("rules.json", lambda rules: {
+        **rules, "conflict_rules": [["admit"]]}, "conflict_rules[0] must be a row"),
+    "resource caps a list": ("rules.json", lambda rules: {
+        **rules, "resource_caps": [["prb", 40]]}, "resource_caps must be an object"),
+    "cap a string": ("rules.json", lambda rules: {**rules, "resource_caps": {"prb": "40"}},
+                     "resource_caps.prb must be"),
+    "NaN cap": ("rules.json", lambda rules: {**rules, "resource_caps": {"prb": math.nan}},
+                "resource_caps.prb must be"),
+    "script entry a string": ("script.json", lambda _: ["allocate 5 prb to s1"],
+                              "[0] must be an object"),
+}
 
 
-@pytest.mark.parametrize("name, edit", [
-    ("questions.json", lambda items: [{k: v for k, v in q.items() if k != "topic"}
-                                      for q in items]),
-    ("questions.json", lambda items: {"questions": items}),
-    ("questions.json", lambda items: json.dumps(items)[:-1]),
-    ("questions.json", lambda items: [{**items[0], "id": 1}]),
-    ("personas.json", lambda items: [{k: v for k, v in p.items() if k != "prompt_fragment"}
-                                     for p in items]),
-    ("network.json", lambda network: {k: v for k, v in network.items() if k != "cells"}),
-    ("network.json", lambda network: {**network, "slices": [
-        {**network["slices"][0], "demand_mbps": math.nan}]}),
-    ("network.json", lambda network: {**network, "cells": [
-        {"cell_id": "c1", "capacity_prb": math.inf}]}),
-    ("graph.json", lambda _: {"nodes": [{"id": "n1", "text": "PRB split"}]}),
-    ("graph.json", lambda _: {"nodes": [{**_NODE, "label": 5}]}),
-    ("graph.json", lambda _: [_NODE]),
-    ("graph.json", lambda _: {"nodes": [_NODE], "edges": [5]}),
-    ("corpus/manifest.json", lambda _: ["notes.txt"]),
-    ("rules.json", lambda rules: {**rules, "conflict_rules": [["admit"]]}),
-    ("rules.json", lambda rules: {**rules, "resource_caps": [["prb", 40]]}),
-    ("rules.json", lambda rules: {**rules, "resource_caps": {"prb": "40"}}),
-    ("rules.json", lambda rules: {**rules, "resource_caps": {"prb": math.nan}}),
-    ("script.json", lambda _: ["allocate 5 prb to s1"]),
-], ids=["question without topic", "questions an object", "questions not JSON",
-        "question id a number", "persona without fragment", "network without cells",
-        "NaN demand", "Infinity capacity", "graph node without label",
-        "graph label a number", "graph a list", "graph edge a number",
-        "corpus manifest a list", "conflict rule of one item", "resource caps a list",
-        "cap a string", "NaN cap", "script entry a string"])
-def test_grid_on_a_malformed_input_file_exits_1_naming_it(workspace, capsys, name, edit):
+@pytest.mark.parametrize("name, edit, says", _MALFORMED.values(), ids=_MALFORMED)
+def test_grid_on_a_malformed_input_file_exits_1_naming_it(workspace, capsys, name, edit,
+                                                          says):
     """``edit`` maps the file's JSON value (None when the workspace lacks the
-    file) to the malformed value, or to the text itself when it is a str."""
+    file) to the malformed value, or to the text itself when it is a str. The
+    error names the file and ``says`` where in it the fault is, and nothing
+    is written under or beside ``--out``."""
     path = workspace / name
     if name in _UNWIRED:
         section, key, value = _UNWIRED[name]
         config = json.loads((workspace / "experiment.json").read_text())
         config.setdefault(section, {})[key] = value
         (workspace / "experiment.json").write_text(json.dumps(config))
-        path.parent.mkdir(exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
     value = edit(json.loads(path.read_text()) if path.exists() else None)
     path.write_text(value if isinstance(value, str) else json.dumps(value))
-    out_dir = workspace / "artifacts"
+    before = sorted(workspace.rglob("*"))
+    out_dir = workspace / "p" / "q" / "r" / "out"   # deep, so an escape stays in workspace
     assert cli_dispatch(_grid_args(workspace, out_dir)) == 1
-    assert f"{path} is not a valid" in capsys.readouterr().err
-    assert not (out_dir / "runs").exists()
-    assert not (out_dir / "experiment.json").exists()
+    err = capsys.readouterr().err
+    assert f"{path} is not a valid" in err
+    assert says in err
+    assert sorted(workspace.rglob("*")) == before

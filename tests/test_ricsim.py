@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 
 import pytest
 
@@ -80,18 +82,21 @@ def test_syntax_error_becomes_runtime_finding():
 
 # ── network validation ───────────────────────────────────────────────────────
 
-def test_network_validation():
+def test_network_validation(tmp_path):
     with pytest.raises(ConfigurationError):
         SimulatedNetwork(cells=(Cell("c1", 10),),
                          slices=(Slice("s1", "nope", 1.0),))
+    path = tmp_path / "net.json"
+    cell, slice_ = {"cell_id": "c1", "capacity_prb": 10}, {"slice_id": "s1", "cell_id": "c1",
+                                                          "demand_mbps": 1.0}
     for bad in (0, -1.0, math.nan, math.inf):
-        with pytest.raises(ConfigurationError, match="must be finite and positive"):
-            Cell("c1", bad)
-        with pytest.raises(ConfigurationError, match="must be finite and positive"):
-            Slice("s1", "c1", bad)
-        for knob in ("prb_rate_mbps", "base_latency_ms"):
-            with pytest.raises(ConfigurationError, match="must be finite and positive"):
-                SimulatedNetwork(cells=(Cell("c1", 10),), slices=(), **{knob: bad})
+        for key, raw in [("cells[0].capacity_prb", {"cells": [{**cell, "capacity_prb": bad}]}),
+                         ("slices[0].demand_mbps", {"slices": [{**slice_, "demand_mbps": bad}]}),
+                         ("prb_rate_mbps", {"prb_rate_mbps": bad}),
+                         ("base_latency_ms", {"base_latency_ms": bad})]:
+            path.write_text(json.dumps({"cells": [cell], "slices": [slice_], **raw}))
+            with pytest.raises(ConfigurationError, match=re.escape(f"{key} must be")):
+                SimulatedNetwork.from_json(path)
 
 
 def test_network_json_round_trip(tmp_path, network):
@@ -198,11 +203,6 @@ def test_attach_verdicts(network):
     verdicts = check_thresholds(report, KpiThresholds())[1].threshold_verdicts
     assert verdicts["s1"] == {"throughput_ok": True, "latency_ok": True}
     assert verdicts["s2"]["throughput_ok"] is False
-
-
-def test_thresholds_must_be_positive():
-    with pytest.raises(ConfigurationError):
-        KpiThresholds(min_throughput_ratio=0.0)
 
 
 # ── oracle equivalence ───────────────────────────────────────────────────────

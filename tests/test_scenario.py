@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import re
 from collections import Counter
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from gmas_harness.backends import ScriptedBackend, ScriptEntry
 from gmas_harness.errors import ConfigurationError
 from gmas_harness.scenario import (AgentRole, PIPELINE_ORDER, Persona,
-                                   PersonaRegistry, PersonaSet, Question,
+                                   PersonaRegistry, PersonaSet,
                                    ROLE_CHARTERS, Topic, enumerate_grid,
                                    generate_questions, load_questions,
                                    render_persona_prompt, save_questions)
@@ -38,9 +40,13 @@ def test_duplicate_persona_rejected():
         PersonaRegistry([persona, persona])
 
 
-def test_empty_prompt_fragment_rejected():
-    with pytest.raises(ValueError):
-        Persona("X", AgentRole.CODER, "", "")
+def test_empty_prompt_fragment_rejected(tmp_path):
+    path = tmp_path / "personas.json"
+    path.write_text(json.dumps([{"id": "X", "role": "Coder", "orientation": "",
+                                 "prompt_fragment": ""}]))
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("[0].prompt_fragment must be a non-empty string")):
+        PersonaRegistry.from_json(path)
 
 
 def test_registry_json_round_trip(registry, tmp_path):
@@ -188,6 +194,9 @@ def test_questions_json_round_trip(tmp_path):
     assert load_questions(path) == qs
 
 
-def test_question_text_non_empty():
-    with pytest.raises(ValueError):
-        Question(id="q1", text="", topic=Topic.SLICING)
+def test_question_text_non_empty(tmp_path):
+    path = tmp_path / "questions.json"
+    path.write_text(json.dumps([{"id": "q1", "text": "", "topic": "slicing"}]))
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("[0].text must be a non-empty string")):
+        load_questions(path)
