@@ -47,6 +47,10 @@ class GenerationRequest:
     def __post_init__(self):
         if not self.system_prompt or not self.user_prompt:
             raise ValueError("prompts must be non-empty")
+        if not 0.0 <= self.temperature <= 2.0:
+            raise ValueError(f"temperature {self.temperature} outside [0, 2]")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be positive")
 
     @property
     def full_prompt(self) -> str:

@@ -99,11 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_topics(pairs) -> dict | None:
     if not pairs:
         return None
-    mix = {}
-    for pair in pairs:
-        name, _, weight = pair.partition("=")
-        mix[Topic(name)] = float(weight) if weight else 1.0
-    return mix
+    return {Topic(name): float(weight) if weight else 1.0
+            for name, _, weight in (pair.partition("=") for pair in pairs)}
 
 
 def _cmd_gen_questions(args) -> int:

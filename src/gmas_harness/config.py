@@ -123,9 +123,8 @@ def build_stores(config: ExperimentConfig, embedder) -> StoreSet:
         document_store = index_documents(load_corpus_dir(corpus_dir), embedder, **chunking)
     graph_path = config.resolve(stores_raw.get("graph_path"))
     graph = load_graph(graph_path, embedder) if graph_path else None
-    bindings = dict(DEFAULT_BINDINGS)
-    for role_name, kind in stores_raw.get("bindings", {}).items():
-        bindings[AgentRole(role_name)] = kind
+    bindings = {**DEFAULT_BINDINGS, **{AgentRole(role): kind for role, kind
+                                       in stores_raw.get("bindings", {}).items()}}
     return StoreSet(document_store=document_store, graph=graph, bindings=bindings)
 
 

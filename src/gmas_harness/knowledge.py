@@ -130,6 +130,8 @@ def load_corpus_dir(directory: str | Path) -> list[tuple[str, str, SourceTag]]:
 def retrieve_rag(store: DocumentStore, query: str, top_k: int, embedder,
                  agent_role: str = "") -> ContextBundle:
     """Top-k chunks by cosine to the query; ties broken by (doc_id, chunk_index)."""
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
     query_emb = embedder.embed(query)
     scored = [(cosine(query_emb, c.embedding), c) for c in store.chunks]
     scored.sort(key=lambda sc: (-sc[0], sc[1].doc_id, sc[1].chunk_index))
@@ -213,6 +215,10 @@ def retrieve_graph(graph: KnowledgeGraph, query: str, top_k: int, hop_expand: in
     descending, seeds before neighbors on ties, then node_id ascending, and
     truncated to top_k. This ordering keeps results monotone in top_k.
     """
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    if hop_expand not in (0, 1):
+        raise ValueError("hop_expand must be 0 or 1")
     if not graph.nodes:
         raise ConfigurationError("graph is empty")
 

@@ -136,9 +136,12 @@ class SimulatedNetwork:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SimulatedNetwork":
-        return read_json_file(path, "network", table_rule(NETWORK_TABLE), lambda raw: cls(**{
-            **raw, "cells": tuple(Cell(**c) for c in raw["cells"]),
-            "slices": tuple(Slice(**s) for s in raw["slices"])}))
+        # a JSON integer the table admits for a float field is built as a float
+        return read_json_file(path, "network", table_rule(NETWORK_TABLE), lambda raw: cls(
+            cells=tuple(Cell(**c) for c in raw["cells"]),
+            slices=tuple(Slice(s["slice_id"], s["cell_id"], float(s["demand_mbps"]))
+                         for s in raw["slices"]),
+            **{k: float(raw[k]) for k in ("prb_rate_mbps", "base_latency_ms") if k in raw}))
 
     def slice_map(self) -> dict[str, Slice]:
         return {s.slice_id: s for s in self.slices}

@@ -61,6 +61,8 @@ def consistency_score(plan: AllocationPlan, code: CodeArtifact,
     A zero-norm embedding on either side scores 0; symmetry holds at the
     default alpha=1 (the structural blend is directional).
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must be in [0, 1]")
     if plan.plan_embedding.is_zero() or code.code_embedding.is_zero():
         logger.warning("consistency over zero-norm embedding; scoring 0")
         return 0.0

@@ -136,7 +136,7 @@ class PersonaRegistry:
             raise ConfigurationError(f"no persona {persona_id!r} for role {role.value}")
 
 
-_SET_ID_PAIR_RE = re.compile(r"^(\w+)=(\w+)$")
+_SET_ID_PAIR_RE = re.compile(f"({ID[2].pattern})=({ID[2].pattern})")
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class PersonaSet:
     def parse(cls, set_id: str) -> "PersonaSet":
         pairs = []
         for chunk in set_id.split("+"):
-            m = _SET_ID_PAIR_RE.match(chunk)
+            m = _SET_ID_PAIR_RE.fullmatch(chunk)
             if not m:
                 raise ValueError(f"bad set_id chunk {chunk!r}")
             pairs.append((AgentRole(m.group(1)), m.group(2)))
@@ -288,13 +288,11 @@ def _template_questions(count: int, topic_mix: dict[Topic, float] | None,
     questions: list[Question] = []
     seen: set[str] = set()
     for i, topic in enumerate(topics):
-        text = None
         for _ in range(64):
-            candidate = _fill_template(rng.choice(QUESTION_TEMPLATES[topic]), rng)
-            if candidate not in seen:
-                text = candidate
+            text = _fill_template(rng.choice(QUESTION_TEMPLATES[topic]), rng)
+            if text not in seen:
                 break
-        if text is None:
+        else:
             raise ConfigurationError(
                 f"could not draw a fresh {topic.value} question after 64 tries; "
                 "extend the template bank or lower the count")
@@ -317,21 +315,12 @@ def _llm_questions(count: int, topic_mix: dict[Topic, float] | None, seed: int,
         seed=seed,
     )
     text = backend.generate(request, role="QuestionGenerator", run_index=0)
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    seen: set[str] = set()
-    questions: list[Question] = []
-    for line in lines:
-        if line in seen:
-            continue
-        seen.add(line)
-        topic = topics[len(questions) % len(topics)]
-        questions.append(Question(id=f"q{len(questions) + 1}", text=line, topic=topic))
-        if len(questions) == count:
-            break
-    if len(questions) < count:
+    lines = list(dict.fromkeys(ln.strip() for ln in text.splitlines() if ln.strip()))[:count]
+    if len(lines) < count:
         raise ConfigurationError(
-            f"backend produced {len(questions)} usable questions, needed {count}")
-    return questions
+            f"backend produced {len(lines)} usable questions, needed {count}")
+    return [Question(id=f"q{i + 1}", text=line, topic=topics[i % len(topics)])
+            for i, line in enumerate(lines)]
 
 
 def load_questions(path: str | Path) -> list[Question]:

@@ -29,11 +29,15 @@ from conftest import TEST_DIM
 from stub_server import StubOpenAIServer
 
 
-def test_generation_request_validates_prompts():
+def test_generation_request_validates_prompts_and_temperature():
     with pytest.raises(ValueError):
         GenerationRequest(system_prompt="", user_prompt="x")
     with pytest.raises(ValueError):
         GenerationRequest(system_prompt="x", user_prompt="")
+    with pytest.raises(ValueError):
+        GenerationRequest(system_prompt="x", user_prompt="y", temperature=2.5)
+    with pytest.raises(ValueError):
+        GenerationRequest(system_prompt="x", user_prompt="y", max_tokens=0)
 
 
 def test_fingerprint_stable_and_role_sensitive():

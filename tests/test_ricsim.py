@@ -110,6 +110,25 @@ def test_network_json_round_trip(tmp_path, network):
     assert SimulatedNetwork.from_json(path) == network
 
 
+def test_integer_network_numbers_load_as_floats(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text('{"cells": [{"cell_id": "c1", "capacity_prb": 24}],'
+                    ' "slices": [{"slice_id": "s1", "cell_id": "c1", "demand_mbps": 4},'
+                    ' {"slice_id": "s2", "cell_id": "c1", "demand_mbps": 6}],'
+                    ' "prb_rate_mbps": 1, "base_latency_ms": 20}')
+    net = SimulatedNetwork.from_json(path)
+    assert net == SimulatedNetwork(cells=(Cell("c1", 24),), slices=(
+        Slice("s1", "c1", 4.0), Slice("s2", "c1", 6.0)), prb_rate_mbps=1.0, base_latency_ms=20.0)
+    assert [type(x) for x in (net.slices[0].demand_mbps, net.prb_rate_mbps,
+                              net.base_latency_ms)] == [float] * 3
+    assert type(net.cells[0].capacity_prb) is int
+    # a run file writes the KPI report, so it holds 4.0 and 0.0 as at a float file
+    kpis = execute_plan(parse_plan("allocate 4 prb to s1"), net).to_dict()["per_slice"]
+    assert json.dumps(kpis[1]).startswith(
+        '{"slice_id": "s2", "cell_id": "c1", "demand_mbps": 6.0, "allocated_prb": 0, '
+        '"throughput_mbps": 0.0,')
+
+
 # ── execution semantics ──────────────────────────────────────────────────────
 
 def test_demand_capped_throughput(network):

@@ -19,8 +19,7 @@ import pytest
 from gmas_harness.analyzer import POLICY_TABLE, PolicyRuleSet
 from gmas_harness.backends import SCRIPT_ENTRY_TABLE, ScriptEntry, ScriptedBackend, load_script
 from gmas_harness.config import CONFIG_TABLE, load_experiment_config
-from gmas_harness.errors import (ConfigurationError, Each, Range, check, list_rule,
-                                 table_rule)
+from gmas_harness.errors import ConfigurationError, Each, Range, list_rule, table_rule
 from gmas_harness.knowledge import CORPUS_MANIFEST, GRAPH_TABLE, load_corpus_dir, load_graph
 from gmas_harness.ricsim import (CELL_TABLE, NETWORK_TABLE, SLICE_TABLE, Cell,
                                  SimulatedNetwork, Slice)
@@ -134,11 +133,37 @@ def test_every_entry_refuses_a_wrong_type_or_a_value_out_of_range(tmp_path, kind
         reader(path)
 
 
-@pytest.mark.parametrize("kind", FORMATS)
-def test_the_bounds_themselves_are_admitted(kind):
-    rule = FORMATS[kind][2]
-    for _, doc in _walk(rule, _bounds):
-        check(doc, rule, "")
+# The smallest file of each format that its reader builds; a bound's document
+# is laid over it so that the whole file, not only the table, must admit it.
+_VALID = {"experiment config": {},
+          "network": {"cells": [{"cell_id": "c1", "capacity_prb": 10}],
+                      "slices": [{"slice_id": "s1", "cell_id": "c1", "demand_mbps": 1.0}]}}
+
+
+def _over(base, doc):
+    """``doc`` laid over ``base``: objects key by key, lists item by item."""
+    if type(base) is dict and type(doc) is dict:
+        return {**base, **{key: _over(base.get(key), value) for key, value in doc.items()}}
+    if type(base) is list and type(doc) is list:
+        return [_over(b, d) for b, d in zip(base, doc)] + doc[len(base):] + base[len(doc):]
+    return doc
+
+
+_ADMITTED = [(kind, doc) for kind, (_, _, rule) in FORMATS.items()
+             for _, doc in _walk(rule, _bounds)]
+
+
+def test_every_format_with_a_bound_has_a_valid_file_to_lay_it_over():
+    assert {kind for kind, _ in _ADMITTED} == set(_VALID)
+
+
+@pytest.mark.parametrize("kind, doc", _ADMITTED,
+                         ids=[f"{kind}: {json.dumps(doc)}" for kind, doc in _ADMITTED])
+def test_the_bounds_themselves_are_admitted(tmp_path, kind, doc):
+    name, reader, _ = FORMATS[kind]
+    path = tmp_path / name
+    path.write_text(json.dumps(_over(_VALID[kind], doc)), encoding="utf-8")
+    reader(path)
 
 
 _BUILT = [(QUESTION_TABLE, Question), (PERSONA_TABLE, Persona), (CELL_TABLE, Cell),
