@@ -136,7 +136,7 @@ class SimulatedNetwork:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SimulatedNetwork":
-        # a JSON integer the table admits for a float field is built as a float
+        # float fields get float(), so a file's 4 writes 4.0 in run files, as 4.0 does
         return read_json_file(path, "network", table_rule(NETWORK_TABLE), lambda raw: cls(
             cells=tuple(Cell(**c) for c in raw["cells"]),
             slices=tuple(Slice(s["slice_id"], s["cell_id"], float(s["demand_mbps"]))

@@ -153,10 +153,6 @@ _ADMITTED = [(kind, doc) for kind, (_, _, rule) in FORMATS.items()
              for _, doc in _walk(rule, _bounds)]
 
 
-def test_every_format_with_a_bound_has_a_valid_file_to_lay_it_over():
-    assert {kind for kind, _ in _ADMITTED} == set(_VALID)
-
-
 @pytest.mark.parametrize("kind, doc", _ADMITTED,
                          ids=[f"{kind}: {json.dumps(doc)}" for kind, doc in _ADMITTED])
 def test_the_bounds_themselves_are_admitted(tmp_path, kind, doc):
