@@ -5,8 +5,8 @@ a fully deterministic scripted backend for offline runs. Scripted lookups
 key on (role, prompt fingerprint, run index) with optional wildcards; a
 seeded fallback generator answers anything the script does not cover, so
 whole grid experiments can run hermetically. A scripted reply is a pure
-function of (role, run index, full prompt), so the scripted backend works
-out each distinct request's reply once.
+function of (role, run index, full prompt), which the backend declares with
+``PURE_REPLIES``, so the orchestrator may reuse a whole agent stage.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Protocol
 from .embeddings import DEFAULT_DIM, DeterministicEmbedder, EmbeddingVector, number_vector
 from .errors import (STR_OR_NULL, TEXT, ConfigurationError, DimensionMismatchError,
                      TransportError, list_rule, read_json_file, table_rule)
-from .memo import Memo, hash_in_pieces, text_key
+from .memo import Memo, hash_in_pieces
 
 if TYPE_CHECKING:
     import http.client
@@ -70,8 +70,12 @@ class Backend(Protocol):
 
     Both backends here embed each distinct text once per instance (one
     instance serves one experiment) and return the same vector object for
-    every later request of that text.
+    every later request of that text. ``PURE_REPLIES`` is true when a reply
+    is a function of (role, run index, request) alone; a backend that does
+    not declare it is asked on every turn.
     """
+
+    PURE_REPLIES: bool
 
     def generate(self, request: GenerationRequest, *, role: str | None = None,
                  run_index: int = 0) -> str: ...
@@ -130,12 +134,13 @@ def load_script(path: str | Path) -> list[ScriptEntry]:
 class ScriptedBackend:
     """Deterministic test double: script replay plus a seeded fallback generator.
 
-    Read-only after construction; safe to call from concurrent runs. Every
-    request enters ``generate``, which works out the reply to each distinct
-    (role, run index, full prompt) once for the life of the backend. With
+    Read-only after construction; safe to call from concurrent runs. A reply
+    is a function of (role, run index, full prompt). With
     ``fallback_seed=None`` a script miss raises ConfigurationError, on every
-    call, since failures are never cached.
+    call.
     """
+
+    PURE_REPLIES = True
 
     def __init__(self, script: list[ScriptEntry] | None = None,
                  fallback_seed: int | None = 42, dim: int = DEFAULT_DIM):
@@ -143,7 +148,6 @@ class ScriptedBackend:
         self.fallback_seed = fallback_seed
         self._embedder = DeterministicEmbedder(dim)
         self._embeddings = Memo()
-        self._replies = Memo()
 
     @property
     def dim(self) -> int:
@@ -152,11 +156,6 @@ class ScriptedBackend:
     def generate(self, request: GenerationRequest, *, role: str | None = None,
                  run_index: int = 0) -> str:
         full = request.full_prompt
-        # repr tells the role None from the role "None"
-        return self._replies.get(text_key(repr(role), str(run_index), full),
-                                 lambda: self._reply(role, run_index, full))
-
-    def _reply(self, role: str | None, run_index: int, full: str) -> str:
         fp = prompt_fingerprint(role, full)
         for entry in self.script:
             if entry.matches(role, run_index, fp, full):
@@ -397,7 +396,10 @@ class LiveBackend:
     meaningless. Embeddings are requested once per distinct text, which
     assumes the endpoint returns the same vector for the same input;
     failures are never cached. ``close`` closes every connection opened.
+    A live model's replies are samples, so every run asks again.
     """
+
+    PURE_REPLIES = False
 
     def __init__(self, api_base: str, api_key: str = "", *,
                  chat_model: str = "gpt-3.5-turbo",

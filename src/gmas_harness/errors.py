@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, TypeVar
 
@@ -71,6 +72,8 @@ def check(value, rule: tuple, name: str) -> None:
     what, types, allowed = rule
     kind = type(allowed)
     if (type(value) not in types or (kind is Range or kind is tuple) and value not in allowed
+            # a number rule's value is read as a float, so an integer must fit one
+            or float in types and type(value) is int and abs(value) > sys.float_info.max
             or kind is re.Pattern and not allowed.fullmatch(value)
             or kind is list and len(value) != len(allowed)):
         detail = f" in {allowed}" if kind is Range or kind is tuple else ""

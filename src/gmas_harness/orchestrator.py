@@ -10,6 +10,12 @@ share no mutable state, and the grid runner may execute distinct cells
 concurrently. ``run_cell`` persists each record and returns only its
 status, so a grid holds the records of the cells in flight, not of the
 whole grid. Its runs' timings go to one sidecar per cell.
+
+A refinement re-runs the routed role and, under a backend whose replies are
+a pure function of the request, recomputes a later stage only when its input
+changed: each stage is computed once per distinct input for the whole
+experiment, so the persona sets that share a role's persona share its turns.
+A live backend is asked on every run.
 """
 
 from __future__ import annotations
@@ -65,6 +71,11 @@ class RunConfig:
     max_tokens: int = 1024
     external_linter_cmd: str | None = None
     external_sandbox_cmd: str | None = None
+
+    @property
+    def hooked(self) -> bool:
+        """Whether an external hook runs on every Analyzer turn."""
+        return bool(self.external_linter_cmd or self.external_sandbox_cmd)
 
 
 DEFAULT_BINDINGS = {
@@ -337,10 +348,11 @@ def route_refinement(report: AnalyzerReport, alignment_ok: bool) -> AgentRole:
 class ExperimentEnv:
     """Constructed dependencies shared by every run of one experiment.
 
-    The fields are fixed once runs start: the Analyzer's verdict on a
-    (plan, code) pair, and a question's conflict rate, are computed once for
-    the life of the env, which is one experiment. ``dataclasses.replace``
-    gives an env with neither cached.
+    The fields are fixed once runs start: a stage's results under a pure
+    backend (see ``execute_run``), the Analyzer's verdict on a (plan, code)
+    pair, and a question's conflict rate, are computed once for the life of
+    the env, which is one experiment. ``dataclasses.replace`` gives an env
+    with none of them cached.
     """
 
     config: RunConfig
@@ -351,6 +363,7 @@ class ExperimentEnv:
     policy_rules: PolicyRuleSet
     experiment_id: str = "exp-local"
     severity_weights: dict = field(default_factory=lambda: dict(DEFAULT_SEVERITY_WEIGHTS))
+    _stages: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
     _verdicts: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
     _conflict_rates: Memo = field(default_factory=Memo, init=False, repr=False,
                                   compare=False)
@@ -384,11 +397,12 @@ def _failure_reason(report: AnalyzerReport, alignment_ok: bool, hard_ok: bool,
 class _Verdict:
     """What the Analyzer finds from a plan text and a code text alone. One
     verdict serves every run of the experiment that analyzes the same pair,
-    so neither it nor its ``kpi`` dict is ever mutated."""
+    so neither it nor its ``kpi`` dict or report is ever mutated."""
 
     static: tuple[Finding, ...]    # built-in static findings, sorted
     findings: tuple[Finding, ...]  # policy, formal, then the plan's findings
     kpi: dict | None
+    report: AnalyzerReport         # the whole report when no hook is configured
 
 
 _RUNTIME_SKIPPED = Finding(Dimension.RUNTIME, "runtime_skipped", Severity.INFO,
@@ -410,20 +424,25 @@ def _verdict(plan_text: str, code_text: str, env: ExperimentEnv) -> _Verdict:
         findings.extend(kpi_report.findings)
         findings.extend(threshold_findings)
         kpi_dict = kpi_report.to_dict()
-    return _Verdict(tuple(run_static_checks(tree)), tuple(findings), kpi_dict)
+    static = run_static_checks(tree)
+    return _Verdict(tuple(static), tuple(findings), kpi_dict,
+                    build_report(static + findings + [_RUNTIME_SKIPPED], env.severity_weights))
 
 
 def _analyze(plan: AllocationPlan, code: CodeArtifact,
              env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None]:
     """The Analyzer's report on a plan and its code, and the plan's KPI dict.
 
-    The built-in findings come from the experiment's verdict on the pair.
-    The external linter and sandbox hooks run on every call, so a transient
-    hook failure is never replayed into another run.
+    The built-in findings come from the experiment's verdict on the pair,
+    and so does the whole report when no hook is configured. The external
+    linter and sandbox hooks run on every call, so a transient hook failure
+    is never replayed into another run.
     """
     cfg = env.config
     verdict = env._verdicts.get(text_key(plan.pseudo_code, code.code),
                                 lambda: _verdict(plan.pseudo_code, code.code, env))
+    if not cfg.hooked:
+        return verdict.report, verdict.kpi
     findings = merge_external_lint(verdict.static, code.code, cfg.external_linter_cmd)
     findings.extend(verdict.findings)
     if cfg.external_sandbox_cmd:
@@ -442,13 +461,25 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
     ``memory`` holds each role's entries from the earlier runs of the cell;
     a role without entries has an empty digest.
 
-    A refinement re-runs the routed role and every later stage. Backend
-    hard failures are recorded as status=failed, not raised past the run
-    boundary; exhausting the refinement budget keeps the last analyzer
+    A refinement re-runs the routed role. Under a backend that declares
+    ``PURE_REPLIES``, it recomputes a later stage only when its input
+    changed: each distinct stage key is computed once for the life of the
+    env, and every later run with that key shares the results. The key is
+    the role, persona, question, run index, the role's memory digest and
+    feedback, and the upstream value: none for the Planner, the proposed
+    paths for the Coordinator, the selected path for the Allocator, the plan
+    text for the Coder and the (plan, code) texts for the Analyzer. With a
+    linter or sandbox hook configured no Analyzer turn is reused, since hooks
+    run on every turn. Any other backend, such as a live one, is asked on
+    every turn.
+
+    Backend hard failures are recorded as status=failed, not raised past the
+    run boundary; exhausting the refinement budget keeps the last analyzer
     report and records status=budget_exhausted.
     """
     cfg = env.config
     backend = env.backend
+    reuse = getattr(backend, "PURE_REPLIES", False)
     personas = {role: env.registry.get(persona_set.persona_id(role), role)
                 for role in PIPELINE_ORDER}
     bundles = {role: env.stores.retrieve(role, question.text, cfg.top_k,
@@ -459,13 +490,9 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
     feedback: dict[AgentRole, list[str]] = {role: [] for role in PIPELINE_ORDER}
     trajectories: dict[AgentRole, Trajectory] = {}
     events: list[RefinementEvent] = []
-
-    paths: list[SolutionPath] = []
-    selected: SolutionPath | None = None
-    plan: AllocationPlan | None = None
-    code: CodeArtifact | None = None
-    report: AnalyzerReport | None = None
-    kpi_dict: dict | None = None
+    # each stage's latest results: the paths tuple, the selected path, the
+    # plan, the code and the Analyzer's (report, kpi dict)
+    results: dict[AgentRole, object] = {}
 
     def turn(role: AgentRole, task: str, output: str | None = None) -> tuple[str, str]:
         """(prompt, output) of one agent turn; the backend writes the output unless given."""
@@ -476,9 +503,8 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
                           cfg.max_tokens, cfg.seed)
         return system + "\n" + user, output
 
-    def step(role: AgentRole) -> None:
-        """One pipeline stage: the role's work, then its trajectory."""
-        nonlocal paths, selected, plan, code, report, kpi_dict
+    def compute(role: AgentRole) -> tuple[object, Trajectory]:
+        """One pipeline stage: the role's results, then its trajectory."""
         aux: list[tuple[str, str]] = []
         output_embedding = None
         if role is AgentRole.PLANNER:
@@ -486,29 +512,33 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
                 question, personas[role], bundles[role], cfg.tot_path_count, backend,
                 run_index, digests[role], tuple(feedback[role]),
                 temperature=cfg.temperature, max_tokens=cfg.max_tokens, seed=cfg.seed)
+            result = tuple(paths)
             summary = (f"proposed {len(paths)} paths; "
                        f"best self-eval {max(p.self_eval for p in paths):.2f}")
         elif role is AgentRole.COORDINATOR:
-            selected = select_path(paths)
+            paths = results[AgentRole.PLANNER]
+            result = selected = select_path(paths)
             prompt, output = turn(role, coordinator_task(paths),
                                   f"selected path {selected.path_id} "
                                   f"(self-eval {selected.self_eval:.2f})\n"
                                   + selected.steps_text())
             summary = f"selected path {selected.path_id} of {len(paths)} by argmax self-eval"
         elif role is AgentRole.ALLOCATOR:
-            prompt, output = turn(role, allocator_task(selected, env.network))
-            plan = AllocationPlan(pseudo_code=output, plan_embedding=backend.embed(output))
-            output_embedding = plan.plan_embedding
+            prompt, output = turn(role, allocator_task(results[AgentRole.COORDINATOR],
+                                                       env.network))
+            result = AllocationPlan(pseudo_code=output, plan_embedding=backend.embed(output))
+            output_embedding = result.plan_embedding
             n_statements = sum(1 for ln in output.splitlines()
                                if ln.strip() and not ln.strip().startswith("#"))
             summary = f"emitted plan with {n_statements} statements"
         elif role is AgentRole.CODER:
-            prompt, output = turn(role, coder_task(plan.pseudo_code))
-            code = CodeArtifact(code=output, code_embedding=backend.embed(output))
-            output_embedding = code.code_embedding
+            prompt, output = turn(role, coder_task(results[AgentRole.ALLOCATOR].pseudo_code))
+            result = CodeArtifact(code=output, code_embedding=backend.embed(output))
+            output_embedding = result.code_embedding
             summary = f"translated plan into {len(output.splitlines())} code lines"
         else:
-            report, kpi_dict = _analyze(plan, code, env)
+            plan, code = results[AgentRole.ALLOCATOR], results[AgentRole.CODER]
+            result = report, _ = _analyze(plan, code, env)
             failed = ", ".join(d.value for d in report.failed_dimensions()) or "none"
             lines = [f"penalty {report.penalty_score:g}; failed dimensions: {failed}"]
             lines += [f"[{f.severity.value}] {f.dimension.value}/{f.rule_id}: {f.message}"
@@ -520,12 +550,32 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
         prompt_embedding = backend.embed(prompt)
         if output_embedding is None:
             output_embedding = backend.embed(output)
-        trajectories[role] = Trajectory(
+        return result, Trajectory(
             role=role, prompt=prompt, prompt_embedding=prompt_embedding,
             output=output, output_embedding=output_embedding,
             thought_summary=summary, refinement_reasons=tuple(feedback[role]),
             context_items=bundles[role].items,
             context_centroid=bundles[role].bundle_embedding, aux_exchanges=tuple(aux))
+
+    def upstream(role: AgentRole):
+        """What the stage reads of the earlier stages' results."""
+        if role is AgentRole.PLANNER:
+            return None
+        if role is AgentRole.COORDINATOR:
+            return results[AgentRole.PLANNER]
+        if role is AgentRole.ALLOCATOR:
+            return results[AgentRole.COORDINATOR]
+        if role is AgentRole.CODER:
+            return results[AgentRole.ALLOCATOR].pseudo_code
+        return results[AgentRole.ALLOCATOR].pseudo_code, results[AgentRole.CODER].code
+
+    def step(role: AgentRole) -> None:
+        if reuse and not (cfg.hooked and role is AgentRole.ANALYZER):
+            key = (role, personas[role], question, run_index, digests[role],
+                   tuple(feedback[role]), upstream(role))
+            results[role], trajectories[role] = env._stages.get(key, lambda: compute(role))
+        else:
+            results[role], trajectories[role] = compute(role)
 
     status = RunStatus.COMPLETED
     start = AgentRole.PLANNER
@@ -533,7 +583,10 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
         while True:
             for role in PIPELINE_ORDER[PIPELINE_ORDER.index(start):]:
                 step(role)
-            verdict = check_alignment(paths, selected, plan,
+            report = results[AgentRole.ANALYZER][0]
+            verdict = check_alignment(results[AgentRole.PLANNER],
+                                      results[AgentRole.COORDINATOR],
+                                      results[AgentRole.ALLOCATOR],
                                       cfg.thresholds.alignment, backend)
             if verdict.ok and not report.failed_dimensions():
                 break
@@ -553,6 +606,11 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
             trajectories.setdefault(role, _stub_trajectory(
                 role, backend, f"not executed: run failed ({exc})"))
 
+    paths = results.get(AgentRole.PLANNER, ())
+    selected = results.get(AgentRole.COORDINATOR)
+    plan = results.get(AgentRole.ALLOCATOR)
+    code = results.get(AgentRole.CODER)
+    report, kpi_dict = results.get(AgentRole.ANALYZER, (None, None))
     metrics = None
     if status is not RunStatus.FAILED:
         # the bundles and threshold are the experiment's for this question
@@ -578,7 +636,7 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
         run_index=run_index,
         status=status,
         trajectories=trajectories,
-        proposed_paths=tuple(paths),
+        proposed_paths=paths,
         selected_path_id=selected.path_id if selected else None,
         plan_text=plan.pseudo_code if plan else "",
         code_text=code.code if code else "",

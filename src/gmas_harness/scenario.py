@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -262,6 +263,10 @@ def generate_questions(count: int, topic_mix: dict[Topic, float] | None = None,
     mode: one request at temperature 0.5 with ``max_tokens``."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    for topic, weight in (topic_mix or {}).items():
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"the weight of topic {Topic(topic).value} must be a finite "
+                             f"number >= 0, got {weight!r}")
     if mode == "template":
         return _template_questions(count, topic_mix, seed)
     if mode == "llm":

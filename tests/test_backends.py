@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import gc
 import hashlib
 import json
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmas_harness import backends
 from gmas_harness.backends import (GenerationRequest, LiveBackend, PLAN_MARKER,
                                    PROPOSE_MARKER, SELF_EVAL_MARKER, ScriptEntry,
                                    ScriptedBackend, TokenBucket, load_script,
@@ -108,8 +108,9 @@ def test_script_miss_without_fallback_raises_on_every_call():
             backend.generate(_request(), role=None, run_index=1)
 
 
-def _grid_requests(make_env, registry, monkeypatch, tmp_path, script=None):
-    """Every (request, role, run index, reply) of a small refining grid."""
+def _grid_requests(make_env, registry, monkeypatch, tmp_path, script=None, pure=True):
+    """Every (request, role, run index, reply) of a small refining grid; a
+    backend whose replies are not declared pure reuses no stage."""
     seen = []
     generate = ScriptedBackend.generate
 
@@ -120,6 +121,7 @@ def _grid_requests(make_env, registry, monkeypatch, tmp_path, script=None):
 
     monkeypatch.setattr(ScriptedBackend, "generate", logging_generate)
     backend = ScriptedBackend(script=script, fallback_seed=42, dim=TEST_DIM)
+    backend.PURE_REPLIES = pure
     config = RunConfig(thresholds=Thresholds(alignment=0.55))
     run_grid(generate_questions(2, seed=7), enumerate_grid(registry)[:3], 2,
              make_env(backend=backend, config=config), tmp_path)
@@ -140,20 +142,20 @@ def test_scripted_replies_equal_a_fresh_backends(make_env, registry, monkeypatch
         assert fresh.generate(request, role=role, run_index=run_index) == reply
 
 
-def test_fallback_runs_once_per_distinct_request(make_env, registry, monkeypatch,
-                                                 tmp_path):
-    calls = []
-    fallback = backends._fallback_response
-
-    def counting(seed, role, fp, run_index, full_prompt):
-        calls.append((role, run_index, full_prompt))
-        return fallback(seed, role, fp, run_index, full_prompt)
-
-    monkeypatch.setattr(backends, "_fallback_response", counting)
+def test_a_grid_sends_each_distinct_stage_request_once(make_env, registry, monkeypatch,
+                                                       tmp_path):
+    # a proposal or a code request holds the whole input of its stage, so a
+    # request sent twice is a stage computed twice
     seen = _grid_requests(make_env, registry, monkeypatch, tmp_path)
-    distinct = {(role, run_index, request.full_prompt) for request, role, run_index, _ in seen}
-    assert len(distinct) < len(seen)
-    assert sorted(calls) == sorted(distinct)
+    stage_requests = collections.Counter(
+        (role, run_index, request.full_prompt) for request, role, run_index, _ in seen
+        if role == "Coder" or PROPOSE_MARKER in request.user_prompt)
+    assert set(stage_requests.values()) == {1}
+    # where each run asks again, the grid repeats requests
+    asked = _grid_requests(make_env, registry, monkeypatch, tmp_path / "asked", pure=False)
+    assert len({(role, run_index, request.full_prompt)
+                for request, role, run_index, _ in asked}) < len(asked)
+    assert len(seen) < len(asked)
 
 
 def test_script_entries_match_in_order_first_wins():

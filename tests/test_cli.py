@@ -13,8 +13,9 @@ import gmas_harness
 from gmas_harness import cli, config as config_module
 from gmas_harness.backends import (GenerationRequest, LiveBackend, SELF_EVAL_MARKER,
                                    ScriptedBackend)
+from gmas_harness.artifacts import iter_run_files, load_run
 from gmas_harness.cli import cli_dispatch
-from gmas_harness.scenario import PersonaRegistry
+from gmas_harness.scenario import PIPELINE_ORDER, AgentRole, PersonaRegistry
 from stub_server import StubOpenAIServer
 
 SET_ALL_DEFAULT = ("Planner=Default+Coordinator=Default+Allocator=Default+"
@@ -83,6 +84,15 @@ def test_gen_questions_llm_mode_asks_with_the_configs_max_tokens(tmp_path, monke
 
 def test_gen_questions_bad_count_exits_1(capsys):
     assert cli_dispatch(["gen-questions", "--count", "0"]) == 1
+
+
+@pytest.mark.parametrize("weight", ["-1", "nan", "inf"])
+def test_gen_questions_refuses_a_bad_topic_weight_naming_the_topic(capsys, weight):
+    assert cli_dispatch(["gen-questions", "--count", "3", "--seed", "1",
+                         "--topics", f"slicing={weight}", "energy=2"]) == 1
+    captured = capsys.readouterr()
+    assert "the weight of topic slicing must be a finite number >= 0" in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_flag_prints_usage_and_exits_1(capsys):
@@ -265,6 +275,26 @@ def test_live_grid_batching_writes_the_same_tree(live_workspace, monkeypatch):
     monkeypatch.setattr(config_module, "LiveBackend", _OneRequestAtATime)
     assert _live_grid(workspace, workspace / "one-at-a-time") == 0
     _assert_same_run_tree(workspace / "batched", workspace / "one-at-a-time")
+
+
+def test_live_grid_asks_on_every_run_where_sets_share_a_planner(live_workspace):
+    workspace, server = live_workspace
+    assert _live_grid(workspace, workspace / "live") == 0
+    records = [load_run(path) for path in iter_run_files(workspace / "live")]
+    set_ids = {record.persona_set_id for record in records}
+    assert len(records) == 8 and len(set_ids) == 2
+    assert len({set_id.split("+")[0] for set_id in set_ids}) == 1
+    # a pass from role r asks for each stage from r on: the Planner proposes
+    # and rates its three paths, the Allocator and the Coder write once
+    asks = {AgentRole.PLANNER: 4, AgentRole.ALLOCATOR: 1, AgentRole.CODER: 1}
+    expected = 0
+    for record in records:
+        assert len(record.trajectory(AgentRole.PLANNER).aux_exchanges) == 3
+        for start in [AgentRole.PLANNER] + [e.routed_role for e in record.refinement_events]:
+            expected += sum(asks.get(role, 0)
+                            for role in PIPELINE_ORDER[PIPELINE_ORDER.index(start):])
+    chats = [r for r in server.requests if r["path"].endswith("/chat/completions")]
+    assert len(chats) == expected
 
 
 def test_run_single_cell(workspace, capsys):
@@ -584,6 +614,11 @@ _MALFORMED = {
         {**network["slices"][0], "demand_mbps": "4"}]}, "slices[0].demand_mbps must be"),
     "demand true": ("network.json", lambda network: {**network, "slices": [
         {**network["slices"][0], "demand_mbps": True}]}, "slices[0].demand_mbps must be"),
+    "demand beyond float range": ("network.json", lambda network: {**network, "slices": [
+        {**network["slices"][0], "demand_mbps": 10 ** 400}]}, "slices[0].demand_mbps must be"),
+    "backoff beyond float range": ("experiment.json", lambda config: {
+        **config, "backend": {**config["backend"], "backoff_s": 10 ** 400}},
+        "backend.backoff_s must be"),
     "Infinity capacity": ("network.json", lambda network: {**network, "cells": [
         {"cell_id": "c1", "capacity_prb": math.inf}]}, "cells[0].capacity_prb must be"),
     "fractional capacity": ("network.json", lambda network: {**network, "cells": [

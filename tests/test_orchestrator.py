@@ -18,14 +18,15 @@ from gmas_harness.backends import (PROPOSE_MARKER, SELF_EVAL_MARKER, ScriptEntry
 from gmas_harness.embeddings import DeterministicEmbedder
 from gmas_harness.errors import PlanSyntaxError, TransportError
 from gmas_harness.knowledge import SourceTag, build_graph, index_documents
+from gmas_harness.memo import Memo
 from gmas_harness.orchestrator import (MemoryEntry, RunConfig, StoreSet, Thresholds,
                                        execute_run, memory_digest, parse_path_blocks,
                                        parse_self_eval, propose_paths,
                                        route_refinement, run_cell, run_grid,
                                        select_path)
 from gmas_harness.records import RunStatus, SolutionPath
-from gmas_harness.ricsim import (check_thresholds, execute_plan, parse_plan,
-                                 plan_findings_for_syntax_error)
+from gmas_harness.ricsim import (Cell, SimulatedNetwork, Slice, check_thresholds,
+                                 execute_plan, parse_plan, plan_findings_for_syntax_error)
 from gmas_harness.safety import overhead_from_events
 from gmas_harness.scenario import (AgentRole, PIPELINE_ORDER, enumerate_grid,
                                    generate_questions)
@@ -315,19 +316,25 @@ def _reasons_by_role(record):
             for role in PIPELINE_ORDER}
 
 
-def test_alignment_failure_reruns_from_the_planner(make_env, registry, questions):
+# three passes, each one propose and three self-evals; the same path is
+# selected each time, so under pure replies one plan and one code serve all
+@pytest.mark.parametrize("pure, generated", [
+    (False, {"Planner": 12, "Allocator": 3, "Coder": 3}),
+    (True, {"Planner": 12, "Allocator": 1, "Coder": 1})], ids=["asked", "reused"])
+def test_alignment_failure_reruns_from_the_planner(make_env, registry, questions,
+                                                   pure, generated):
     text = ("PATH 1:\n- step alpha\nRATIONALE: a\n"
             "PATH 2:\n- step beta\nRATIONALE: b\n"
             "PATH 3:\n- step gamma\nRATIONALE: c\n")
     backend = _CountingBackend(_planner_script(text, []))
+    backend.PURE_REPLIES = pure
     # no cosine reaches 1.01, so every pass fails alignment
     env = make_env(backend=backend, config=RunConfig(
         max_refinement_depth=2, thresholds=Thresholds(alignment=1.01)))
     record = execute_run(questions[0], _first_set(registry), 1, env, {})
     assert record.status is RunStatus.BUDGET_EXHAUSTED
     assert [e.routed_role for e in record.refinement_events] == [AgentRole.PLANNER] * 2
-    # three passes, each one propose and three self-evals, then a plan and code
-    assert backend.generated == {"Planner": 12, "Allocator": 3, "Coder": 3}
+    assert backend.generated == generated
     assert _reasons_by_role(record) == {"Planner": 2, "Coordinator": 0,
                                         "Allocator": 0, "Coder": 0, "Analyzer": 0}
     assert all(r.startswith("alignment:")
@@ -621,6 +628,104 @@ def test_grid_analyzes_once_per_distinct_plan_and_code(make_env, registry, monke
     memo = _run_files(tmp_path / "memo")
     assert len(memo) == len(sets) * len(questions) * 2
     assert memo == _run_files(tmp_path / "fresh")
+
+
+# with a congested cell and a prb cap of 32, REFINING takes all three routes
+CONGESTED = SimulatedNetwork(
+    cells=(Cell("c1", 11), Cell("c2", 40)),
+    slices=(Slice("s1", "c1", 4.0), Slice("s2", "c1", 4.0), Slice("s3", "c1", 0.5),
+            Slice("s4", "c2", 20.0)))
+
+
+def _routing_env(make_env, policy_rules, pure=True, **config):
+    """REFINING, with ``config`` changes, on CONGESTED under a prb cap of 32;
+    a backend whose replies are not declared pure reuses no stage."""
+    backend = ScriptedBackend(fallback_seed=42, dim=TEST_DIM)
+    backend.PURE_REPLIES = pure
+    return dataclasses.replace(
+        make_env(backend=backend, config=dataclasses.replace(REFINING, **config),
+                 rules=dataclasses.replace(policy_rules, resource_caps=(("prb", 32),))),
+        network=CONGESTED)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_stage_reuse_writes_the_tree_of_a_fresh_env_per_run(make_env, registry,
+                                                            policy_rules, tmp_path, workers):
+    questions = generate_questions(3, seed=7)
+    sets = enumerate_grid(registry)[:8]
+    env = _routing_env(make_env, policy_rules)
+    run_grid(questions, sets, 2, env, workers=workers, out_root=tmp_path / "reused")
+    reused = _run_files(tmp_path / "reused")
+    assert len(reused) == len(sets) * len(questions) * 2
+    routes = {event.routed_role for path in iter_run_files(tmp_path / "reused")
+              for event in load_run(path).refinement_events}
+    assert routes == {AgentRole.PLANNER, AgentRole.ALLOCATOR, AgentRole.CODER}
+
+    # the same grid with no stage reused across runs: a fresh env per run
+    for ps in sets:
+        for q in questions:
+            memory = {}
+            for run_index in (1, 2):
+                record = execute_run(q, ps, run_index, dataclasses.replace(env), memory)
+                _remember(memory, record)
+                persist_run(record, tmp_path / "fresh")
+    assert reused == _run_files(tmp_path / "fresh")
+
+    # and with none reused at all
+    run_grid(questions, sets, 2, _routing_env(make_env, policy_rules, pure=False),
+             workers=workers, out_root=tmp_path / "asked")
+    assert reused == _run_files(tmp_path / "asked")
+    assert (tmp_path / "reused" / "memory.json").read_bytes() == \
+        (tmp_path / "asked" / "memory.json").read_bytes()
+
+
+def test_stage_reuse_tells_runs_apart_by_index_when_their_digests_agree(
+        make_env, registry, policy_rules, tmp_path):
+    trees = {}
+    for pure in (True, False):
+        # with no memory budget every digest but the first run's reads "..."
+        env = _routing_env(make_env, policy_rules, pure, memory_budget_chars=0)
+        run_grid(generate_questions(1, seed=7), enumerate_grid(registry)[:2], 3, env,
+                 out_root=tmp_path / str(pure))
+        trees[pure] = _run_files(tmp_path / str(pure))
+    assert len(trees[True]) == 2 * 3
+    assert trees[True] == trees[False]
+
+
+class _RecordingMemo(Memo):
+    """A memo that notes each key looked up and each key computed."""
+
+    def __init__(self):
+        super().__init__()
+        self.looked_up, self.computed = [], []
+
+    def get(self, key, compute):
+        self.looked_up.append(key)
+        return super().get(key, lambda: self.computed.append(key) or compute())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_computes_each_stage_once_per_distinct_key(make_env, registry, policy_rules,
+                                                        tmp_path, workers):
+    env = _routing_env(make_env, policy_rules)
+    env._stages = memo = _RecordingMemo()
+    run_grid(generate_questions(3, seed=7), enumerate_grid(registry)[:4], 2, env,
+             workers=workers, out_root=tmp_path)
+    assert sorted(collections.Counter(memo.computed).values()) == \
+        [1] * len(set(memo.looked_up))
+    assert len(memo.computed) < len(memo.looked_up)
+    assert {key[0] for key in memo.computed} == set(PIPELINE_ORDER)
+
+
+def test_no_analyzer_turn_is_reused_while_a_hook_is_configured(make_env, registry,
+                                                              policy_rules, tmp_path):
+    linter = tmp_path / "linter.sh"
+    linter.write_text("echo '[]'\n")
+    env = _routing_env(make_env, policy_rules, external_linter_cmd=f"sh {linter} {{file}}")
+    env._stages = memo = _RecordingMemo()
+    run_grid(generate_questions(1, seed=7), enumerate_grid(registry)[:2], 2, env,
+             out_root=tmp_path)
+    assert {key[0] for key in memo.looked_up} == set(PIPELINE_ORDER) - {AgentRole.ANALYZER}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

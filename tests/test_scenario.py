@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 
@@ -158,6 +159,14 @@ def test_question_count_precondition():
 def test_topic_mix_restricts_topics():
     qs = generate_questions(6, topic_mix={Topic.ENERGY: 1.0}, seed=3)
     assert all(q.topic is Topic.ENERGY for q in qs)
+
+
+@pytest.mark.parametrize("mode", ["template", "llm"])
+@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+def test_a_negative_or_non_finite_topic_weight_is_refused(weight, mode):
+    with pytest.raises(ValueError, match="the weight of topic slicing must be"):
+        generate_questions(3, topic_mix={Topic.SLICING: weight, Topic.ENERGY: 2.0},
+                           mode=mode, seed=1, backend=ScriptedBackend(dim=16))
 
 
 def test_template_exhaustion_is_an_error():

@@ -78,7 +78,7 @@ def _outside(types, allowed):
         if math.isfinite(allowed.hi):
             yield step(allowed.hi, math.inf)
         if float in types:
-            yield from (math.nan, math.inf)
+            yield from (math.nan, math.inf, 10 ** 400)  # no float holds 10 ** 400
     elif type(allowed) is re.Pattern:
         refused = [s for s in ("", ".", "..", "a/b", "a b") if not allowed.fullmatch(s)]
         assert refused, allowed
