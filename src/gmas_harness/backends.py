@@ -30,8 +30,8 @@ from .errors import (STR_OR_NULL, TEXT, ConfigurationError, DimensionMismatchErr
 from .memo import Memo, hash_in_pieces
 
 if TYPE_CHECKING:
-    import http.client
     import socket
+    import ssl
 
 logger = logging.getLogger(__name__)
 
@@ -369,25 +369,202 @@ class TokenBucket:
             time.sleep(wait)
 
 
-def _peer_closed(sock: socket.socket) -> bool:
-    """True when an idle kept-alive socket is readable.
+_CHAT_PATH = "/v1/chat/completions"
+_EMBEDDINGS_PATH = "/v1/embeddings"
+# a space, a control or a non-ASCII character, none of which a request
+# line can carry as it is
+_UNSENDABLE = re.compile(r"[^\x21-\x7e]")
+_MAX_LINE = 65536    # bytes in one status, header, chunk-size or trailer line
+_MAX_FIELDS = 100    # header lines of one reply, or trailer lines of one body
+_HEX = re.compile(rb"[0-9A-Fa-f]{1,16}")
+
+
+class _Connection:
+    """One HTTP/1.1 keep-alive connection: a socket and its read buffer.
+
+    ``send`` writes a whole request in one ``sendall``, opening the socket
+    first when it is closed; ``receive`` reads one reply and returns
+    (status, body). 1xx interim replies are skipped, and a body is framed
+    by ``Transfer-Encoding: chunked``, else ``Content-Length``, else the
+    end of the stream. The socket is closed after any failed or half-read
+    exchange and after a reply that does not keep the connection open.
+    Bad framing raises ValueError; a peer that closes mid-reply raises
+    ConnectionError.
+    """
+
+    def __init__(self, address: tuple[str, int], tls: ssl.SSLContext | None,
+                 timeout_s: float):
+        self.address = address
+        self.tls = tls
+        self.timeout_s = timeout_s
+        self.sock: socket.socket | None = None
+        self._buf = b""
+        self._pos = 0  # the first unread byte of _buf
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        self._buf, self._pos = b"", 0
+        if sock is not None:
+            sock.close()
+
+    def send(self, request: bytes) -> None:
+        try:
+            if self.sock is None:
+                self._open()
+            self.sock.sendall(request)
+        except BaseException:
+            self.close()  # a half-sent request leaves the connection unusable
+            raise
+
+    def _open(self) -> None:
+        import socket
+        sock = socket.create_connection(self.address, self.timeout_s)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.tls is not None:
+                sock = self.tls.wrap_socket(sock, server_hostname=self.address[0])
+        except BaseException:
+            sock.close()
+            raise
+        self.sock = sock
+
+    def receive(self) -> tuple[int, bytes]:
+        try:
+            status, body, keep_open = self._reply()
+        except BaseException:
+            self.close()  # a half-read reply leaves the connection unusable
+            raise
+        if keep_open and self._pos == len(self._buf):
+            self._buf, self._pos = b"", 0
+        else:  # the server closes it, or sent more than the reply
+            self.close()
+        return status, body
+
+    def _reply(self) -> tuple[int, bytes, bool]:
+        """(status, body, whether the connection stays open) of one reply."""
+        while True:
+            version, status = self._status_line()
+            fields = self._fields()
+            if status >= 200:
+                break
+        connection = fields.get(b"connection", b"").lower()
+        if version == b"HTTP/1.1":
+            keep_open = b"close" not in connection
+        else:
+            keep_open = b"keep-alive" in connection
+        encoding = fields.get(b"transfer-encoding")
+        length = fields.get(b"content-length")
+        if status in (204, 304):
+            return status, b"", keep_open
+        if encoding is not None:
+            if encoding.rsplit(b",", 1)[-1].strip().lower() == b"chunked":
+                return status, self._chunked(), keep_open
+        elif length is not None:
+            if not length.isdigit():
+                raise ValueError(f"malformed Content-Length {length[:40]!r}")
+            return status, self._exactly(int(length)), keep_open
+        return status, self._to_eof(), False
+
+    def _status_line(self) -> tuple[bytes, int]:
+        line = self._line()
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if (not version.startswith(b"HTTP/1.") or not code.isdigit() or code < b"100"
+                or rest[3:4] not in (b"", b" ")):
+            raise ValueError(f"malformed status line {line[:40]!r}")
+        return version, int(code)
+
+    def _fill(self, at_least: int = 1) -> None:
+        """Read more bytes into the buffer; the peer closing is an error."""
+        data = self.sock.recv(max(65536, at_least))
+        if not data:
+            raise ConnectionError("server closed the connection mid-reply")
+        self._buf = self._buf[self._pos:] + data
+        self._pos = 0
+
+    def _line(self) -> bytes:
+        """The next line of the buffer, without its CRLF or LF."""
+        while True:
+            end = self._buf.find(b"\n", self._pos)
+            if end >= 0 or len(self._buf) - self._pos > _MAX_LINE:
+                break
+            self._fill()
+        if end < 0 or end - self._pos > _MAX_LINE:
+            raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+        line = self._buf[self._pos:end]
+        self._pos = end + 1
+        return line[:-1] if line.endswith(b"\r") else line
+
+    def _fields(self) -> dict[bytes, bytes]:
+        """Header or trailer lines up to the blank line, by lowercase name;
+        repeated names join their values with commas."""
+        fields: dict[bytes, bytes] = {}
+        for _ in range(_MAX_FIELDS + 1):
+            line = self._line()
+            if not line:
+                return fields
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise ValueError(f"malformed header line {line[:40]!r}")
+            name, value = name.strip().lower(), value.strip()
+            fields[name] = fields[name] + b", " + value if name in fields else value
+        raise ValueError(f"more than {_MAX_FIELDS} header lines")
+
+    def _exactly(self, n: int) -> bytes:
+        while len(self._buf) - self._pos < n:
+            self._fill(n - (len(self._buf) - self._pos))
+        body = self._buf[self._pos:self._pos + n]
+        self._pos += n
+        return body
+
+    def _chunked(self) -> bytes:
+        parts = []
+        while True:
+            size = self._line().split(b";", 1)[0].strip()
+            if not _HEX.fullmatch(size):
+                raise ValueError(f"malformed chunk size {size[:40]!r}")
+            n = int(size, 16)
+            if not n:
+                break
+            parts.append(self._exactly(n))
+            if self._line():
+                raise ValueError("chunk data longer than its size")
+        self._fields()  # the trailer, which nothing reads
+        return b"".join(parts)
+
+    def _to_eof(self) -> bytes:
+        parts = [self._buf[self._pos:]]
+        while data := self.sock.recv(65536):
+            parts.append(data)
+        self._buf, self._pos = b"", 0
+        return b"".join(parts)
+
+
+def _peer_closed(conn: _Connection) -> bool:
+    """True when an idle kept-alive connection is readable.
 
     Between requests the server has nothing to say, so a readable socket
     means it closed the connection (or broke the protocol), and the next
-    request on it would fail.
+    request on it would fail. A TLS socket may also hold decrypted bytes
+    that the socket itself no longer shows.
     """
-    import selectors
-    with selectors.DefaultSelector() as selector:
-        selector.register(sock, selectors.EVENT_READ)
-        return bool(selector.select(0))
+    import select
+    try:
+        readable, _, _ = select.select([conn.sock], [], [], 0)
+    except ValueError:  # a descriptor beyond select's FD_SETSIZE
+        poller = select.poll()
+        poller.register(conn.sock, select.POLLIN)
+        readable = poller.poll(0)
+    return bool(readable) or (conn.tls is not None and conn.sock.pending() > 0)
 
 
 class LiveBackend:
     """OpenAI-compatible wire protocol: /v1/chat/completions and /v1/embeddings.
 
-    Each worker thread keeps its own ``http.client`` connections to
-    ``api_base`` alive across requests, one per request it has in flight at
-    once, and reopens one when the server has closed it meanwhile.
+    Each worker thread keeps its own HTTP/1.1 connections to ``api_base``
+    alive across requests, one per request it has in flight at once, and
+    reopens one when the server has closed it meanwhile. Each request goes
+    out in one write; proxies and redirects are not supported.
     ``generate_all`` sends all its requests before it reads the first reply.
     Transient failures (connection errors, 429, 5xx, malformed bodies) are
     retried with exponential backoff, only for the requests that failed;
@@ -419,12 +596,31 @@ class LiveBackend:
             raise ConfigurationError(f"api_base {api_base!r}: {exc}") from None
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigurationError(f"api_base {api_base!r} is not an http(s) URL")
-        self._address = (url.hostname, port)
+        if _UNSENDABLE.search(url.path):
+            raise ConfigurationError(f"api_base {api_base!r}: the path holds a space, "
+                                     "a control or a non-ASCII character")
+        try:
+            host = url.hostname.encode("idna").decode("ascii")
+        except UnicodeError as exc:
+            raise ConfigurationError(f"api_base {api_base!r}: {exc}") from None
+        if not (api_key.isascii() and api_key.isprintable()):
+            raise ConfigurationError("api_key holds a control or a non-ASCII character")
+        default_port = 443 if url.scheme == "https" else 80
+        self._address = (url.hostname, port or default_port)
         self._tls = None
         if url.scheme == "https":
             import ssl
             self._tls = ssl.create_default_context()
-        self._path_prefix = url.path
+        if ":" in host:
+            host = f"[{host}]"
+        if port not in (None, default_port):
+            host += f":{port}"
+        auth = f"Authorization: Bearer {api_key}\r\n" if api_key else ""
+        # each request's bytes up to the Content-Length value
+        self._heads = {path: (f"POST {url.path}{path} HTTP/1.1\r\nHost: {host}\r\n"
+                              f"Content-Type: application/json\r\n{auth}"
+                              "Content-Length: ").encode("ascii")
+                       for path in (_CHAT_PATH, _EMBEDDINGS_PATH)}
         self.api_key = api_key
         self.chat_model = chat_model
         self.embedding_model = embedding_model
@@ -434,7 +630,7 @@ class LiveBackend:
         self.timeout_s = timeout_s
         self._bucket = TokenBucket(rate_limit_per_s)
         self._local = threading.local()
-        self._opened: list[http.client.HTTPConnection] = []
+        self._opened: list[_Connection] = []
         self._opened_lock = threading.Lock()
         self._embeddings = Memo()
 
@@ -448,52 +644,31 @@ class LiveBackend:
             for conn in self._opened:
                 conn.close()
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
-
-    def _connections(self, n: int) -> list[http.client.HTTPConnection]:
+    def _connections(self, n: int) -> list[_Connection]:
         """The first ``n`` of this thread's connections, adding new ones as needed."""
         conns = getattr(self._local, "conns", None)
         if conns is None:
             conns = self._local.conns = []
         while len(conns) < n:
-            import http.client
-            host, port = self._address
-            if self._tls is None:
-                conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
-            else:
-                conn = http.client.HTTPSConnection(host, port, timeout=self.timeout_s,
-                                                   context=self._tls)
+            conn = _Connection(self._address, self._tls, self.timeout_s)
             with self._opened_lock:
                 self._opened.append(conn)
             conns.append(conn)
         return conns[:n]
 
-    def _send(self, conn: http.client.HTTPConnection, path: str, payload: bytes) -> None:
+    def _send(self, conn: _Connection, path: str, payload: bytes) -> None:
         """POST ``payload`` on ``conn``, reconnecting if the server closed it."""
-        if conn.sock is not None and _peer_closed(conn.sock):
+        if conn.sock is not None and _peer_closed(conn):
             conn.close()  # the request below connects again
-        try:
-            conn.request("POST", self._path_prefix + path, payload, self._headers())
-        except BaseException:
-            conn.close()  # a half-sent request leaves the connection unusable
-            raise
+        conn.send(self._heads[path] + b"%d\r\n\r\n" % len(payload) + payload)
 
-    def _receive(self, conn: http.client.HTTPConnection, url: str, attempt: int) -> dict:
+    def _receive(self, conn: _Connection, url: str, attempt: int) -> dict:
         """The decoded reply to the request sent on ``conn``.
 
         Raises TransportError for a status worth retrying and
         ConfigurationError for any other that is not 200.
         """
-        try:
-            resp = conn.getresponse()
-            status, data = resp.status, resp.read()
-        except BaseException:
-            conn.close()  # a half-read reply leaves the connection unusable
-            raise
+        status, data = conn.receive()
         if status == 200:
             return json.loads(data)
         if status == 429 or status >= 500:
@@ -501,15 +676,15 @@ class LiveBackend:
         text = data.decode("utf-8", errors="replace")
         raise ConfigurationError(f"{url} returned {status}: {text[:200]}")
 
-    def _post_all(self, path: str, bodies: list[dict]) -> list[dict]:
-        """POST each body to ``path``; the decoded replies, in body order.
+    def _post_all(self, path: str, bodies: list[dict]) -> list[tuple[dict, int]]:
+        """POST each body to ``path``; in body order, each decoded reply with
+        the number of times its body was sent.
 
         Each round first sends every pending body on its own connection of
         this thread, then reads the replies in order. Only the bodies that
         failed go into the next round, one backoff later. A 4xx reply
         raises ConfigurationError once the round's other replies are read.
         """
-        import http.client
         url = self.api_base + path
         payloads = [json.dumps(body, allow_nan=False).encode("utf-8") for body in bodies]
         replies: list = [None] * len(payloads)
@@ -521,7 +696,7 @@ class LiveBackend:
                 self._bucket.acquire()
                 try:
                     self._send(conn, path, payloads[i])
-                except (OSError, http.client.HTTPException) as exc:
+                except OSError as exc:
                     last_error = exc
                     failed.append(i)
                 else:
@@ -529,9 +704,8 @@ class LiveBackend:
             rejected: ConfigurationError | None = None
             for n, (conn, i) in enumerate(sent):
                 try:
-                    replies[i] = self._receive(conn, url, attempt)
-                except (OSError, http.client.HTTPException, ValueError,
-                        TransportError) as exc:
+                    replies[i] = self._receive(conn, url, attempt), attempt
+                except (OSError, ValueError, TransportError) as exc:
                     last_error = exc
                     failed.append(i)
                 except ConfigurationError as exc:
@@ -554,7 +728,7 @@ class LiveBackend:
         raise TransportError(f"{url} failed after {self.retries} attempts: {last_error}",
                              attempts=self.retries)
 
-    def _post(self, path: str, body: dict) -> dict:
+    def _post(self, path: str, body: dict) -> tuple[dict, int]:
         return self._post_all(path, [body])[0]
 
     def _chat_body(self, request: GenerationRequest) -> dict:
@@ -571,14 +745,15 @@ class LiveBackend:
             body["seed"] = request.seed
         return body
 
-    def _completion(self, data: dict) -> str:
+    @staticmethod
+    def _completion(data: dict, attempts: int) -> str:
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat completion payload: {exc}",
-                                 attempts=self.retries)
+                                 attempts=attempts)
         if not content:
-            raise TransportError("empty completion content", attempts=self.retries)
+            raise TransportError("empty completion content", attempts=attempts)
         return content
 
     def generate(self, request: GenerationRequest, *, role: str | None = None,
@@ -587,25 +762,25 @@ class LiveBackend:
 
     def generate_all(self, requests: list[GenerationRequest], *,
                      role: str | None = None, run_index: int = 0) -> list[str]:
-        replies = self._post_all("/v1/chat/completions",
-                                 [self._chat_body(request) for request in requests])
-        return [self._completion(data) for data in replies]
+        replies = self._post_all(_CHAT_PATH, [self._chat_body(request)
+                                              for request in requests])
+        return [self._completion(data, attempts) for data, attempts in replies]
 
     def embed(self, text: str) -> EmbeddingVector:
         return self._embeddings.get(text, lambda: self._request_embedding(text))
 
     def _request_embedding(self, text: str) -> EmbeddingVector:
-        data = self._post("/v1/embeddings", {"model": self.embedding_model, "input": text})
+        data, attempts = self._post(_EMBEDDINGS_PATH,
+                                    {"model": self.embedding_model, "input": text})
         try:
             values = data["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed embeddings payload: {exc}",
-                                 attempts=self.retries)
+            raise TransportError(f"malformed embeddings payload: {exc}", attempts=attempts)
         vector = number_vector(values)
         if vector is None:
             raise TransportError(f"malformed embeddings payload: {values!r:.60} is not a "
                                  "non-empty list of numbers with a finite norm",
-                                 attempts=self.retries)
+                                 attempts=attempts)
         if vector.dim != self._dim:
             raise DimensionMismatchError(
                 f"endpoint returned dim {vector.dim}, experiment uses {self._dim}")

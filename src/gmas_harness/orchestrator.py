@@ -403,6 +403,7 @@ class _Verdict:
     findings: tuple[Finding, ...]  # policy, formal, then the plan's findings
     kpi: dict | None
     report: AnalyzerReport         # the whole report when no hook is configured
+    text: str                      # the Analyzer turn's output text for ``report``
 
 
 _RUNTIME_SKIPPED = Finding(Dimension.RUNTIME, "runtime_skipped", Severity.INFO,
@@ -425,24 +426,35 @@ def _verdict(plan_text: str, code_text: str, env: ExperimentEnv) -> _Verdict:
         findings.extend(threshold_findings)
         kpi_dict = kpi_report.to_dict()
     static = run_static_checks(tree)
-    return _Verdict(tuple(static), tuple(findings), kpi_dict,
-                    build_report(static + findings + [_RUNTIME_SKIPPED], env.severity_weights))
+    report = build_report(static + findings + [_RUNTIME_SKIPPED], env.severity_weights)
+    return _Verdict(tuple(static), tuple(findings), kpi_dict, report, _report_text(report))
+
+
+def _report_text(report: AnalyzerReport) -> str:
+    """The Analyzer turn's output: the penalty, the failed dimensions and
+    one line per finding."""
+    failed = ", ".join(d.value for d in report.failed_dimensions()) or "none"
+    lines = [f"penalty {report.penalty_score:g}; failed dimensions: {failed}"]
+    lines += [f"[{f.severity.value}] {f.dimension.value}/{f.rule_id}: {f.message}"
+              for f in report.findings]
+    return "\n".join(lines)
 
 
 def _analyze(plan: AllocationPlan, code: CodeArtifact,
-             env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None]:
-    """The Analyzer's report on a plan and its code, and the plan's KPI dict.
+             env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None, str]:
+    """The Analyzer's report on a plan and its code, the plan's KPI dict,
+    and the report's output text.
 
     The built-in findings come from the experiment's verdict on the pair,
-    and so does the whole report when no hook is configured. The external
-    linter and sandbox hooks run on every call, so a transient hook failure
-    is never replayed into another run.
+    and so do the whole report and its text when no hook is configured. The
+    external linter and sandbox hooks run on every call, so a transient
+    hook failure is never replayed into another run.
     """
     cfg = env.config
     verdict = env._verdicts.get(text_key(plan.pseudo_code, code.code),
                                 lambda: _verdict(plan.pseudo_code, code.code, env))
     if not cfg.hooked:
-        return verdict.report, verdict.kpi
+        return verdict.report, verdict.kpi, verdict.text
     findings = merge_external_lint(verdict.static, code.code, cfg.external_linter_cmd)
     findings.extend(verdict.findings)
     if cfg.external_sandbox_cmd:
@@ -450,7 +462,8 @@ def _analyze(plan: AllocationPlan, code: CodeArtifact,
                                           Dimension.RUNTIME, "sandbox_unavailable"))
     else:
         findings.append(_RUNTIME_SKIPPED)
-    return build_report(findings, env.severity_weights), verdict.kpi
+    report = build_report(findings, env.severity_weights)
+    return report, verdict.kpi, _report_text(report)
 
 
 def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
@@ -538,13 +551,9 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
             summary = f"translated plan into {len(output.splitlines())} code lines"
         else:
             plan, code = results[AgentRole.ALLOCATOR], results[AgentRole.CODER]
-            result = report, _ = _analyze(plan, code, env)
-            failed = ", ".join(d.value for d in report.failed_dimensions()) or "none"
-            lines = [f"penalty {report.penalty_score:g}; failed dimensions: {failed}"]
-            lines += [f"[{f.severity.value}] {f.dimension.value}/{f.rule_id}: {f.message}"
-                      for f in report.findings]
-            prompt, output = turn(role, analyzer_task(plan.pseudo_code, code.code),
-                                  "\n".join(lines))
+            report, kpi_dict, text = _analyze(plan, code, env)
+            result = report, kpi_dict
+            prompt, output = turn(role, analyzer_task(plan.pseudo_code, code.code), text)
             summary = (f"report: {len(report.findings)} findings; "
                        f"penalty {report.penalty_score:g}")
         prompt_embedding = backend.embed(prompt)

@@ -113,3 +113,123 @@ class StubOpenAIServer:
     def __exit__(self, *exc):
         self._httpd.shutdown()
         self._httpd.server_close()
+
+
+class RawResponder:
+    """A TCP server on localhost that answers each request with scripted bytes.
+
+    The n-th request it reads, over all connections, is answered with
+    ``replies[n]`` (the last one repeats). A reply is the raw bytes to send,
+    or a pair (bytes, "close") after which the server closes that
+    connection. With ``byte_writes`` each reply goes out one byte per
+    write. ``requests`` holds each request's raw bytes; ``connections``
+    counts the connections accepted.
+    """
+
+    def __init__(self, replies: list, byte_writes: bool = False,
+                 host: str = "127.0.0.1"):
+        self.replies = list(replies)
+        self.byte_writes = byte_writes
+        self.requests: list[bytes] = []
+        self.connections = 0
+        self._lock = threading.Lock()
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.socket(family, socket.SOCK_STREAM)
+        self._listener.bind((host, 0))
+        self._listener.listen()
+        self._address = self._listener.getsockname()[:2]
+        self._threads: list[threading.Thread] = []
+        self._open: list[socket.socket] = []
+        self._accepting = threading.Thread(target=self._accept, daemon=True)
+
+    @property
+    def base_url(self) -> str:
+        host, port = self._address
+        return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # the listener was closed
+                return
+            with self._lock:
+                self.connections += 1
+                self._open.append(conn)
+            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    @staticmethod
+    def _read_request(conn: socket.socket, buf: bytes) -> tuple[bytes, bytes] | None:
+        """(one request, the bytes after it), or None when the client closed."""
+        while b"\r\n\r\n" not in buf:
+            data = conn.recv(65536)
+            if not data:
+                return None
+            buf += data
+        head, _, rest = buf.partition(b"\r\n\r\n")
+        length = 0
+        for line in head.split(b"\r\n")[1:]:
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        while len(rest) < length:
+            data = conn.recv(65536)
+            if not data:
+                return None
+            rest += data
+        return head + b"\r\n\r\n" + rest[:length], rest[length:]
+
+    def _serve(self, conn: socket.socket) -> None:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        buf = b""
+        try:
+            while True:
+                got = self._read_request(conn, buf)
+                if got is None:
+                    return
+                request, buf = got
+                with self._lock:
+                    reply = self.replies[min(len(self.requests), len(self.replies) - 1)]
+                    self.requests.append(request)
+                data, close = reply if isinstance(reply, tuple) else (reply, None)
+                if self.byte_writes:
+                    for i in range(len(data)):
+                        conn.sendall(data[i:i + 1])
+                else:
+                    conn.sendall(data)
+                if close == "close":
+                    return
+        except OSError:
+            return
+        finally:
+            conn.close()
+
+    def __enter__(self) -> "RawResponder":
+        self._accepting.start()
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:  # shutdown, unlike close, wakes a blocked accept or recv
+            for sock in [self._listener] + self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        self._accepting.join(timeout=5)
+        self._listener.close()
+        for thread in self._threads:
+            thread.join(timeout=5)
+
+
+def http_reply(body: bytes, status: str = "200 OK", headers: str = "") -> bytes:
+    """An HTTP/1.1 reply with a Content-Length and any extra header lines."""
+    return (f"HTTP/1.1 {status}\r\n{headers}Content-Length: {len(body)}\r\n\r\n"
+            .encode("latin-1") + body)
+
+
+def chat_body(text: str) -> bytes:
+    """The JSON of a chat completion whose content is ``text``."""
+    return json.dumps({"choices": [{"message": {"role": "assistant",
+                                                "content": text}}]}).encode()

@@ -26,7 +26,7 @@ from gmas_harness.orchestrator import RunConfig, Thresholds, run_grid
 from gmas_harness.records import RunStatus
 from gmas_harness.scenario import enumerate_grid, generate_questions
 from conftest import TEST_DIM
-from stub_server import StubOpenAIServer
+from stub_server import RawResponder, StubOpenAIServer, chat_body, http_reply
 
 
 def test_generation_request_validates_prompts_and_temperature():
@@ -547,13 +547,191 @@ def test_live_generate_all_gives_up_with_attempt_count():
         assert len(server.requests) == 6
 
 
-@pytest.mark.parametrize("api_base", ["ftp://127.0.0.1:1", "http://", "http://h:port"])
+@pytest.mark.parametrize("api_base", ["ftp://127.0.0.1:1", "http://", "http://h:port",
+                                      "http://127.0.0.1:1/a b", "http://127.0.0.1:1/a\x01b",
+                                      "http://127.0.0.1:1/\u00e9", "http://a..b:1"])
 def test_live_rejects_an_api_base_that_is_not_an_http_url(api_base):
     with pytest.raises(ConfigurationError):
         LiveBackend(api_base, dim=8)
+
+
+@pytest.mark.parametrize("api_key", ["k\r\nX-Injected: 1", "cl\u00e9"])
+def test_live_rejects_an_api_key_a_header_cannot_carry(api_key):
+    with pytest.raises(ConfigurationError, match="api_key"):
+        LiveBackend("http://127.0.0.1:1", api_key=api_key, dim=8)
 
 
 @pytest.mark.parametrize("retries", [0, -1])
 def test_live_refuses_fewer_than_one_attempt(retries):
     with pytest.raises(ConfigurationError, match="retries"):
         LiveBackend("http://127.0.0.1:1", dim=8, retries=retries)
+
+
+def test_live_bad_reply_shape_counts_only_the_requests_sent():
+    with StubOpenAIServer(completion_text="") as server:
+        backend = LiveBackend(server.base_url, dim=8, retries=3, backoff_s=0.01,
+                              rate_limit_per_s=1000)
+        with pytest.raises(TransportError, match="empty completion content") as exc:
+            backend.generate(_request())
+        assert exc.value.attempts == 1
+        assert len(server.requests) == 1
+    with StubOpenAIServer(dim=8, embedding="not a list", fail_first=1) as server:
+        backend = LiveBackend(server.base_url, dim=8, retries=3, backoff_s=0.01,
+                              rate_limit_per_s=1000)
+        with pytest.raises(TransportError, match="malformed embeddings payload") as exc:
+            backend.embed("text")
+        assert exc.value.attempts == 2
+        assert len(server.requests) == 2
+
+
+# ── the HTTP/1.1 transport against scripted reply bytes ─────────────────────
+
+def _raw_backend(responder, retries=1):
+    return LiveBackend(responder.base_url, api_key="k", dim=8, retries=retries,
+                       backoff_s=0.01, rate_limit_per_s=1000)
+
+
+def test_live_request_is_one_http11_post_with_its_headers():
+    body = chat_body("ok")
+    with RawResponder([http_reply(body)]) as responder:
+        backend = _raw_backend(responder)
+        try:
+            assert backend.generate(_request("hello")) == "ok"
+        finally:
+            backend.close()
+    head, _, payload = responder.requests[0].partition(b"\r\n\r\n")
+    port = responder.base_url.rsplit(":", 1)[1]
+    assert head.split(b"\r\n") == [
+        b"POST /v1/chat/completions HTTP/1.1", b"Host: 127.0.0.1:" + port.encode(),
+        b"Content-Type: application/json", b"Authorization: Bearer k",
+        b"Content-Length: %d" % len(payload)]
+    assert json.loads(payload)["messages"][1]["content"] == "hello"
+
+
+def test_live_ipv6_host_is_bracketed():
+    try:
+        responder = RawResponder([http_reply(chat_body("v6"))], host="::1")
+    except OSError:
+        pytest.skip("no IPv6 loopback")
+    with responder:
+        backend = _raw_backend(responder)
+        try:
+            assert backend.generate(_request()) == "v6"
+        finally:
+            backend.close()
+    port = responder.base_url.rsplit(":", 1)[1]
+    assert b"\r\nHost: [::1]:" + port.encode() + b"\r\n" in responder.requests[0]
+
+
+def test_live_reads_a_chunked_reply_with_a_trailer_and_keeps_the_connection():
+    body = chat_body("chunked answer")
+    chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+               + b"%x;ext=1\r\n" % 10 + body[:10] + b"\r\n"
+               + b"%X\r\n" % (len(body) - 10) + body[10:] + b"\r\n"
+               + b"0\r\nX-Checksum: abc\r\n\r\n")
+    with RawResponder([chunked]) as responder:
+        backend = _raw_backend(responder)
+        try:
+            assert backend.generate(_request("a")) == "chunked answer"
+            assert backend.generate(_request("b")) == "chunked answer"
+        finally:
+            backend.close()
+    assert len(responder.requests) == 2
+    assert responder.connections == 1
+
+
+def test_live_reads_a_reply_sent_one_byte_per_write():
+    with RawResponder([http_reply(chat_body("slowly"), headers="Server: x\r\n")],
+                      byte_writes=True) as responder:
+        backend = _raw_backend(responder)
+        try:
+            assert backend.generate(_request()) == "slowly"
+        finally:
+            backend.close()
+
+
+def test_live_skips_a_100_continue_before_the_reply():
+    with RawResponder([b"HTTP/1.1 100 Continue\r\n\r\n"
+                       + http_reply(chat_body("after continue"))]) as responder:
+        backend = _raw_backend(responder)
+        try:
+            assert backend.generate(_request()) == "after continue"
+        finally:
+            backend.close()
+
+
+def test_live_connection_close_reopens_without_spending_an_attempt():
+    reply = http_reply(chat_body("closing"), headers="Connection: close\r\n")
+    with RawResponder([(reply, "close")]) as responder:
+        backend = _raw_backend(responder, retries=1)
+        try:
+            assert backend.generate(_request("a")) == "closing"
+            assert all(conn.sock is None for conn in backend._opened)
+            assert backend.generate(_request("b")) == "closing"
+        finally:
+            backend.close()
+    assert len(responder.requests) == 2
+    assert responder.connections == 2
+
+
+@pytest.mark.parametrize("bad", [
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 500\r\n\r\n{\"choices\"", "close"),
+    b"HTTP/1.1 200 OK\r\nContent-Length: 12abc\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{}\r\n0\r\n\r\n",
+    b"HTTP/1.1 OK\r\nContent-Length: 2\r\n\r\n{}",
+], ids=["a body shorter than its Content-Length", "a non-numeric Content-Length",
+        "a malformed chunk size", "a status line without a code"])
+def test_live_retries_a_reply_with_bad_framing(bad):
+    with RawResponder([bad, http_reply(chat_body("second try"))]) as responder:
+        backend = _raw_backend(responder, retries=2)
+        try:
+            assert backend.generate(_request()) == "second try"
+        finally:
+            backend.close()
+    assert len(responder.requests) == 2
+    assert responder.connections == 2  # the failed exchange closed its connection
+
+
+@pytest.mark.parametrize("headers", ["X-Filler: %s\r\n" % ("x" * 70000),
+                                     "X-Filler: x\r\n" * 101],
+                         ids=["a header line over 64 KiB", "101 header lines"])
+def test_live_refuses_an_oversized_header_block(headers):
+    with RawResponder([http_reply(chat_body("never read"), headers=headers)]) as responder:
+        backend = _raw_backend(responder, retries=2)
+        try:
+            with pytest.raises(TransportError,
+                               match="longer than 65536 bytes|more than 100 header") as exc:
+                backend.generate(_request())
+        finally:
+            backend.close()
+    assert exc.value.attempts == 2
+    assert len(responder.requests) == 2
+
+
+def test_live_reads_a_reply_without_length_to_the_end_of_the_stream():
+    unframed = b"HTTP/1.1 200 OK\r\n\r\n" + chat_body("to the end")
+    with RawResponder([(unframed, "close")]) as responder:
+        backend = _raw_backend(responder)
+        try:
+            assert backend.generate(_request("a")) == "to the end"
+            assert backend.generate(_request("b")) == "to the end"
+        finally:
+            backend.close()
+    assert responder.connections == 2
+
+
+def test_live_idle_check_polls_a_descriptor_select_cannot_take(monkeypatch):
+    import select
+
+    def beyond_fd_setsize(*args):
+        raise ValueError("filedescriptor out of range in select()")
+
+    monkeypatch.setattr(select, "select", beyond_fd_setsize)
+    with StubOpenAIServer(completion_text="fresh", drop_keep_alive=True) as server:
+        backend = LiveBackend(server.base_url, dim=8, retries=1, rate_limit_per_s=1000)
+        try:
+            assert backend.generate(_request("first")) == "fresh"
+            assert server.dropped.acquire(timeout=5)
+            assert backend.generate(_request("second")) == "fresh"
+        finally:
+            backend.close()

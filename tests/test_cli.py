@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -500,10 +501,23 @@ def test_cli_imports_no_http_or_schema_library():
     code = ("import sys, gmas_harness.cli; "
             "loaded = set(sys.modules) | {name.split('.')[0] for name in sys.modules}; "
             "print(sorted({'requests', 'urllib3', 'jsonschema', 'http.client', 'ssl', "
-            "'selectors'} & loaded))")
+            "'selectors', 'socket', 'select'} & loaded))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_http_client():
+    # LiveBackend speaks HTTP/1.1 on its own sockets
+    for path in Path(gmas_harness.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert [m for m in modules if m.split(".")[0] == "http"] == [], path.name
 
 
 REPO = Path(__file__).parent.parent

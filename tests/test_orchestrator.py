@@ -717,6 +717,20 @@ def test_grid_computes_each_stage_once_per_distinct_key(make_env, registry, poli
     assert {key[0] for key in memo.computed} == set(PIPELINE_ORDER)
 
 
+def test_analyzer_stages_of_one_plan_and_code_share_one_output_text(make_env, registry,
+                                                                   policy_rules, tmp_path):
+    env = _routing_env(make_env, policy_rules)
+    run_grid(generate_questions(2, seed=7), enumerate_grid(registry)[:4], 2, env,
+             workers=2, out_root=tmp_path)
+    outputs = collections.defaultdict(list)
+    for key, (_, trajectory) in env._stages._values.items():
+        if key[0] is AgentRole.ANALYZER:
+            outputs[key[6]].append(trajectory.output)
+    shared = [texts for texts in outputs.values() if len(texts) > 1]
+    assert shared
+    assert all(text is texts[0] for texts in shared for text in texts)
+
+
 def test_no_analyzer_turn_is_reused_while_a_hook_is_configured(make_env, registry,
                                                               policy_rules, tmp_path):
     linter = tmp_path / "linter.sh"
