@@ -475,8 +475,10 @@ class _Connection:
         return version, int(code)
 
     def _fill(self, at_least: int = 1) -> None:
-        """Read more bytes into the buffer; the peer closing is an error."""
-        data = self.sock.recv(max(65536, at_least))
+        """Read more bytes into the buffer; the peer closing is an error.
+        ``recv`` allocates what it is asked for, so a claimed length is
+        read in pieces of at most 1 MiB."""
+        data = self.sock.recv(max(65536, min(at_least, 1 << 20)))
         if not data:
             raise ConnectionError("server closed the connection mid-reply")
         self._buf = self._buf[self._pos:] + data

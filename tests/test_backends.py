@@ -676,10 +676,12 @@ def test_live_connection_close_reopens_without_spending_an_attempt():
 
 @pytest.mark.parametrize("bad", [
     (b"HTTP/1.1 200 OK\r\nContent-Length: 500\r\n\r\n{\"choices\"", "close"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\n{}", "close"),
     b"HTTP/1.1 200 OK\r\nContent-Length: 12abc\r\n\r\n{}",
     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{}\r\n0\r\n\r\n",
     b"HTTP/1.1 OK\r\nContent-Length: 2\r\n\r\n{}",
-], ids=["a body shorter than its Content-Length", "a non-numeric Content-Length",
+], ids=["a body shorter than its Content-Length", "a terabyte Content-Length",
+        "a non-numeric Content-Length",
         "a malformed chunk size", "a status line without a code"])
 def test_live_retries_a_reply_with_bad_framing(bad):
     with RawResponder([bad, http_reply(chat_body("second try"))]) as responder:
