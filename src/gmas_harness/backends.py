@@ -398,12 +398,13 @@ class _Connection:
         self.tls = tls
         self.timeout_s = timeout_s
         self.sock: socket.socket | None = None
-        self._buf = b""
+        self._buf = bytearray()
         self._pos = 0  # the first unread byte of _buf
 
     def close(self) -> None:
         sock, self.sock = self.sock, None
-        self._buf, self._pos = b"", 0
+        self._buf.clear()
+        self._pos = 0
         if sock is not None:
             sock.close()
 
@@ -435,7 +436,8 @@ class _Connection:
             self.close()  # a half-read reply leaves the connection unusable
             raise
         if keep_open and self._pos == len(self._buf):
-            self._buf, self._pos = b"", 0
+            self._buf.clear()
+            self._pos = 0
         else:  # the server closes it, or sent more than the reply
             self.close()
         return status, body
@@ -475,25 +477,30 @@ class _Connection:
         return version, int(code)
 
     def _fill(self, at_least: int = 1) -> None:
-        """Read more bytes into the buffer; the peer closing is an error.
+        """Append more bytes to the buffer; the peer closing is an error.
         ``recv`` allocates what it is asked for, so a claimed length is
-        read in pieces of at most 1 MiB."""
+        read in pieces of at most 1 MiB. The read bytes are dropped only
+        once they are over half the buffer, so a reply arriving in many
+        small pieces costs time linear in its size."""
         data = self.sock.recv(max(65536, min(at_least, 1 << 20)))
         if not data:
             raise ConnectionError("server closed the connection mid-reply")
-        self._buf = self._buf[self._pos:] + data
-        self._pos = 0
+        if self._pos > len(self._buf) >> 1:
+            del self._buf[:self._pos]
+            self._pos = 0
+        self._buf += data
 
     def _line(self) -> bytes:
         """The next line of the buffer, without its CRLF or LF."""
-        while True:
-            end = self._buf.find(b"\n", self._pos)
-            if end >= 0 or len(self._buf) - self._pos > _MAX_LINE:
+        scanned = 0  # unread bytes already searched for the newline
+        while (end := self._buf.find(b"\n", self._pos + scanned)) < 0:
+            scanned = len(self._buf) - self._pos
+            if scanned > _MAX_LINE:
                 break
             self._fill()
         if end < 0 or end - self._pos > _MAX_LINE:
             raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
-        line = self._buf[self._pos:end]
+        line = bytes(self._buf[self._pos:end])
         self._pos = end + 1
         return line[:-1] if line.endswith(b"\r") else line
 
@@ -515,7 +522,7 @@ class _Connection:
     def _exactly(self, n: int) -> bytes:
         while len(self._buf) - self._pos < n:
             self._fill(n - (len(self._buf) - self._pos))
-        body = self._buf[self._pos:self._pos + n]
+        body = bytes(self._buf[self._pos:self._pos + n])
         self._pos += n
         return body
 
@@ -535,10 +542,11 @@ class _Connection:
         return b"".join(parts)
 
     def _to_eof(self) -> bytes:
-        parts = [self._buf[self._pos:]]
+        parts = [bytes(self._buf[self._pos:])]
         while data := self.sock.recv(65536):
             parts.append(data)
-        self._buf, self._pos = b"", 0
+        self._buf.clear()
+        self._pos = 0
         return b"".join(parts)
 
 
@@ -551,13 +559,9 @@ def _peer_closed(conn: _Connection) -> bool:
     that the socket itself no longer shows.
     """
     import select
-    try:
-        readable, _, _ = select.select([conn.sock], [], [], 0)
-    except ValueError:  # a descriptor beyond select's FD_SETSIZE
-        poller = select.poll()
-        poller.register(conn.sock, select.POLLIN)
-        readable = poller.poll(0)
-    return bool(readable) or (conn.tls is not None and conn.sock.pending() > 0)
+    poller = select.poll()  # unlike select.select, no limit on the descriptor
+    poller.register(conn.sock, select.POLLIN)
+    return bool(poller.poll(0)) or (conn.tls is not None and conn.sock.pending() > 0)
 
 
 class LiveBackend:

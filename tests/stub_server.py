@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -121,17 +122,21 @@ class RawResponder:
     The n-th request it reads, over all connections, is answered with
     ``replies[n]`` (the last one repeats). A reply is the raw bytes to send,
     or a pair (bytes, "close") after which the server closes that
-    connection. With ``byte_writes`` each reply goes out one byte per
-    write. ``requests`` holds each request's raw bytes; ``connections``
-    counts the connections accepted.
+    connection; ``closed`` is released after each such close. With
+    ``write_size`` each reply goes out that many bytes per write. With
+    ``tls``, a server-side SSLContext, each accepted connection speaks TLS
+    and ``base_url`` is https. ``requests`` holds each request's raw bytes;
+    ``connections`` counts the connections accepted.
     """
 
-    def __init__(self, replies: list, byte_writes: bool = False,
-                 host: str = "127.0.0.1"):
+    def __init__(self, replies: list, write_size: int = 0,
+                 host: str = "127.0.0.1", tls: ssl.SSLContext | None = None):
         self.replies = list(replies)
-        self.byte_writes = byte_writes
+        self.write_size = write_size
+        self.tls = tls
         self.requests: list[bytes] = []
         self.connections = 0
+        self.closed = threading.Semaphore(0)
         self._lock = threading.Lock()
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._listener = socket.socket(family, socket.SOCK_STREAM)
@@ -145,7 +150,8 @@ class RawResponder:
     @property
     def base_url(self) -> str:
         host, port = self._address
-        return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
+        scheme = "https" if self.tls else "http"
+        return f"{scheme}://[{host}]:{port}" if ":" in host else f"{scheme}://{host}:{port}"
 
     def _accept(self) -> None:
         while True:
@@ -185,6 +191,10 @@ class RawResponder:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         buf = b""
         try:
+            if self.tls is not None:
+                plain, conn = conn, self.tls.wrap_socket(conn, server_side=True)
+                with self._lock:  # __exit__ shuts down the socket that serves
+                    self._open[self._open.index(plain)] = conn
             while True:
                 got = self._read_request(conn, buf)
                 if got is None:
@@ -194,12 +204,12 @@ class RawResponder:
                     reply = self.replies[min(len(self.requests), len(self.replies) - 1)]
                     self.requests.append(request)
                 data, close = reply if isinstance(reply, tuple) else (reply, None)
-                if self.byte_writes:
-                    for i in range(len(data)):
-                        conn.sendall(data[i:i + 1])
-                else:
-                    conn.sendall(data)
+                step = self.write_size or len(data)
+                for i in range(0, len(data), step):
+                    conn.sendall(data[i:i + step])
                 if close == "close":
+                    conn.close()
+                    self.closed.release()
                     return
         except OSError:
             return

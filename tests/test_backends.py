@@ -4,7 +4,9 @@ import collections
 import gc
 import hashlib
 import json
+import pathlib
 import socket
+import ssl
 import sys
 import threading
 import time
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 
 from gmas_harness.backends import (GenerationRequest, LiveBackend, PLAN_MARKER,
                                    PROPOSE_MARKER, SELF_EVAL_MARKER, ScriptEntry,
-                                   ScriptedBackend, TokenBucket, load_script,
-                                   prompt_fingerprint)
+                                   ScriptedBackend, TokenBucket, _Connection,
+                                   load_script, prompt_fingerprint)
 from gmas_harness.embeddings import DeterministicEmbedder
 from gmas_harness.errors import (ConfigurationError, DimensionMismatchError,
                                  TransportError)
@@ -586,14 +588,32 @@ def test_live_bad_reply_shape_counts_only_the_requests_sent():
 
 # ── the HTTP/1.1 transport against scripted reply bytes ─────────────────────
 
+# a test CA and the localhost certificate it signed; tls/make_certs.sh
+# writes them
+_TLS = pathlib.Path(__file__).parent / "tls"
+
+
+@pytest.fixture(params=["http", "https"])
+def tls(request):
+    """A RawResponder's server-side SSLContext, or None for plain http."""
+    if request.param == "http":
+        return None
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(_TLS / "localhost.crt", _TLS / "localhost.key")
+    return context
+
+
 def _raw_backend(responder, retries=1):
-    return LiveBackend(responder.base_url, api_key="k", dim=8, retries=retries,
-                       backoff_s=0.01, rate_limit_per_s=1000)
+    backend = LiveBackend(responder.base_url, api_key="k", dim=8, retries=retries,
+                          backoff_s=0.01, rate_limit_per_s=1000)
+    if responder.tls is not None:  # trust the test CA instead of the system's
+        backend._tls = ssl.create_default_context(cafile=_TLS / "ca.crt")
+    return backend
 
 
-def test_live_request_is_one_http11_post_with_its_headers():
+def test_live_request_is_one_http11_post_with_its_headers(tls):
     body = chat_body("ok")
-    with RawResponder([http_reply(body)]) as responder:
+    with RawResponder([http_reply(body)], tls=tls) as responder:
         backend = _raw_backend(responder)
         try:
             assert backend.generate(_request("hello")) == "ok"
@@ -623,13 +643,13 @@ def test_live_ipv6_host_is_bracketed():
     assert b"\r\nHost: [::1]:" + port.encode() + b"\r\n" in responder.requests[0]
 
 
-def test_live_reads_a_chunked_reply_with_a_trailer_and_keeps_the_connection():
+def test_live_reads_a_chunked_reply_with_a_trailer_and_keeps_the_connection(tls):
     body = chat_body("chunked answer")
     chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                + b"%x;ext=1\r\n" % 10 + body[:10] + b"\r\n"
                + b"%X\r\n" % (len(body) - 10) + body[10:] + b"\r\n"
                + b"0\r\nX-Checksum: abc\r\n\r\n")
-    with RawResponder([chunked]) as responder:
+    with RawResponder([chunked], tls=tls) as responder:
         backend = _raw_backend(responder)
         try:
             assert backend.generate(_request("a")) == "chunked answer"
@@ -640,9 +660,9 @@ def test_live_reads_a_chunked_reply_with_a_trailer_and_keeps_the_connection():
     assert responder.connections == 1
 
 
-def test_live_reads_a_reply_sent_one_byte_per_write():
+def test_live_reads_a_reply_sent_one_byte_per_write(tls):
     with RawResponder([http_reply(chat_body("slowly"), headers="Server: x\r\n")],
-                      byte_writes=True) as responder:
+                      write_size=1, tls=tls) as responder:
         backend = _raw_backend(responder)
         try:
             assert backend.generate(_request()) == "slowly"
@@ -660,9 +680,9 @@ def test_live_skips_a_100_continue_before_the_reply():
             backend.close()
 
 
-def test_live_connection_close_reopens_without_spending_an_attempt():
+def test_live_connection_close_reopens_without_spending_an_attempt(tls):
     reply = http_reply(chat_body("closing"), headers="Connection: close\r\n")
-    with RawResponder([(reply, "close")]) as responder:
+    with RawResponder([(reply, "close")], tls=tls) as responder:
         backend = _raw_backend(responder, retries=1)
         try:
             assert backend.generate(_request("a")) == "closing"
@@ -710,9 +730,9 @@ def test_live_refuses_an_oversized_header_block(headers):
     assert len(responder.requests) == 2
 
 
-def test_live_reads_a_reply_without_length_to_the_end_of_the_stream():
+def test_live_reads_a_reply_without_length_to_the_end_of_the_stream(tls):
     unframed = b"HTTP/1.1 200 OK\r\n\r\n" + chat_body("to the end")
-    with RawResponder([(unframed, "close")]) as responder:
+    with RawResponder([(unframed, "close")], tls=tls) as responder:
         backend = _raw_backend(responder)
         try:
             assert backend.generate(_request("a")) == "to the end"
@@ -737,3 +757,45 @@ def test_live_idle_check_polls_a_descriptor_select_cannot_take(monkeypatch):
             assert backend.generate(_request("second")) == "fresh"
         finally:
             backend.close()
+
+
+def test_live_reopens_a_connection_the_server_closed_while_idle(tls):
+    # the reply keeps the connection open, and then the server closes it
+    with RawResponder([(http_reply(chat_body("fresh")), "close")], tls=tls) as responder:
+        backend = _raw_backend(responder, retries=1)
+        try:
+            assert backend.generate(_request("first")) == "fresh"
+            assert responder.closed.acquire(timeout=5)
+            assert backend.generate(_request("second")) == "fresh"
+        finally:
+            backend.close()
+    assert len(responder.requests) == 2
+    assert responder.connections == 2
+
+
+class _Drip:
+    """A socket stand-in whose every recv returns the next ``step`` bytes."""
+
+    def __init__(self, data: bytes, step: int):
+        self.data, self.at, self.step = data, 0, step
+
+    def recv(self, n: int) -> bytes:
+        piece = self.data[self.at:self.at + min(n, self.step)]
+        self.at += len(piece)
+        return piece
+
+    def close(self) -> None:
+        pass
+
+
+def test_live_reads_a_reply_in_small_pieces_in_linear_time():
+    # Copying the unread buffer on each read, or searching a line again from
+    # its start, costs seconds here: 1 MiB in 16-byte pieces is 65,536 reads.
+    body = b" " * (1 << 20)
+    reply = http_reply(body, headers="X-Filler: %s\r\n" % ("x" * 60000))
+    conn = _Connection(("127.0.0.1", 9), None, 1.0)
+    conn.sock = _Drip(reply, 16)
+    started = time.perf_counter()
+    assert conn.receive() == (200, body)
+    assert time.perf_counter() - started < 2.0
+    assert conn.sock is not None  # the whole reply was read; the connection stays
