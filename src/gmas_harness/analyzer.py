@@ -22,7 +22,7 @@ import json
 import logging
 import re
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -709,6 +709,8 @@ class AnalyzerReport:
     findings: tuple[Finding, ...]
     passes: dict  # Dimension -> bool
     penalty_score: float
+    # canonical JSON pieces, set by ``artifacts`` on first encode
+    json_parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def failed_dimensions(self) -> list[Dimension]:
         return [d for d in Dimension if not self.passes[d]]

@@ -6,15 +6,23 @@ files, so reproducibility checks are plain byte comparisons. Timestamps
 and durations live only in each cell's ``cell.meta.json`` sidecar, never
 in canonical artifacts.
 
-The encoder takes the record tree of ``RunRecord.to_dict``, in which
-embeddings are ``EmbeddingVector`` objects. Each vector is encoded as a
-JSON array of floats. Its text is formatted the first time the vector is
-encoded and kept on the vector itself (``EmbeddingVector.json_text``), so a
-vector shared by many runs is formatted once. The encoder dispatches on the
-exact type of each node; an instance of a subclass of a JSON type (a
-``str``-valued ``Enum`` member, an ``OrderedDict``, a namedtuple, a
-``float`` subclass) falls back to ``isinstance`` tests and is encoded as
-its parent type is. Every file is written atomically (``write_atomic``).
+The encoder takes the record tree of ``RunRecord.to_dict``, in which each
+trajectory, solution path, the analyzer report and each embedding is a
+frozen object that the records of an experiment share. Each shared part is
+encoded once. A vector is encoded as a JSON array of floats, whose text is
+formatted the first time the vector is encoded and kept on the vector
+itself (``EmbeddingVector.json_text``). A ``Trajectory``, ``SolutionPath``
+or ``AnalyzerReport`` keeps its canonical text in its ``json_parts`` slot
+as pieces: the text between its string and vector values, each vector's
+own ``json_text``, and its strings as they stand, escaped at each write. So
+every later file that holds the part splices those pieces in, and the
+pieces copy none of the long texts the part holds.
+
+The encoder dispatches on the exact type of each node; an instance of a
+subclass of a JSON type (a ``str``-valued ``Enum`` member, an
+``OrderedDict``, a namedtuple, a ``float`` subclass) falls back to
+``isinstance`` tests and is encoded as its parent type is. Every file is
+written atomically (``write_atomic``).
 
 The loader mirrors this: ``load_run`` cuts a canonical file at its known
 sorted keys (the record's, the roles' under ``trajectories`` and each
@@ -39,9 +47,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .analyzer import AnalyzerReport
 from .embeddings import EmbeddingVector, number_vector
 from .errors import FILE_NAME, ConfigurationError, ValidationError
-from .records import PAYLOAD_FIELDS, VECTOR_FIELDS, RunRecord, SCHEMA_VERSION, Trajectory
+from .records import (PAYLOAD_FIELDS, VECTOR_FIELDS, RunRecord, SCHEMA_VERSION,
+                      SolutionPath, Trajectory)
 from .scenario import AgentRole
 
 
@@ -69,6 +79,48 @@ def _vector_text(vector: EmbeddingVector) -> str:
     return text
 
 
+# The frozen parts of a record that the records of an experiment share; each
+# keeps its canonical text's pieces in its ``json_parts`` slot.
+_PARTS = frozenset({Trajectory, SolutionPath, AnalyzerReport})
+
+
+def _part_pieces(part) -> tuple:
+    """The canonical text of ``part.to_dict()`` as pieces: each top-level
+    string value is a 1-tuple that holds it, escaped on every write, each
+    top-level vector is its ``json_text``, and a text piece holds what lies
+    between them. So the pieces copy no string or vector text the part holds.
+    A non-finite float anywhere in the part is refused."""
+    payload = part.to_dict()
+    pieces, text, sep = [], [], "{"
+    for key in sorted(payload):
+        text.append(sep + _escape(key) + ":")
+        sep = ","
+        value = payload[key]
+        if type(value) is str:
+            pieces += ("".join(text), (value,))
+            text.clear()
+        elif type(value) is EmbeddingVector:
+            pieces += ("".join(text), value.json_text or _vector_text(value))
+            text.clear()
+        else:
+            _encode(value, text.append)
+    pieces.append("".join(text) + "}")
+    return tuple(pieces)
+
+
+def _encode_part(part, out) -> None:
+    """Append the canonical text of a shared record part: its pieces are
+    made on the first call and then kept on the part, which is frozen, so
+    they cannot go stale. A part that is refused keeps none; two threads
+    that meet a new part at once both make the same pieces."""
+    pieces = part.json_parts
+    if pieces is None:
+        pieces = _part_pieces(part)
+        object.__setattr__(part, "json_parts", pieces)
+    for piece in pieces:
+        out(piece if type(piece) is str else _escape(piece[0]))
+
+
 def _encode(obj, out) -> None:
     """Append the canonical text of ``obj`` through ``out``: one test of its
     exact type, then ``_encode_subclass`` for any other type."""
@@ -79,6 +131,8 @@ def _encode(obj, out) -> None:
         _encode_dict(obj, out)
     elif t is EmbeddingVector:
         out(obj.json_text or _vector_text(obj))
+    elif t in _PARTS:
+        _encode_part(obj, out)
     elif t is float:
         out(_fmt_float(obj))
     elif obj is None:
@@ -199,13 +253,12 @@ def run_relpath(persona_set_id: str, question_id: str, run_index: int) -> Path:
 
 def persist_run(record: RunRecord, root: str | Path) -> Path:
     """Write the canonical artifact, and nothing else; returns its path."""
-    root = Path(root)
-    path = root / run_relpath(record.persona_set_id, record.question_id,
-                              record.run_index)
+    relpath = run_relpath(record.persona_set_id, record.question_id, record.run_index)
+    path = Path(root) / relpath
     try:
         text = canonical_json(record.to_dict()) + "\n"
     except ValidationError as exc:
-        raise ValidationError(f"record {path.name} rejected: {exc}")
+        raise ValidationError(f"record {relpath.as_posix()} rejected: {exc}")
     try:
         write_atomic(path, text)
     except FileNotFoundError:  # the cell's first run: its directory is made once
@@ -274,7 +327,8 @@ def _cutter(keys) -> tuple[str, tuple[str, ...]]:
 
 _RECORD_KEYS = sorted(field.name for field in fields(RunRecord))
 _ROLES_IN_ORDER = sorted(AgentRole, key=lambda role: role.value)
-_TRAJECTORY_KEYS = sorted(field.name for field in fields(Trajectory))
+# the payload keys: a slot that is no init argument (``json_parts``) is none
+_TRAJECTORY_KEYS = sorted(field.name for field in fields(Trajectory) if field.init)
 _RECORD = _cutter(_RECORD_KEYS)
 _ROLES = _cutter([role.value for role in _ROLES_IN_ORDER])
 _TRAJECTORY = _cutter(_TRAJECTORY_KEYS)

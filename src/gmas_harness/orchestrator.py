@@ -349,7 +349,9 @@ class ExperimentEnv:
     """Constructed dependencies shared by every run of one experiment.
 
     The fields are fixed once runs start: a stage's results under a pure
-    backend (see ``execute_run``), the Analyzer's verdict on a (plan, code)
+    backend (see ``execute_run``), the Analyzer's checks of a code text
+    (parse, static, policy and formal), its checks of a plan text (parse,
+    simulation, thresholds and the kpi dict), its report on a (plan, code)
     pair, and a question's conflict rate, are computed once for the life of
     the env, which is one experiment. ``dataclasses.replace`` gives an env
     with none of them cached.
@@ -364,6 +366,8 @@ class ExperimentEnv:
     experiment_id: str = "exp-local"
     severity_weights: dict = field(default_factory=lambda: dict(DEFAULT_SEVERITY_WEIGHTS))
     _stages: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
+    _code_checks: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
+    _plan_checks: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
     _verdicts: Memo = field(default_factory=Memo, init=False, repr=False, compare=False)
     _conflict_rates: Memo = field(default_factory=Memo, init=False, repr=False,
                                   compare=False)
@@ -393,41 +397,50 @@ def _failure_reason(report: AnalyzerReport, alignment_ok: bool, hard_ok: bool,
     return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class _Verdict:
-    """What the Analyzer finds from a plan text and a code text alone. One
-    verdict serves every run of the experiment that analyzes the same pair,
-    so neither it nor its ``kpi`` dict or report is ever mutated."""
-
-    static: tuple[Finding, ...]    # built-in static findings, sorted
-    findings: tuple[Finding, ...]  # policy, formal, then the plan's findings
-    kpi: dict | None
-    report: AnalyzerReport         # the whole report when no hook is configured
-    text: str                      # the Analyzer turn's output text for ``report``
-
-
 _RUNTIME_SKIPPED = Finding(Dimension.RUNTIME, "runtime_skipped", Severity.INFO,
                            "no external sandbox configured; generated code not executed")
 
 
-def _verdict(plan_text: str, code_text: str, env: ExperimentEnv) -> _Verdict:
-    tree = parse_code(code_text)
-    findings = enforce_policy(tree, env.policy_rules)
-    findings.extend(formal_lite_check(tree))
-    kpi_dict = None
-    try:
-        parsed_plan = parse_plan(plan_text)
-    except PlanSyntaxError as exc:
-        findings.extend(plan_findings_for_syntax_error(exc))
-    else:
+def _code_checks(code_text: str, env: ExperimentEnv) -> tuple[tuple[Finding, ...],
+                                                               tuple[Finding, ...]]:
+    """The built-in static findings of a code text, and its policy then
+    formal findings; each distinct code text is checked once per env. The
+    findings are shared, so they are never mutated."""
+    def check():
+        tree = parse_code(code_text)
+        findings = enforce_policy(tree, env.policy_rules)
+        findings.extend(formal_lite_check(tree))
+        return tuple(run_static_checks(tree)), tuple(findings)
+    return env._code_checks.get(text_key(code_text), check)
+
+
+def _plan_checks(plan_text: str, env: ExperimentEnv) -> tuple[tuple[Finding, ...],
+                                                               dict | None]:
+    """A plan text's findings (its simulated KPIs' then the thresholds', or
+    its syntax error's) and its kpi dict, None when the plan does not parse;
+    each distinct plan text is checked once per env. Neither is ever
+    mutated."""
+    def check():
+        try:
+            parsed_plan = parse_plan(plan_text)
+        except PlanSyntaxError as exc:
+            return tuple(plan_findings_for_syntax_error(exc)), None
         threshold_findings, kpi_report = check_thresholds(
             execute_plan(parsed_plan, env.network), env.config.thresholds)
-        findings.extend(kpi_report.findings)
-        findings.extend(threshold_findings)
-        kpi_dict = kpi_report.to_dict()
-    static = run_static_checks(tree)
-    report = build_report(static + findings + [_RUNTIME_SKIPPED], env.severity_weights)
-    return _Verdict(tuple(static), tuple(findings), kpi_dict, report, _report_text(report))
+        return tuple(kpi_report.findings) + tuple(threshold_findings), kpi_report.to_dict()
+    return env._plan_checks.get(text_key(plan_text), check)
+
+
+def _verdict(plan_text: str, code_text: str,
+             env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None, str]:
+    """The report on a (plan, code) pair with no hook configured, the plan's
+    kpi dict and the report's text: the static, policy, formal and plan
+    findings, in that order, then the skipped runtime check."""
+    static, code_findings = _code_checks(code_text, env)
+    plan_findings, kpi_dict = _plan_checks(plan_text, env)
+    report = build_report([*static, *code_findings, *plan_findings, _RUNTIME_SKIPPED],
+                          env.severity_weights)
+    return report, kpi_dict, _report_text(report)
 
 
 def _report_text(report: AnalyzerReport) -> str:
@@ -445,25 +458,29 @@ def _analyze(plan: AllocationPlan, code: CodeArtifact,
     """The Analyzer's report on a plan and its code, the plan's KPI dict,
     and the report's output text.
 
-    The built-in findings come from the experiment's verdict on the pair,
-    and so do the whole report and its text when no hook is configured. The
-    external linter and sandbox hooks run on every call, so a transient
-    hook failure is never replayed into another run.
+    The built-in findings come from the experiment's checks of the code
+    text and of the plan text. With no hook configured, the report and its
+    text are made once per (plan, code) pair, and every run that analyzes
+    the pair shares that one report. The external linter and sandbox hooks
+    run on every call, so a transient hook failure is never replayed into
+    another run.
     """
     cfg = env.config
-    verdict = env._verdicts.get(text_key(plan.pseudo_code, code.code),
-                                lambda: _verdict(plan.pseudo_code, code.code, env))
     if not cfg.hooked:
-        return verdict.report, verdict.kpi, verdict.text
-    findings = merge_external_lint(verdict.static, code.code, cfg.external_linter_cmd)
-    findings.extend(verdict.findings)
+        return env._verdicts.get(text_key(plan.pseudo_code, code.code),
+                                 lambda: _verdict(plan.pseudo_code, code.code, env))
+    static, code_findings = _code_checks(code.code, env)
+    plan_findings, kpi_dict = _plan_checks(plan.pseudo_code, env)
+    findings = merge_external_lint(static, code.code, cfg.external_linter_cmd)
+    findings.extend(code_findings)
+    findings.extend(plan_findings)
     if cfg.external_sandbox_cmd:
         findings.extend(run_external_hook(code.code, cfg.external_sandbox_cmd,
                                           Dimension.RUNTIME, "sandbox_unavailable"))
     else:
         findings.append(_RUNTIME_SKIPPED)
     report = build_report(findings, env.severity_weights)
-    return report, verdict.kpi, _report_text(report)
+    return report, kpi_dict, _report_text(report)
 
 
 def execute_run(question: Question, persona_set: PersonaSet, run_index: int,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import repeat
 
@@ -24,6 +24,8 @@ class SolutionPath:
     steps: tuple[str, ...]
     self_eval: float
     rationale: str = ""
+    # canonical JSON pieces, set by ``artifacts`` on first encode
+    json_parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.steps:
@@ -166,6 +168,8 @@ class Trajectory:
     context_items: tuple[tuple[str, float, str], ...] = ()
     context_centroid: EmbeddingVector | None = None
     aux_exchanges: tuple[tuple[str, str], ...] = ()  # (purpose, output) side calls
+    # canonical JSON pieces, set by ``artifacts`` on first encode; not a payload key
+    json_parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -366,8 +370,10 @@ class RunRecord:
     def to_dict(self) -> dict:
         """The record tree that ``artifacts.canonical_json`` encodes.
 
-        Embeddings stay ``EmbeddingVector`` objects, so the encoder can format
-        each distinct vector once. The JSON payload, the form that
+        Each ``Trajectory``, ``SolutionPath``, the ``AnalyzerReport`` and each
+        embedding stay objects, which the records of an experiment share, so
+        the encoder can format each distinct one once and splice its text
+        into every file that holds it. The JSON payload, the form that
         ``from_dict`` reads, is ``json.loads(canonical_json(record.to_dict()))``.
         """
         return {
@@ -378,16 +384,13 @@ class RunRecord:
             "persona_set_id": self.persona_set_id,
             "run_index": self.run_index,
             "status": self.status.value,
-            "trajectories": {role.value: traj.to_dict()
-                             for role, traj in sorted(self.trajectories.items(),
-                                                      key=lambda kv: kv[0].value)},
-            "proposed_paths": [p.to_dict() for p in self.proposed_paths],
+            "trajectories": {role.value: traj for role, traj in self.trajectories.items()},
+            "proposed_paths": self.proposed_paths,
             "selected_path_id": self.selected_path_id,
             "plan_text": self.plan_text,
             "code_text": self.code_text,
             "kpi": self.kpi,
-            "analyzer_report": self.analyzer_report.to_dict()
-                               if self.analyzer_report else None,
+            "analyzer_report": self.analyzer_report,
             "metrics": self.metrics.to_dict() if self.metrics else None,
             "refinement_events": [e.to_dict() for e in self.refinement_events],
             "max_refinement_depth": self.max_refinement_depth,

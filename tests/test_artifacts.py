@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import enum
 import json
 import math
+import re
 import sys
 import threading
 from datetime import datetime
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gmas_harness import artifacts, orchestrator
+from gmas_harness.analyzer import AnalyzerReport, Dimension
 from gmas_harness.artifacts import (ExperimentManifest, ValueMemo, _fmt_float,
                                     canonical_json, cell_relpath, derive_experiment_id,
                                     iter_run_files, load_run, persist_cell_meta, persist_run,
@@ -583,6 +586,38 @@ def test_nan_metric_rejected_with_validation_error(tmp_path):
     record = make_record(penalty=float("nan"))
     with pytest.raises(ValidationError):
         persist_run(record, tmp_path)
+
+
+def _with_part(record, part: str, bad: float) -> RunRecord:
+    """``record`` whose trajectory, vector or analyzer report holds ``bad``."""
+    coder = record.trajectories[AgentRole.CODER]
+    if part == "analyzer_report":
+        report = AnalyzerReport((), {dim: True for dim in Dimension}, bad)
+        return dataclasses.replace(record, analyzer_report=report)
+    changed = (dataclasses.replace(coder, context_items=(("ctx", bad, "rag"),))
+               if part == "context_items" else
+               dataclasses.replace(coder, output_embedding=EmbeddingVector([0.5, bad])))
+    return dataclasses.replace(record, trajectories={**record.trajectories,
+                                                     AgentRole.CODER: changed})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf])
+@pytest.mark.parametrize("part", ["context_items", "output_embedding", "analyzer_report"])
+def test_a_shared_part_with_a_non_finite_float_is_refused_on_every_write(tmp_path, part,
+                                                                        bad):
+    first = _with_part(make_record(), part, bad)
+    shared = (first.analyzer_report if part == "analyzer_report"
+              else first.trajectories[AgentRole.CODER])
+    for run_index in (1, 2, 2):
+        record = dataclasses.replace(first, run_index=run_index)
+        relpath = run_relpath(record.persona_set_id, record.question_id, run_index)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"record {relpath.as_posix()} rejected: non-finite float {bad!r}")):
+            persist_run(record, tmp_path)
+        assert shared.json_parts is None
+        if part == "output_embedding":
+            assert shared.output_embedding.json_text is None
+    assert list(iter_run_files(tmp_path)) == []
 
 
 def test_cell_sidecar_holds_each_runs_timing_outside_canonical_artifacts(

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from gmas_harness import orchestrator
+from gmas_harness import artifacts, orchestrator
 from gmas_harness.analyzer import (AnalyzerReport, Dimension, Finding, Severity,
                                    build_report, enforce_policy, formal_lite_check,
                                    parse_code, run_external_hook, run_static_checks)
@@ -15,7 +15,7 @@ from gmas_harness.artifacts import (canonical_json, iter_run_files, load_run,
                                     persist_run, run_relpath)
 from gmas_harness.backends import (PROPOSE_MARKER, SELF_EVAL_MARKER, ScriptEntry,
                                    ScriptedBackend)
-from gmas_harness.embeddings import DeterministicEmbedder
+from gmas_harness.embeddings import DeterministicEmbedder, EmbeddingVector
 from gmas_harness.errors import PlanSyntaxError, TransportError
 from gmas_harness.knowledge import SourceTag, build_graph, index_documents
 from gmas_harness.memo import Memo
@@ -24,7 +24,7 @@ from gmas_harness.orchestrator import (MemoryEntry, RunConfig, StoreSet, Thresho
                                        parse_self_eval, propose_paths,
                                        route_refinement, run_cell, run_grid,
                                        select_path)
-from gmas_harness.records import RunStatus, SolutionPath
+from gmas_harness.records import RunStatus, SolutionPath, Trajectory
 from gmas_harness.ricsim import (Cell, SimulatedNetwork, Slice, check_thresholds,
                                  execute_plan, parse_plan, plan_findings_for_syntax_error)
 from gmas_harness.safety import overhead_from_events
@@ -607,15 +607,18 @@ def test_grid_analyzes_once_per_distinct_plan_and_code(make_env, registry, monke
                                                        tmp_path, workers):
     questions = generate_questions(2, seed=7)
     sets = enumerate_grid(registry)[:3]
-    analyzed, parsed = [], []
+    analyzed, parsed, planned = [], [], []
     monkeypatch.setattr(orchestrator, "_analyze", _counting(analyzed, orchestrator._analyze))
     monkeypatch.setattr(orchestrator, "parse_code", _counting(parsed, orchestrator.parse_code))
+    monkeypatch.setattr(orchestrator, "parse_plan", _counting(planned, orchestrator.parse_plan))
     env = make_env(config=REFINING)
     run_grid(questions, sets, 2, env, workers=workers, out_root=tmp_path / "memo")
 
-    pairs = [(plan.pseudo_code, code.code) for plan, code, _ in analyzed]
-    assert len(parsed) == len(set(pairs)) < len(pairs)
-    assert sorted(code for code, in parsed) == sorted(code for _, code in set(pairs))
+    # each code text is checked once, each plan text once, whatever it is paired with
+    pairs = {(plan.pseudo_code, code.code) for plan, code, _ in analyzed}
+    assert sorted(code for code, in parsed) == sorted({code for _, code in pairs})
+    assert sorted(plan for plan, in planned) == sorted({plan for plan, _ in pairs})
+    assert len(parsed) < len(pairs) and len(planned) < len(pairs)
 
     # the same grid with no verdict reused: a fresh env per run
     for ps in sets:
@@ -690,6 +693,70 @@ def test_stage_reuse_tells_runs_apart_by_index_when_their_digests_agree(
         trees[pure] = _run_files(tmp_path / str(pure))
     assert len(trees[True]) == 2 * 3
     assert trees[True] == trees[False]
+
+
+def _persisted_records(monkeypatch) -> list:
+    """The records ``run_cell`` persists, kept from here on."""
+    records, persist = [], artifacts.persist_run
+
+    def keep(record, root):
+        records.append(record)
+        return persist(record, root)
+
+    monkeypatch.setattr(artifacts, "persist_run", keep)
+    return records
+
+
+_SHARED_PARTS = (Trajectory, SolutionPath, AnalyzerReport)
+
+
+def _plain(value):
+    """``value`` with each shared part and vector made a plain value afresh,
+    so ``canonical_json`` of it reads no text kept on any object."""
+    if isinstance(value, _SHARED_PARTS):
+        return _plain(value.to_dict())
+    if isinstance(value, EmbeddingVector):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _parts(record) -> list:
+    """The shared parts a record holds, one entry per place it holds one."""
+    return [*record.trajectories.values(), *record.proposed_paths,
+            *([record.analyzer_report] if record.analyzer_report else [])]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_every_file_of_a_refined_grid_is_its_record_encoded_afresh(
+        make_env, registry, policy_rules, monkeypatch, tmp_path, workers):
+    records = _persisted_records(monkeypatch)
+    run_grid(generate_questions(3, seed=7), enumerate_grid(registry)[:8], 2,
+             _routing_env(make_env, policy_rules), workers=workers, out_root=tmp_path)
+    assert len(records) == 3 * 8 * 2
+    for record in records:
+        path = tmp_path / run_relpath(record.persona_set_id, record.question_id,
+                                      record.run_index)
+        assert path.read_text(encoding="utf-8") == \
+            canonical_json(_plain(record.to_dict())) + "\n"
+
+
+def test_a_refined_grid_encodes_each_shared_part_once(make_env, registry, policy_rules,
+                                                     monkeypatch, tmp_path):
+    records = _persisted_records(monkeypatch)
+    encoded = []
+    for cls in _SHARED_PARTS:
+        monkeypatch.setattr(cls, "to_dict", _counting(encoded, cls.to_dict))
+    run_grid(generate_questions(3, seed=7), enumerate_grid(registry)[:8], 2,
+             _routing_env(make_env, policy_rules), out_root=tmp_path)
+    held = [part for record in records for part in _parts(record)]
+    assert sorted(id(part) for part, in encoded) == sorted({id(part) for part in held})
+    for cls in _SHARED_PARTS:
+        of_cls = [part for part in held if type(part) is cls]
+        assert len({id(part) for part in of_cls}) < len(of_cls)
 
 
 class _RecordingMemo(Memo):
