@@ -61,6 +61,11 @@ class Finding:
     message: str
     location: tuple[int, int] | None = None  # (line, column), 1-based
 
+    @property
+    def fails(self) -> bool:
+        """Whether the finding fails its dimension: severity error or worse."""
+        return SEVERITY_RANK[self.severity] >= SEVERITY_RANK[Severity.ERROR]
+
     def to_dict(self) -> dict:
         return {"dimension": self.dimension.value, "rule_id": self.rule_id,
                 "severity": self.severity.value, "message": self.message,
@@ -688,7 +693,7 @@ def formal_lite_check(tree: CodeSyntaxTree) -> list[Finding]:
                                     Severity.WARNING,
                                     f"call to '{expanded}' is a nondeterminism source",
                                     (line, 1)))
-    findings.sort(key=lambda f: (f.location or (0, 0), f.rule_id))
+    findings.sort(key=_static_order)
     return findings
 
 
@@ -743,10 +748,7 @@ class AnalyzerReport:
 def build_report(findings: list[Finding],
                  weights: dict[Severity, float] | None = None) -> AnalyzerReport:
     """Pass flag is false iff the dimension has a finding of severity >= error."""
-    passes = {}
-    for dim in Dimension:
-        bad = [f for f in findings
-               if f.dimension == dim and SEVERITY_RANK[f.severity] >= SEVERITY_RANK[Severity.ERROR]]
-        passes[dim] = not bad
+    passes = {dim: not any(f.dimension == dim and f.fails for f in findings)
+              for dim in Dimension}
     return AnalyzerReport(findings=tuple(findings), passes=passes,
                           penalty_score=aggregate_penalty(findings, weights))

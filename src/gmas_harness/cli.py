@@ -127,12 +127,12 @@ def _cmd_gen_questions(args) -> int:
     return EXIT_OK
 
 
-def _experiment_id(config, questions_path: Path, personas_arg,
+def _experiment_id(config, questions: FileRef, personas: FileRef | None,
                    runs: int, grid_mode: str) -> str:
     snapshot = {
         "config": config.raw,
-        "questions_sha": FileRef.of(questions_path).sha256,
-        "personas_sha": FileRef.of(personas_arg).sha256 if personas_arg else "builtin",
+        "questions_sha": questions.sha256,
+        "personas_sha": personas.sha256 if personas else "builtin",
         "runs": runs,
         "grid_mode": grid_mode,
     }
@@ -140,14 +140,13 @@ def _experiment_id(config, questions_path: Path, personas_arg,
 
 
 def _write_grid_manifest(root: Path, experiment_id: str, config,
-                         questions_path: Path, personas_arg,
+                         questions: FileRef, personas: FileRef | None,
                          n_questions: int, n_sets: int, runs: int) -> None:
     manifest = ExperimentManifest(
         experiment_id=experiment_id,
         config_snapshot=config.raw,
-        question_set=FileRef.of(questions_path).to_dict(),
-        persona_registry=FileRef.of(personas_arg).to_dict() if personas_arg
-                         else {"path": "builtin", "sha256": ""},
+        question_set=questions.to_dict(),
+        persona_registry=personas.to_dict() if personas else {"path": "builtin", "sha256": ""},
         dimensions={"questions": n_questions, "persona_sets": n_sets, "runs": runs},
     )
     write_manifest(manifest, root)
@@ -168,15 +167,16 @@ def _run_experiment(args, config, registry, questions, persona_sets, grid_mode: 
     """The grid of ``gmas grid`` and ``gmas run``: the manifest, then every
     cell persisted under ``args.out``, which must not hold another
     experiment. Returns (experiment id, root, entries)."""
-    experiment_id = _experiment_id(config, Path(args.questions), args.personas,
-                                   args.runs, grid_mode)
+    question_file = FileRef.of(args.questions)
+    persona_file = FileRef.of(args.personas) if args.personas else None
+    experiment_id = _experiment_id(config, question_file, persona_file, args.runs, grid_mode)
     root = Path(args.out)
     _check_out_tree(root, experiment_id)
     env = build_env(config, experiment_id, registry)
     try:
         root.mkdir(parents=True, exist_ok=True)
-        _write_grid_manifest(root, experiment_id, config, Path(args.questions),
-                             args.personas, len(questions), len(persona_sets), args.runs)
+        _write_grid_manifest(root, experiment_id, config, question_file, persona_file,
+                             len(questions), len(persona_sets), args.runs)
         entries = run_grid(questions, persona_sets, args.runs, env, root, workers=workers)
     finally:
         env.backend.close()

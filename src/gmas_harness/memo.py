@@ -1,9 +1,8 @@
 """Key-to-value memo that computes each missing value once, also under threads,
-and the digest that keys a memo by texts without keeping them."""
+and the piecewise hash feed by which a digest of a long text keeps the GIL."""
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Callable, Hashable, TypeVar
 
@@ -54,12 +53,3 @@ def hash_in_pieces(h, data: bytes):
         h.update(data[start:start + HASH_PIECE])
     return h
 
-
-def text_key(*texts: str) -> bytes:
-    """16-byte blake2b digest of a sequence of texts. Each text but the last
-    is prefixed by its length, which keeps the split between them
-    unambiguous; ``surrogatepass`` admits the lone surrogates a live reply's
-    JSON may decode to."""
-    joined = "".join(f"{len(text)}\0{text}\0" for text in texts[:-1]) + texts[-1]
-    return hash_in_pieces(hashlib.blake2b(digest_size=16),
-                          joined.encode("utf-8", "surrogatepass")).digest()

@@ -15,7 +15,8 @@ A refinement re-runs the routed role and, under a backend whose replies are
 a pure function of the request, recomputes a later stage only when its input
 changed: each stage is computed once per distinct input for the whole
 experiment, so the persona sets that share a role's persona share its turns.
-A live backend is asked on every run.
+A stage reads earlier stages only through its upstream value, which its memo
+key holds. A live backend is asked on every run.
 """
 
 from __future__ import annotations
@@ -23,21 +24,21 @@ from __future__ import annotations
 import logging
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
 from .analyzer import (AnalyzerReport, DEFAULT_SEVERITY_WEIGHTS, Dimension, Finding,
-                       PolicyRuleSet, SEVERITY_RANK, Severity, build_report,
-                       enforce_policy, formal_lite_check, merge_external_lint,
-                       parse_code, run_external_hook, run_static_checks)
+                       PolicyRuleSet, Severity, build_report, enforce_policy,
+                       formal_lite_check, merge_external_lint, parse_code,
+                       run_external_hook, run_static_checks)
 from .backends import Backend, GenerationRequest
 from .embeddings import EmbeddingVector, centroid
 from .errors import ConfigurationError, GmasError, PlanSyntaxError
 from .knowledge import ContextBundle, DocumentStore, KnowledgeGraph, retrieve_graph, retrieve_rag
-from .memo import Memo, text_key
+from .memo import Memo
 from .records import (AllocationPlan, CodeArtifact, RefinementEvent, RunMetrics,
                       RunRecord, RunStatus, SolutionPath, Trajectory)
 from .ricsim import (KpiThresholds, SimulatedNetwork, check_thresholds, execute_plan,
@@ -186,12 +187,6 @@ def _request(system: str, user: str, temperature: float, max_tokens: int,
                              temperature=temperature, max_tokens=max_tokens, seed=seed)
 
 
-def _ask(backend: Backend, role: AgentRole, system: str, user: str, run_index: int,
-         temperature: float, max_tokens: int, seed: int | None) -> str:
-    return backend.generate(_request(system, user, temperature, max_tokens, seed),
-                            role=role.value, run_index=run_index)
-
-
 def planner_task(k: int) -> str:
     return (f"Propose exactly {k} solution paths for this question.\n"
             "Format each as:\n"
@@ -296,8 +291,8 @@ def propose_paths(question: Question, persona: Persona, bundle: ContextBundle,
     system, user = _agent_prompt(question, persona, bundle, digest, planner_task(k),
                                  feedback)
 
-    raw = _ask(backend, persona.role, system, user, run_index, temperature,
-               max_tokens, seed)
+    raw = backend.generate(_request(system, user, temperature, max_tokens, seed),
+                           role=persona.role.value, run_index=run_index)
     blocks = parse_path_blocks(raw)[:k]
     # each candidate is rated on its own, so the ratings go out as one batch
     scored = [position for position, (steps, _) in enumerate(blocks, 1) if steps]
@@ -352,9 +347,9 @@ class ExperimentEnv:
     backend (see ``execute_run``), the Analyzer's checks of a code text
     (parse, static, policy and formal), its checks of a plan text (parse,
     simulation, thresholds and the kpi dict), its report on a (plan, code)
-    pair, and a question's conflict rate, are computed once for the life of
-    the env, which is one experiment. ``dataclasses.replace`` gives an env
-    with none of them cached.
+    pair, each keyed by the texts it reads, and a question's conflict rate,
+    are computed once for the life of the env, which is one experiment.
+    ``dataclasses.replace`` gives an env with none of them cached.
     """
 
     config: RunConfig
@@ -391,8 +386,7 @@ def _failure_reason(report: AnalyzerReport, alignment_ok: bool, hard_ok: bool,
     for dim in (Dimension.RUNTIME, Dimension.STATIC, Dimension.POLICY, Dimension.FORMAL):
         if not report.passes[dim]:
             rules = sorted({f.rule_id for f in report.findings
-                            if f.dimension == dim
-                            and SEVERITY_RANK[f.severity] >= SEVERITY_RANK[Severity.ERROR]})
+                            if f.dimension == dim and f.fails})
             parts.append(f"{dim.value}: {', '.join(rules)}")
     return "; ".join(parts)
 
@@ -411,7 +405,7 @@ def _code_checks(code_text: str, env: ExperimentEnv) -> tuple[tuple[Finding, ...
         findings = enforce_policy(tree, env.policy_rules)
         findings.extend(formal_lite_check(tree))
         return tuple(run_static_checks(tree)), tuple(findings)
-    return env._code_checks.get(text_key(code_text), check)
+    return env._code_checks.get(code_text, check)
 
 
 def _plan_checks(plan_text: str, env: ExperimentEnv) -> tuple[tuple[Finding, ...],
@@ -428,59 +422,45 @@ def _plan_checks(plan_text: str, env: ExperimentEnv) -> tuple[tuple[Finding, ...
         threshold_findings, kpi_report = check_thresholds(
             execute_plan(parsed_plan, env.network), env.config.thresholds)
         return tuple(kpi_report.findings) + tuple(threshold_findings), kpi_report.to_dict()
-    return env._plan_checks.get(text_key(plan_text), check)
+    return env._plan_checks.get(plan_text, check)
 
 
-def _verdict(plan_text: str, code_text: str,
-             env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None, str]:
-    """The report on a (plan, code) pair with no hook configured, the plan's
-    kpi dict and the report's text: the static, policy, formal and plan
-    findings, in that order, then the skipped runtime check."""
+def _report(plan_text: str, code_text: str,
+            env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None, str]:
+    """The Analyzer's report on a (plan, code) pair, the plan's kpi dict and
+    the report's text. The findings, in order: the static ones with the
+    linter's merged in, the policy, formal and plan ones, then the
+    sandbox's or the skipped runtime check. The text, the Analyzer turn's
+    output, gives the penalty, the failed dimensions and each finding."""
+    cfg = env.config
     static, code_findings = _code_checks(code_text, env)
     plan_findings, kpi_dict = _plan_checks(plan_text, env)
-    report = build_report([*static, *code_findings, *plan_findings, _RUNTIME_SKIPPED],
-                          env.severity_weights)
-    return report, kpi_dict, _report_text(report)
-
-
-def _report_text(report: AnalyzerReport) -> str:
-    """The Analyzer turn's output: the penalty, the failed dimensions and
-    one line per finding."""
-    failed = ", ".join(d.value for d in report.failed_dimensions()) or "none"
-    lines = [f"penalty {report.penalty_score:g}; failed dimensions: {failed}"]
-    lines += [f"[{f.severity.value}] {f.dimension.value}/{f.rule_id}: {f.message}"
-              for f in report.findings]
-    return "\n".join(lines)
-
-
-def _analyze(plan: AllocationPlan, code: CodeArtifact,
-             env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None, str]:
-    """The Analyzer's report on a plan and its code, the plan's KPI dict,
-    and the report's output text.
-
-    The built-in findings come from the experiment's checks of the code
-    text and of the plan text. With no hook configured, the report and its
-    text are made once per (plan, code) pair, and every run that analyzes
-    the pair shares that one report. The external linter and sandbox hooks
-    run on every call, so a transient hook failure is never replayed into
-    another run.
-    """
-    cfg = env.config
-    if not cfg.hooked:
-        return env._verdicts.get(text_key(plan.pseudo_code, code.code),
-                                 lambda: _verdict(plan.pseudo_code, code.code, env))
-    static, code_findings = _code_checks(code.code, env)
-    plan_findings, kpi_dict = _plan_checks(plan.pseudo_code, env)
-    findings = merge_external_lint(static, code.code, cfg.external_linter_cmd)
+    findings = merge_external_lint(static, code_text, cfg.external_linter_cmd)
     findings.extend(code_findings)
     findings.extend(plan_findings)
     if cfg.external_sandbox_cmd:
-        findings.extend(run_external_hook(code.code, cfg.external_sandbox_cmd,
+        findings.extend(run_external_hook(code_text, cfg.external_sandbox_cmd,
                                           Dimension.RUNTIME, "sandbox_unavailable"))
     else:
         findings.append(_RUNTIME_SKIPPED)
     report = build_report(findings, env.severity_weights)
-    return report, kpi_dict, _report_text(report)
+    failed = ", ".join(d.value for d in report.failed_dimensions()) or "none"
+    lines = [f"penalty {report.penalty_score:g}; failed dimensions: {failed}"]
+    lines += [f"[{f.severity.value}] {f.dimension.value}/{f.rule_id}: {f.message}"
+              for f in report.findings]
+    return report, kpi_dict, "\n".join(lines)
+
+
+def _analyze(plan_text: str, code_text: str,
+             env: ExperimentEnv) -> tuple[AnalyzerReport, dict | None, str]:
+    """``_report`` on a plan text and its code text. With no hook configured
+    it is made once per (plan, code) pair, which every run shares. The
+    external linter and sandbox hooks run on every call, so a transient hook
+    failure is never replayed into another run."""
+    if env.config.hooked:
+        return _report(plan_text, code_text, env)
+    return env._verdicts.get((plan_text, code_text),
+                             lambda: _report(plan_text, code_text, env))
 
 
 def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
@@ -498,7 +478,8 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
     the role, persona, question, run index, the role's memory digest and
     feedback, and the upstream value: none for the Planner, the proposed
     paths for the Coordinator, the selected path for the Allocator, the plan
-    text for the Coder and the (plan, code) texts for the Analyzer. With a
+    text for the Coder and the (plan, code) texts for the Analyzer. Only
+    ``upstream`` reads earlier stages, so the key misses no input. With a
     linter or sandbox hook configured no Analyzer turn is reused, since hooks
     run on every turn. Any other backend, such as a live one, is asked on
     every turn.
@@ -529,12 +510,12 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
         system, user = _agent_prompt(question, personas[role], bundles[role],
                                      digests[role], task, tuple(feedback[role]))
         if output is None:
-            output = _ask(backend, role, system, user, run_index, cfg.temperature,
-                          cfg.max_tokens, cfg.seed)
+            request = _request(system, user, cfg.temperature, cfg.max_tokens, cfg.seed)
+            output = backend.generate(request, role=role.value, run_index=run_index)
         return system + "\n" + user, output
 
-    def compute(role: AgentRole) -> tuple[object, Trajectory]:
-        """One pipeline stage: the role's results, then its trajectory."""
+    def compute(role: AgentRole, up) -> tuple[object, Trajectory]:
+        """One stage on its upstream value ``up``: its results, then its trajectory."""
         aux: list[tuple[str, str]] = []
         output_embedding = None
         if role is AgentRole.PLANNER:
@@ -546,31 +527,29 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
             summary = (f"proposed {len(paths)} paths; "
                        f"best self-eval {max(p.self_eval for p in paths):.2f}")
         elif role is AgentRole.COORDINATOR:
-            paths = results[AgentRole.PLANNER]
-            result = selected = select_path(paths)
-            prompt, output = turn(role, coordinator_task(paths),
+            result = selected = select_path(up)
+            prompt, output = turn(role, coordinator_task(up),
                                   f"selected path {selected.path_id} "
                                   f"(self-eval {selected.self_eval:.2f})\n"
                                   + selected.steps_text())
-            summary = f"selected path {selected.path_id} of {len(paths)} by argmax self-eval"
+            summary = f"selected path {selected.path_id} of {len(up)} by argmax self-eval"
         elif role is AgentRole.ALLOCATOR:
-            prompt, output = turn(role, allocator_task(results[AgentRole.COORDINATOR],
-                                                       env.network))
+            prompt, output = turn(role, allocator_task(up, env.network))
             result = AllocationPlan(pseudo_code=output, plan_embedding=backend.embed(output))
             output_embedding = result.plan_embedding
             n_statements = sum(1 for ln in output.splitlines()
                                if ln.strip() and not ln.strip().startswith("#"))
             summary = f"emitted plan with {n_statements} statements"
         elif role is AgentRole.CODER:
-            prompt, output = turn(role, coder_task(results[AgentRole.ALLOCATOR].pseudo_code))
+            prompt, output = turn(role, coder_task(up))
             result = CodeArtifact(code=output, code_embedding=backend.embed(output))
             output_embedding = result.code_embedding
             summary = f"translated plan into {len(output.splitlines())} code lines"
         else:
-            plan, code = results[AgentRole.ALLOCATOR], results[AgentRole.CODER]
-            report, kpi_dict, text = _analyze(plan, code, env)
+            plan_text, code_text = up
+            report, kpi_dict, text = _analyze(plan_text, code_text, env)
             result = report, kpi_dict
-            prompt, output = turn(role, analyzer_task(plan.pseudo_code, code.code), text)
+            prompt, output = turn(role, analyzer_task(plan_text, code_text), text)
             summary = (f"report: {len(report.findings)} findings; "
                        f"penalty {report.penalty_score:g}")
         prompt_embedding = backend.embed(prompt)
@@ -584,7 +563,7 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
             context_centroid=bundles[role].bundle_embedding, aux_exchanges=tuple(aux))
 
     def upstream(role: AgentRole):
-        """What the stage reads of the earlier stages' results."""
+        """What the stage reads of earlier stages' results; no stage reads them otherwise."""
         if role is AgentRole.PLANNER:
             return None
         if role is AgentRole.COORDINATOR:
@@ -596,12 +575,13 @@ def execute_run(question: Question, persona_set: PersonaSet, run_index: int,
         return results[AgentRole.ALLOCATOR].pseudo_code, results[AgentRole.CODER].code
 
     def step(role: AgentRole) -> None:
+        up = upstream(role)
         if reuse and not (cfg.hooked and role is AgentRole.ANALYZER):
             key = (role, personas[role], question, run_index, digests[role],
-                   tuple(feedback[role]), upstream(role))
-            results[role], trajectories[role] = env._stages.get(key, lambda: compute(role))
+                   tuple(feedback[role]), up)
+            results[role], trajectories[role] = env._stages.get(key, lambda: compute(role, up))
         else:
-            results[role], trajectories[role] = compute(role)
+            results[role], trajectories[role] = compute(role, up)
 
     status = RunStatus.COMPLETED
     start = AgentRole.PLANNER
@@ -734,7 +714,8 @@ def run_grid(questions: list[Question], persona_sets: list[PersonaSet], runs: in
     Distinct cells may run on concurrent workers; artifacts are identical
     regardless of scheduling because each cell owns its memory, cell
     writers own disjoint paths, and every backend here is a pure function
-    of its inputs.
+    of its inputs. A failing cell, or an interrupt, cancels every cell not
+    yet started, and ``memory.json`` is not written.
     """
     from .artifacts import canonical_json, write_atomic
     if runs < 1:
@@ -745,6 +726,12 @@ def run_grid(questions: list[Question], persona_sets: list[PersonaSet], runs: in
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_cell, q, ps, runs, env, out_root) for ps, q in cells]
+            try:  # in the order they end, so the first failure starts no further cell
+                for future in as_completed(futures):
+                    future.result()
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
             results = [future.result() for future in futures]
     entries: list[RunEntry] = []
     memory: dict[str, dict[str, dict]] = {}

@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import ValueMemo, _fmt_float, iter_run_files, load_run
+from .artifacts import ValueMemo, _fmt_float, iter_run_files, load_run, run_relpath
 from .errors import ValidationError
 from .records import RunRecord
 from .safety import GridSummary, SafetySummary, summarize_cell
@@ -116,9 +116,10 @@ def _load_cell(paths, corrupt: list[Path], memo: ValueMemo) -> list[RunRecord]:
     for path in paths:
         try:
             record = load_run(path, memo)
-            ids = (record.persona_set_id, record.question_id, f"run{record.run_index}.json")
-            if ids != path.parts[-3:]:
-                raise ValidationError(f"record ids belong at runs/{'/'.join(ids)}")
+            relpath = run_relpath(record.persona_set_id, record.question_id,
+                                  record.run_index)
+            if relpath.parts != path.parts[-4:]:
+                raise ValidationError(f"record ids belong at {relpath.as_posix()}")
         except Exception as exc:
             logger.error("corrupt artifact %s: %s", path, exc)
             corrupt.append(path)

@@ -63,7 +63,7 @@ def consistency_score(plan: AllocationPlan, code: CodeArtifact,
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    if plan.plan_embedding.is_zero() or code.code_embedding.is_zero():
+    if consistency_zero_norm(plan, code):
         logger.warning("consistency over zero-norm embedding; scoring 0")
         return 0.0
     value = alpha * cosine(plan.plan_embedding, code.code_embedding)

@@ -4,6 +4,8 @@ import collections
 import dataclasses
 import itertools
 import json
+import time
+import types
 
 import pytest
 
@@ -541,6 +543,31 @@ def test_grid_holds_the_records_of_the_cells_in_flight(make_env, registry, monke
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_failing_cell_starts_no_further_cell(make_env, registry, monkeypatch, tmp_path,
+                                               workers):
+    questions = generate_questions(2, seed=7)
+    sets = enumerate_grid(registry)[:8]
+    slow, failing = (sets[0], questions[0]), (sets[0], questions[1])
+    started = []
+    real_run_cell = orchestrator.run_cell
+
+    def run_cell(question, persona_set, *args):
+        started.append((persona_set, question))
+        if (persona_set, question) == failing:
+            raise OSError("disk gone")
+        # the cells in flight outlast the failure; the grid's first cell
+        # outlasts several others, so the failure must not wait for it
+        time.sleep(0.3 if (persona_set, question) == slow else 0.05)
+        return real_run_cell(question, persona_set, *args)
+
+    monkeypatch.setattr(orchestrator, "run_cell", run_cell)
+    with pytest.raises(OSError, match="disk gone"):
+        run_grid(questions, sets, 1, make_env(), workers=workers, out_root=tmp_path)
+    assert len(started) - started.index(failing) - 1 <= workers
+    assert not (tmp_path / "memory.json").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
 def test_grid_retrieves_once_per_question_and_role(make_env, registry, embedder,
                                                    monkeypatch, tmp_path, workers):
     corpus = [("doc", "allocate prb budget across slices\nadmit urllc slices",
@@ -615,7 +642,7 @@ def test_grid_analyzes_once_per_distinct_plan_and_code(make_env, registry, monke
     run_grid(questions, sets, 2, env, workers=workers, out_root=tmp_path / "memo")
 
     # each code text is checked once, each plan text once, whatever it is paired with
-    pairs = {(plan.pseudo_code, code.code) for plan, code, _ in analyzed}
+    pairs = {(p, c) for p, c, _ in analyzed}
     assert sorted(code for code, in parsed) == sorted({code for _, code in pairs})
     assert sorted(plan for plan, in planned) == sorted({plan for plan, _ in pairs})
     assert len(parsed) < len(pairs) and len(planned) < len(pairs)
@@ -649,6 +676,15 @@ def _routing_env(make_env, policy_rules, pure=True, **config):
         make_env(backend=backend, config=dataclasses.replace(REFINING, **config),
                  rules=dataclasses.replace(policy_rules, resource_caps=(("prb", 32),))),
         network=CONGESTED)
+
+
+def test_a_stage_reads_earlier_results_only_through_upstream():
+    # a stage key holds upstream's value, so a stage that read results itself
+    # could miss an input and make the tree depend on scheduling
+    nested = {const.co_name: const for const in execute_run.__code__.co_consts
+              if isinstance(const, types.CodeType)}
+    assert "results" in nested["upstream"].co_freevars
+    assert "results" not in nested["compute"].co_freevars
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -887,7 +923,7 @@ def test_hooks_run_every_analyzer_turn_and_keep_the_order_of_findings(
     questions = generate_questions(1, seed=7)
     run_grid(questions, enumerate_grid(registry)[:2], 2, env, workers=2, out_root=tmp_path)
 
-    assert len(analyzed) > len({(p.pseudo_code, c.code) for p, c, _ in analyzed})
+    assert len(analyzed) > len({(p, c) for p, c, _ in analyzed})
     assert collections.Counter(log.read_text().split()) == \
         {"linter": len(analyzed), "sandbox": len(analyzed)}
     records = [load_run(path) for path in iter_run_files(tmp_path)]
